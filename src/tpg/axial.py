@@ -173,31 +173,25 @@ class _ClosureState:
             orb = self.orbit[kt]
             for letter, g in self.seeds.items():
                 u = t.conj(g)
-                deriv = Derivation("conjugate", word.conj(Word(letter)).reduced())
-                if self.add(u, deriv, orb):
-                    queue.append(u)
+                if u.key() in self.entries:
+                    continue
+                self.add(u, Derivation("conjugate", word.conj(Word(letter)).reduced()), orb)
+                queue.append(u)
 
     def sorted_elements(self) -> list[tuple[Perm, Derivation]]:
         return sorted(self.entries.values(), key=lambda e: e[0].sort_key())
 
 
-def _identity_mask(power: np.ndarray, ident: np.ndarray) -> np.ndarray:
-    return (power == ident).all(axis=1)
-
-
-def _scan_products(state: _ClosureState) -> list[tuple[Perm, Word, Word]]:
+def _scan_products(G: PermGroup, state: _ClosureState) -> list[tuple[Perm, Word, Word]]:
     """Check o(ts) <= 6 for all T-pairs; list cubes of the order-6 products.
 
     Products are conjugation-invariant, so the left factor ranges over one
     representative per conjugation orbit while the right factor ranges over
-    everything; powers are computed on whole image matrices at once.
+    everything; the orders are looked up by base image in G.
     """
     elems = state.sorted_elements()
     perms = [p for p, _ in elems]
     words = [d.word for _, d in elems]
-    m = np.stack([p.img for p in perms]).astype(np.intp)
-    deg = m.shape[1]
-    ident = np.arange(deg, dtype=np.intp)
     seen_orbits: set[int] = set()
     reps: list[int] = []
     for i, p in enumerate(perms):
@@ -205,27 +199,23 @@ def _scan_products(state: _ClosureState) -> list[tuple[Perm, Word, Word]]:
         if orb not in seen_orbits:
             seen_orbits.add(orb)
             reps.append(i)
-    cubes: list[tuple[Perm, Word, Word]] = []
-    for ri in reps:
-        prod = m[:, m[ri]]  # row s is the image table of perms[ri] * perms[s]
-        p2 = np.take_along_axis(prod, prod, axis=1)
-        p3 = np.take_along_axis(prod, p2, axis=1)
-        p4 = np.take_along_axis(prod, p3, axis=1)
-        p5 = np.take_along_axis(prod, p4, axis=1)
-        p6 = np.take_along_axis(prod, p5, axis=1)
-        is2 = _identity_mask(p2, ident)
-        is3 = _identity_mask(p3, ident)
-        ok = _identity_mask(p4, ident) | _identity_mask(p5, ident) | _identity_mask(p6, ident)
-        if not ok.all():
-            s = int(np.flatnonzero(~ok)[0])
-            raise NotTrianglePointError(
-                f"product of T-set elements {perms[ri]} and {perms[s]} "
-                f"has order {(perms[ri] * perms[s]).order()} > 6"
-            )
-        for s in np.flatnonzero(_identity_mask(p6, ident) & ~is2 & ~is3):
-            cube = Perm(p3[int(s)].astype(np.uint16), validate=False)
-            cubes.append((cube, words[ri], words[int(s)]))
-    return cubes
+    m = np.stack([p.img for p in perms])
+    prods = G.product_indices(m[reps], m)  # [r, s]: perms[reps[r]] * perms[s]
+    orders = G.element_orders()[prods]
+    if (orders > 6).any():
+        r, s = (int(x) for x in np.argwhere(orders > 6)[0])
+        ri = reps[r]
+        raise NotTrianglePointError(
+            f"product of T-set elements {perms[ri]} and {perms[s]} "
+            f"has order {(perms[ri] * perms[s]).order()} > 6"
+        )
+    six = np.argwhere(orders == 6)
+    cubes = G.power_indices(prods[six[:, 0], six[:, 1]], 3)
+    E = G.element_images
+    return [
+        (Perm._trusted(E[cube]), words[reps[int(r)]], words[int(s)])
+        for (r, s), cube in zip(six, cubes)
+    ]
 
 
 def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
@@ -252,10 +242,11 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
     state.conj_close(queue)
     while True:
         fresh = []
-        for cube, w_t, w_s in _scan_products(state):
-            deriv = Derivation("cube", ((w_t * w_s) ** 3).reduced())
-            if state.add(cube, deriv):
-                fresh.append(cube)
+        for cube, w_t, w_s in _scan_products(G, state):
+            if cube.key() in state.entries:
+                continue
+            state.add(cube, Derivation("cube", ((w_t * w_s) ** 3).reduced()))
+            fresh.append(cube)
         if not fresh:
             break
         state.conj_close(fresh)
@@ -305,52 +296,42 @@ def pair_type(cfg: TConfig, t: Perm, s: Perm) -> PairType:
 def pair_type_counts(cfg: TConfig) -> dict[str, int]:
     """Number of unordered pairs of distinct T-elements of each pair type.
 
-    Agrees with pair_type on every pair.  Powers of all products t*s for one
-    t are taken on whole image matrices at once; an order-3 product waits
-    until the squares of every order-6 product through t or s are known.
+    Agrees with pair_type on every pair.  All products t*s are looked up by
+    base image in the group at once; an order-3 product is 3A when it is the
+    square or fourth power of an order-6 product through t or s.
     """
+    G = cfg.group
+    n = len(cfg.tset)
     m = _tset_matrix(cfg)
-    n, deg = m.shape
-    ident = np.arange(deg, dtype=np.intp)
-    counts: dict[str, int] = {}
-    squares: list[set[bytes]] = []  # per t: (tr)^2 and (tr)^4 over o(tr) = 6
-    order3: list[tuple[int, int, bytes]] = []
-
-    def key(row: np.ndarray) -> bytes:
-        return row.astype(np.uint16).tobytes()
-
-    for i in range(n):
-        powers = [m[:, m[i]]]  # row j is the image table of t_i * t_j
-        for _ in range(5):
-            powers.append(np.take_along_axis(powers[0], powers[-1], axis=1))
-        is_id = [_identity_mask(p, ident) for p in powers]
-        orders = np.zeros(n, dtype=np.int64)
-        for k in (6, 5, 4, 3, 2, 1):  # smallest exponent wins
-            orders[is_id[k - 1]] = k
-        if not orders.all():
-            j = int(np.flatnonzero(orders == 0)[0])
-            raise NotTrianglePointError(
-                f"product of T-set elements {cfg.tset[i]} and {cfg.tset[j]} "
-                f"has order > 6")
-        six = np.flatnonzero(orders == 6)
-        squares.append({key(powers[1][j]) for j in six}
-                       | {key(powers[3][j]) for j in six})
-        for j in range(i + 1, n):
-            o = int(orders[j])
-            if o == 2:
-                name = "2A" if key(powers[0][j]) in cfg._index else "2B"
-            elif o == 3:
-                order3.append((i, j, key(powers[0][j])))
-                continue
-            elif o == 4:
-                name = "4B" if key(powers[1][j]) in cfg._index else "4A"
-            else:
-                name = f"{o}A"
-            counts[name] = counts.get(name, 0) + 1
-    for i, j, k in order3:
-        name = "3A" if k in squares[i] or k in squares[j] else str(AMBIGUOUS_3)
-        counts[name] = counts.get(name, 0) + 1
-    return dict(sorted(counts.items()))
+    prods = G.product_indices(m, m)
+    orders = G.element_orders()[prods]
+    if (orders > 6).any():
+        i, j = (int(x) for x in np.argwhere(orders > 6)[0])
+        raise NotTrianglePointError(
+            f"product of T-set elements {cfg.tset[i]} and {cfg.tset[j]} "
+            f"has order > 6")
+    in_t = np.zeros(G.order, dtype=bool)
+    in_t[[G.index_of(t) for t in cfg.tset]] = True
+    # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
+    six_t, six_r = np.nonzero(orders == 6)
+    six = prods[six_t, six_r]
+    squares = np.unique(np.concatenate([
+        six_t * G.order + G.power_indices(six, 2),
+        six_t * G.order + G.power_indices(six, 4),
+    ]))
+    iu, ju = np.triu_indices(n, 1)
+    pair = prods[iu, ju]
+    o = orders[iu, ju]
+    names = np.array([f"{k}A" for k in range(7)], dtype=object)[o]
+    names[(o == 2) & ~in_t[pair]] = "2B"
+    four = np.flatnonzero(o == 4)
+    names[four[in_t[G.power_indices(pair[four], 2)]]] = "4B"
+    three = np.flatnonzero(o == 3)
+    known = (np.isin(iu[three] * G.order + pair[three], squares)
+             | np.isin(ju[three] * G.order + pair[three], squares))
+    names[three[~known]] = str(AMBIGUOUS_3)
+    kinds, counts = np.unique(names, return_counts=True)
+    return {str(k): int(c) for k, c in sorted(zip(kinds, counts))}
 
 
 def t_equivalent(cfg: TConfig, other: TConfig) -> bool:
@@ -826,18 +807,32 @@ def cert_to_dict(cert: ObstructionCertificate) -> dict:
     return out
 
 
+def _strings(value, field: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{field} must be a list of strings")
+    return tuple(value)
+
+
 def cert_from_dict(data: dict) -> ObstructionCertificate:
+    """Parse a certificate; malformed fields raise KeyError, TypeError or ValueError."""
     kind = data["kind"]
     if kind not in ("klein", "m1-audit"):
         raise ValueError(f"unknown certificate kind {kind!r}")
+    triple = _strings(data["triple"], "triple") if "triple" in data else None
+    if triple is not None and len(triple) != 3:
+        raise ValueError("triple must have three entries")
+    for field in ("lhs", "rhs"):
+        if not isinstance(data.get(field, ""), str):
+            raise TypeError(f"{field} must be a string")
     return ObstructionCertificate(
         kind=kind,
         degree=int(data["degree"]),
         group_order=int(data["group_order"]),
-        generators=tuple(data["generators"]),
-        members=tuple((p, w) for p, w in data["members"]),
-        basis=tuple(data["basis"]) if "basis" in data else None,
-        triple=tuple(data["triple"]) if "triple" in data else None,
+        generators=_strings(data["generators"], "generators"),
+        members=tuple((p, w) for p, w in (_strings(m, "members entry")
+                                          for m in data["members"])),
+        basis=_strings(data["basis"], "basis") if "basis" in data else None,
+        triple=triple,
         lhs=data.get("lhs"),
         rhs=data.get("rhs"),
     )
@@ -956,6 +951,8 @@ def verify_certificate(cfg: TConfig, cert: ObstructionCertificate) -> bool:
     except (TypeError, ValueError):
         return False
     if {t.key() for t in basis} != member_keys:
+        return False
+    if any(t.key() not in member_keys for t in triple):
         return False
     model = axis_span_model(K, basis, basis)
     idx = tuple(model.axis_index(t) for t in triple)

@@ -423,35 +423,21 @@ def _class_union(G: PermGroup, seeds: Iterable[Perm]) -> np.ndarray:
     return np.stack(list(rows.values()))
 
 
-def _products_bounded(M: np.ndarray, degree: int, bound: int = 6) -> bool:
-    assert bound == 6, "the scan hardcodes the order-6 frontier"
-    ident = np.arange(degree)
-    for t in range(len(M)):
-        P = M[:, M[t]]
-        P2 = np.take_along_axis(P, P, axis=1)
-        P3 = np.take_along_axis(P2, P, axis=1)
-        P4 = np.take_along_axis(P3, P, axis=1)
-        P5 = np.take_along_axis(P4, P, axis=1)
-        P6 = np.take_along_axis(P5, P, axis=1)
-        ok = ((P4 == ident).all(axis=1) | (P5 == ident).all(axis=1)
-              | (P6 == ident).all(axis=1))
-        if not ok.all():
-            return False
-    return True
-
-
 def is_triangle_point(G: PermGroup, a: Perm, b: Perm, c: Perm) -> bool:
     """a, b, c, ab are involutions generating G with class products of order <= 6."""
     for p in (a, b, c):
         if p.degree != G.degree or p not in G:
             raise ValueError("triple must lie in the group")
-    ab = a * b
-    if any(p.order() != 2 for p in (a, b, c, ab)):
+    seeds = (a, b, c, a * b)
+    if (G.element_orders()[[G.index_of(p) for p in seeds]] != 2).any():
         return False
     if generate(G.degree, [a, b, c]).order != G.order:
         return False
-    M = _class_union(G, (a, b, c, ab))
-    return _products_bounded(M, G.degree)
+    M = _class_union(G, seeds)
+    # M is a union of classes and o(t^g s) = o(t s^(g^-1)), so the seeds as
+    # left factors meet every product of two elements of M
+    left = np.stack([p.img for p in seeds])
+    return bool((G.product_orders(left, M) <= 6).all())
 
 
 def small_tp_groups() -> list[PermGroup]:

@@ -291,6 +291,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         return _usage_error(f"{path}: invalid JSON ({exc})")
+    if not isinstance(payload, dict):
+        return _usage_error(f"{path}: expected a JSON object")
     if payload.get("schema") != CERT_SCHEMA:
         return _usage_error(f"{path}: expected schema {CERT_SCHEMA}")
     name = payload.get("type")
@@ -298,7 +300,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         return _usage_error(f"{path}: unknown excluded type {name!r}")
     try:
         cert = cert_from_dict(payload["certificate"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _usage_error(f"{path}: malformed certificate ({exc})")
     tcfg = classify.target_config(name)
     ok = verify_certificate(tcfg, cert)

@@ -552,6 +552,9 @@ def coset_action(table: CosetTable) -> PermGroup:
     if not table.complete:
         raise ValueError("coset action requires a complete table")
     n = table.coset_count
+    if n > 65535:
+        raise CapacityError(
+            f"coset action on {n} cosets exceeds the uint16 limit of 65535 points")
     images = {}
     for letter in GENERATORS:
         img = np.array(table.column(letter), dtype=np.uint16)

@@ -7,6 +7,14 @@ their elements by breadth-first closure, which is fine at this scale
 (orders up to ~20000) and keeps conjugacy classes, normal closures and
 quotients straightforward.  Hot loops are batched through numpy fancy
 indexing so even degree-4374 groups close in seconds.
+
+Each group also keys its elements by their images of a short base, picked
+along the stabiliser chain (Sims' base; Seress, Permutation Group
+Algorithms, ch. 4): one int64 per element when degree**len(base) fits, a
+row key otherwise, in a sorted array searched with np.searchsorted.  Element
+orders follow powers on the base images only, and product orders compose
+only the base images of the two factors and look the product's order up,
+so no full image array of a product or a power is ever built.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 
 DTYPE = np.uint16
 DEFAULT_CEILING = 2**20
+_LOOKUP_BATCH = 2**20  # base-image entries composed per product batch
 
 
 class CapacityError(RuntimeError):
@@ -293,7 +302,9 @@ class PermGroup:
         self._index: Optional[dict[bytes, int]] = None
         self._elements: Optional[tuple[Perm, ...]] = None
         self._classes = None
-        self._class_idx: Optional[np.ndarray] = None
+        self._base: Optional[np.ndarray] = None
+        self._base_keys: Optional[np.ndarray] = None
+        self._base_elements: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
         self._center = None
         self._derived = None
@@ -309,8 +320,10 @@ class PermGroup:
             cl.add_gen(g.img)
         cl.run()
         E = np.stack(cl.rows)
+        del cl  # free the closure's rows and byte keys before sorting
         keys = [row.astype(">u2").tobytes() for row in E]
         order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
         E = np.ascontiguousarray(E[order])
         E.setflags(write=False)
         self._E = E
@@ -366,25 +379,115 @@ class PermGroup:
     # -- structure ----------------------------------------------------------
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, aligned with .elements."""
-        self._enumerate()
+        """Orders of all elements, aligned with .elements.
+
+        Powers are followed on the base images only: g**k is the identity
+        exactly when it fixes every base point.
+        """
         if self._orders is None:
+            base = self.base()
             E = self._E
-            n, deg = E.shape
-            orders = np.zeros(n, dtype=np.int64)
-            power = E.copy()
-            alive = np.arange(n)
-            ident = np.arange(deg, dtype=DTYPE)
+            orders = np.zeros(len(E), dtype=np.int64)
+            alive = np.arange(len(E))
+            power = E[:, base]
             k = 1
             while alive.size:
-                done = (power[alive] == ident).all(axis=1)
+                done = (power == base).all(axis=1)
                 orders[alive[done]] = k
-                alive = alive[~done]
-                if alive.size:
-                    power[alive] = np.take_along_axis(E[alive], power[alive], axis=1)
-                    k += 1
+                alive, power = alive[~done], power[~done]
+                power = E[alive[:, None], power]  # g**(k+1) = g**k * g
+                k += 1
             self._orders = orders
         return self._orders
+
+    # -- base-image keys and product orders -----------------------------------
+
+    def base(self) -> np.ndarray:
+        """Points (0-based) whose images tell all elements apart.
+
+        Picked along the stabiliser chain: each point is the first one moved
+        by the elements that fix every earlier base point (Sims' base).
+        """
+        if self._base is None:
+            self._enumerate()
+            E = self._E
+            ident = np.arange(self.degree, dtype=DTYPE)
+            points = []
+            rows = E
+            while len(rows) > 1:
+                point = int(np.argmax((rows != ident).any(axis=0)))
+                points.append(point)
+                rows = rows[rows[:, point] == point]
+            base = np.array(points, dtype=np.intp)
+            base.setflags(write=False)
+            keys = self._keys(E[:, base])
+            sort = np.argsort(keys, kind="stable")
+            keys = keys[sort]
+            if (keys[1:] == keys[:-1]).any():
+                raise RuntimeError("base images do not separate the elements")
+            self._base, self._base_keys, self._base_elements = base, keys, sort
+        return self._base
+
+    def _keys(self, images: np.ndarray) -> np.ndarray:
+        """One sortable key per row of base images.
+
+        A mixed-radix int64 when degree**len(base) fits, otherwise the
+        big-endian bytes of the row.
+        """
+        rows, width = images.shape
+        if self.degree**width < 2**63:
+            keys = np.zeros(rows, dtype=np.int64)
+            for col in range(width):
+                keys = keys * self.degree + images[:, col]
+            return keys
+        raw = np.ascontiguousarray(images, dtype=">u2")
+        return raw.view(np.dtype((np.void, 2 * width))).ravel()
+
+    def indices_of_base_images(self, images: np.ndarray) -> np.ndarray:
+        """Element indices for rows of base images, shape images.shape[:-1].
+
+        Every row must be the base images of a member of the group; rows
+        that match no element raise ValueError.
+        """
+        base = self.base()
+        keys = self._keys(images.reshape(math.prod(images.shape[:-1]), len(base)))
+        pos = np.searchsorted(self._base_keys, keys)
+        pos[pos == len(self._base_keys)] = 0
+        if (self._base_keys[pos] != keys).any():
+            raise ValueError("base images of a non-member")
+        return self._base_elements[pos].reshape(images.shape[:-1])
+
+    def product_indices(self, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Indices of the products L[i] * R[j] of member image rows.
+
+        Only the base images of each product are composed; the result has
+        shape (len(L), len(R)).
+        """
+        base = self.base()
+        L = np.asarray(L)
+        R = np.asarray(R)
+        out = np.empty((len(L), len(R)), dtype=np.intp)
+        step = max(1, _LOOKUP_BATCH // max(1, len(R) * len(base)))
+        for start in range(0, len(L), step):
+            images = R[:, L[start : start + step, base]]  # (len(R), step, |base|)
+            out[start : start + step] = self.indices_of_base_images(images).T
+        return out
+
+    def product_orders(self, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Orders of the products L[i] * R[j], read from element_orders()."""
+        return self.element_orders()[self.product_indices(L, R)]
+
+    def power_indices(self, idx: np.ndarray, exponent: int) -> np.ndarray:
+        """Indices of the powers elements[idx] ** exponent (exponent >= 1)."""
+        if exponent < 1:
+            raise ValueError("exponent must be positive")
+        base = self.base()
+        E = self._E
+        rows = np.asarray(idx, dtype=np.intp)[..., None]
+        power = E[rows, base]
+        for _ in range(exponent - 1):
+            power = E[rows, power]
+        return self.indices_of_base_images(power)
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         vals, counts = np.unique(self.element_orders(), return_counts=True)
@@ -422,15 +525,10 @@ class PermGroup:
                                 members.append(j)
                                 frontier.append(j)
                 classes.append(tuple(sorted(members)))
-            self._class_idx = class_idx
             self._classes = tuple(
                 tuple(Perm._trusted(E[i]) for i in members) for members in classes
             )
         return self._classes
-
-    def class_index_of(self, p: Perm) -> int:
-        self.conjugacy_classes()
-        return int(self._class_idx[self.index_of(p)])
 
     def is_abelian(self) -> bool:
         return all(
@@ -690,33 +788,40 @@ def _class_invariants(G: PermGroup) -> list[tuple[int, int]]:
     return inv
 
 
+def _image_rows(perms: Sequence[Perm], degree: int) -> np.ndarray:
+    if not perms:
+        return np.empty((0, degree), dtype=DTYPE)
+    return np.stack([p.img for p in perms])
+
+
 def _certify_hom(G: PermGroup, gens, H: PermGroup, imgs) -> bool:
-    """Check that gens -> imgs extends to an isomorphism via mirrored BFS."""
+    """Check that gens -> imgs extends to an isomorphism via mirrored BFS.
+
+    The search runs level by level; every edge x -> x*g is checked against
+    phi(x) -> phi(x)*h, with both products looked up by base image.
+    """
     n = G.order
     if H.order != n:
         return False
-    phi = np.full(n, -1, dtype=np.int64)
+    phi = np.full(n, -1, dtype=np.intp)
     start = G.index_of(G.identity())
     phi[start] = H.index_of(H.identity())
-    queue = [start]
-    gh = [(g.img, h.img) for g, h in zip(gens, imgs)]
+    frontier = np.array([start], dtype=np.intp)
+    reached = 1
     G_E, H_E = G.element_images, H.element_images
-    G_idx, H_idx = G._index, H._index
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        xrow = G_E[x]
-        hrow = H_E[phi[x]]
-        for g_img, h_img in gh:
-            y = G_idx[g_img[xrow].tobytes()]
-            fy = H_idx[h_img[hrow].tobytes()]
-            if phi[y] < 0:
-                phi[y] = fy
-                queue.append(y)
-            elif phi[y] != fy:
+    while frontier.size:
+        fresh = []
+        for g, h in zip(gens, imgs):
+            y = G.product_indices(G_E[frontier], g.img[None])[:, 0]
+            fy = H.product_indices(H_E[phi[frontier]], h.img[None])[:, 0]
+            new = phi[y] < 0
+            phi[y[new]] = fy[new]
+            if (phi[y] != fy).any():
                 return False
-    if len(queue) != n:
+            fresh.append(np.unique(y[new]))
+        frontier = np.concatenate([frontier[:0], *fresh])
+        reached += frontier.size
+    if reached != n:
         return False
     seen = np.zeros(n, dtype=bool)
     seen[phi] = True
@@ -764,9 +869,8 @@ def find_isomorphism(
     partial_orders = []
     for k in range(len(gens)):
         partial_orders.append(PermGroup(G.degree, gens[: k + 1]).order)
-    pair_orders = [
-        [(gens[i] * gens[k]).order() for i in range(k)] for k in range(len(gens))
-    ]
+    gen_rows = _image_rows(gens, G.degree)
+    pair_orders = G.product_orders(gen_rows, gen_rows)  # [i, k]: o(g_i g_k)
 
     # the first image may be fixed to one representative per class
     # (conjugating an isomorphism by an inner automorphism is free)
@@ -779,14 +883,18 @@ def find_isomorphism(
          if H_inv[H.index_of(h)] == G_inv[gen_idx[k]] and ok(h)]
         for k in range(len(gens))
     ]
+    later_rows = [_image_rows(pool, H.degree) for pool in later]
 
     def extend(k: int, imgs: list[Perm]) -> Optional[tuple[Perm, ...]]:
         if k == len(gens):
             return tuple(imgs) if _certify_hom(G, gens, H, imgs) else None
-        pool = cand0 if k == 0 else later[k]
+        pool = cand0
+        if k:
+            # o(imgs[i] * h) must equal o(gens[i] * gens[k]) for every i < k
+            orders = H.product_orders(_image_rows(imgs, H.degree), later_rows[k])
+            keep = (orders == pair_orders[:k, k, None]).all(axis=0)
+            pool = [h for h, kept in zip(later[k], keep) if kept]
         for h in pool:
-            if any((imgs[i] * h).order() != pair_orders[k][i] for i in range(k)):
-                continue
             cl = _Closure(H.degree, H.ceiling, abort_above=partial_orders[k])
             for p in imgs:
                 cl.add_gen(p.img)

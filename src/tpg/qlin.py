@@ -119,10 +119,6 @@ class Matrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
         n = len(cols[0])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
@@ -158,10 +154,6 @@ class Matrix:
     def _shape_check(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-
-    def scale(self, scalar) -> "Matrix":
-        s = Fraction(scalar)
-        return Matrix([x * s for x in r] for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -1,6 +1,7 @@
 """Tests for T-set closure, pair typing, and the obstruction engines."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from tpg.axial import (
     AMBIGUOUS_3,
     PAIR_INNER,
     NotTrianglePointError,
+    TConfig,
     UnsupportedConfigurationError,
     audit_model,
     axis_span_model,
@@ -160,7 +162,9 @@ class TestTClosure:
         b = Perm.parse("(3,4)", 7)
         c = Perm.parse("(2,3)(4,5)(6,7)", 7)
         G = generate(7, [a, b, c])
-        with pytest.raises(NotTrianglePointError):
+        with pytest.raises(NotTrianglePointError, match=re.escape(
+                "product of T-set elements (2,3)(4,5) and (1,2)(3,4)(6,7) "
+                "has order 10 > 6")):
             t_closure(G, a, b, c)
 
 
@@ -250,6 +254,18 @@ class TestPairTypeCounts:
         cfg = t_closure(generate(4, [a, b, c]), a, b, c)
         assert pair_type_counts(cfg) == {
             "2A": 12, "4B": 12, str(AMBIGUOUS_3): 12}
+
+    def test_order_above_six_rejected(self):
+        a = Perm.parse("(1,2)", 7)
+        b = Perm.parse("(3,4)", 7)
+        c = Perm.parse("(2,3)(4,5)(6,7)", 7)
+        tset = tuple(sorted((a, b, c, a * b), key=Perm.sort_key))
+        cfg = TConfig(group=generate(7, [a, b, c]), seeds=(a, b, c),
+                      tset=tset, derivations=())
+        with pytest.raises(NotTrianglePointError, match=re.escape(
+                "product of T-set elements (2,3)(4,5)(6,7) and (1,2)(3,4) "
+                "has order > 6")):
+            pair_type_counts(cfg)
 
 
 class TestTEquivalent:
@@ -514,10 +530,25 @@ class TestObstruct:
         cert = obstruct(deg16_config)
         assert not verify_certificate(deg16_config, replace(cert, lhs="1/256"))
         assert not verify_certificate(deg16_config, replace(cert, rhs="-3/256"))
+        outside = (*cert.triple[:2], "(1,2)")  # a permutation that is not an axis
+        assert not verify_certificate(deg16_config, replace(cert, triple=outside))
 
     def test_cert_from_dict_validates_kind(self):
         with pytest.raises(ValueError, match="kind"):
             cert_from_dict({"kind": "bogus"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("generators", [1, 2, 3]), ("members", [[1, "a"]]), ("basis", [None]),
+        ("triple", "abc"), ("lhs", [None]), ("degree", None),
+    ])
+    def test_cert_from_dict_rejects_wrong_field_types(self, field, value):
+        data = {"kind": "m1-audit", "degree": 16, "group_order": 1920,
+                "generators": ["(1,2)"], "members": [["(1,2)", "a"]],
+                "basis": ["(1,2)"], "triple": ["(1,2)"] * 3,
+                "lhs": "1/256", "rhs": "-3/256"}
+        cert_from_dict(data)
+        with pytest.raises(TypeError):
+            cert_from_dict({**data, field: value})
 
     def test_unobstructed_config_returns_none(self, s6_config):
         # S6 itself obstructs via klein; a plain klein four-group does not.

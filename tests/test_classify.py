@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tpg import classify
@@ -214,6 +215,59 @@ class TestTrianglePointVerdict:
     def test_small_catalog(self):
         names = sorted(g.name for g in small_tp_groups())
         assert names == ["2^2", "2^3", "D12", "D8"]
+
+    def test_product_order_above_six_is_false(self):
+        a = Perm.parse("(1,2)", 7)
+        b = Perm.parse("(3,4)", 7)
+        c = Perm.parse("(2,3)(4,5)(6,7)", 7)
+        # a, b, c, ab are involutions generating G, but two elements of
+        # their class union multiply to an element of order 10
+        assert not is_triangle_point(generate(7, [a, b, c]), a, b, c)
+
+
+def _separates(G) -> bool:
+    images = G.element_images[:, G.base()]
+    return len(np.unique(images, axis=0)) == G.order
+
+
+def _g10_2_4_s5(report):
+    (rec,) = [r for r in report.quotients
+              if r.parent == "G10" and r.claimed == "2^4:S5"]
+    return rec.group
+
+
+class TestBaseImageLookup:
+    def test_base_separates_catalog_groups(self, entries):
+        for e in entries.values():
+            assert _separates(e.group), e.name
+        assert len(entries["G11"].group.base()) == 2
+
+    def test_base_separates_quotients(self, classification_report):
+        for rec in classification_report.quotients:
+            assert _separates(rec.group), (rec.parent, rec.subgroup_order)
+            if rec.parent != "G11":  # regular coset actions
+                assert len(rec.group.base()) == 1
+
+    @pytest.mark.parametrize("source", ["G6", "G10", "G10/N2"])
+    def test_product_orders_on_class_union(self, entries, classification_report,
+                                           source):
+        if source == "G10/N2":
+            G = _g10_2_4_s5(classification_report)
+            a, b, c = (G.tracked[k] for k in "abc")
+        else:
+            G = entries[source].group
+            a, b, c = (entries[source].images()[k] for k in "abc")
+        M = classify._class_union(G, (a, b, c, a * b))
+        perms = [Perm(row) for row in M]
+        orders = {}  # many pairs share a product; order each product once
+
+        def order(pq):
+            if pq.key() not in orders:
+                orders[pq.key()] = pq.order()
+            return orders[pq.key()]
+
+        want = [[order(p * q) for q in perms] for p in perms]
+        assert G.product_orders(M, M).tolist() == want
 
 
 class TestPresentationCollapses:

@@ -183,6 +183,33 @@ class TestObstructAndVerify:
         assert code == 2
         assert "schema" in err
 
+    def test_non_object_top_level_rejected(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1,2]")
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "expected a JSON object" in err
+
+    def test_certificate_of_wrong_type_rejected(self, capsys, tmp_path):
+        path = tmp_path / "list-cert.json"
+        path.write_text(json.dumps(
+            {"schema": "tpg.certificate/1", "type": "S6", "certificate": []}))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "malformed certificate" in err
+
+    def test_null_degree_rejected(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "--out", str(tmp_path), "obstruct", "S6")
+        assert code == 0
+        path = tmp_path / "S6.cert.json"
+        payload = json.loads(path.read_text())
+        assert payload["certificate"]["kind"] == "klein"
+        payload["certificate"]["degree"] = None
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "malformed certificate" in err
+
     def test_m1_audit_summary(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "--out", str(tmp_path), "obstruct", "2^4:S5")

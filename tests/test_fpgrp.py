@@ -295,6 +295,13 @@ class TestToddCoxeter:
         with pytest.raises(ValueError):
             coset_action(t)
 
+    def test_coset_action_beyond_uint16(self):
+        # 65536 cosets: a, b, c all swap 2i and 2i+1, a complete involutory table
+        rows = tuple((i ^ 1, i ^ 1, i ^ 1) for i in range(65536))
+        t = CosetTable(rows=rows, complete=True)
+        with pytest.raises(CapacityError, match="65535"):
+            coset_action(t)
+
 
 class TestPaperGroups:
     def test_trio_of_order_72_presentations_pairwise_isomorphic(self):

@@ -239,6 +239,59 @@ def test_generating_tuple():
     assert trivial_group().generating_tuple() == ()
 
 
+# -- base images and product orders ------------------------------------------
+
+
+def _separates(G):
+    images = G.element_images[:, G.base()]
+    return len(np.unique(images, axis=0)) == G.order
+
+
+def test_base_follows_stabiliser_chain():
+    assert list(symmetric_group(5).base()) == [0, 1, 2, 3]
+    assert list(cyclic_group(7).base()) == [0]
+    assert list(trivial_group().base()) == []
+    for G in (symmetric_group(5), dihedral_group(12), quaternion_group(),
+              direct_product(symmetric_group(3), cyclic_group(4)), trivial_group()):
+        assert _separates(G)
+
+
+def test_element_orders_match_cycles():
+    for G in (symmetric_group(5), dicyclic_group_12(), trivial_group()):
+        assert G.element_orders().tolist() == [p.order() for p in G.elements]
+
+
+def test_product_and_power_indices():
+    G = direct_product(symmetric_group(3), dihedral_group(8))
+    E, elems = G.element_images, G.elements
+    got = G.product_indices(E, E)
+    assert got.shape == (G.order, G.order)
+    for i, p in enumerate(elems):
+        assert [elems[j] for j in got[i]] == [p * q for q in elems]
+    assert G.product_orders(E[:3], E).tolist() == [
+        [(p * q).order() for q in elems] for p in elems[:3]]
+    for e in (1, 2, 3, 5):
+        assert [elems[j] for j in G.power_indices(np.arange(G.order), e)] == [
+            p**e for p in elems]
+
+
+def test_row_keys_beyond_int64():
+    # base of length 6 on 6000 points: 6000**6 does not fit an int64 key
+    gens = [Perm.from_cycles(6000, [(2 * i + 1, 2 * i + 2)]) for i in range(6)]
+    G = PermGroup(6000, gens)
+    assert len(G.base()) == 6 and _separates(G)
+    E, elems = G.element_images, G.elements
+    assert [elems[j] for j in G.product_indices(E[:5], E)[4]] == [
+        elems[4] * q for q in elems]
+    assert G.element_orders().tolist() == [1] + [2] * 63
+
+
+def test_lookup_rejects_non_member_images():
+    G = cyclic_group(5)
+    with pytest.raises(ValueError, match="non-member"):
+        G.indices_of_base_images(np.array([[7]]))
+
+
 # -- property-based checks ----------------------------------------------------
 
 perm_strategy = st.integers(2, 5).flatmap(
