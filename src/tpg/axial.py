@@ -145,75 +145,38 @@ class TConfig:
         return {"a": a, "b": b, "c": c}
 
 
-class _ClosureState:
-    """Mutable working set for t_closure: elements, derivations, orbits."""
-
-    def __init__(self, seeds: dict[str, Perm]):
-        self.seeds = seeds
-        self.entries: dict[bytes, tuple[Perm, Derivation]] = {}
-        self.orbit: dict[bytes, int] = {}
-        self.next_orbit = 0
-
-    def add(self, p: Perm, deriv: Derivation, orbit: int | None = None) -> bool:
-        k = p.key()
-        if k in self.entries:
-            return False
-        if orbit is None:
-            orbit = self.next_orbit
-            self.next_orbit += 1
-        self.entries[k] = (p, deriv)
-        self.orbit[k] = orbit
-        return True
-
-    def conj_close(self, queue: list[Perm]):
-        while queue:
-            t = queue.pop()
-            kt = t.key()
-            word = self.entries[kt][1].word
-            orb = self.orbit[kt]
-            for letter, g in self.seeds.items():
-                u = t.conj(g)
-                if u.key() in self.entries:
-                    continue
-                self.add(u, Derivation("conjugate", word.conj(Word(letter)).reduced()), orb)
-                queue.append(u)
-
-    def sorted_elements(self) -> list[tuple[Perm, Derivation]]:
-        return sorted(self.entries.values(), key=lambda e: e[0].sort_key())
+def _first_per_class(G: PermGroup, idx: np.ndarray) -> np.ndarray:
+    """Positions in idx of the first element of each conjugacy class met."""
+    return np.sort(np.unique(G.class_labels()[idx], return_index=True)[1])
 
 
-def _scan_products(G: PermGroup, state: _ClosureState) -> list[tuple[Perm, Word, Word]]:
+def _scan_products(
+    G: PermGroup, derivations: dict[int, Derivation]
+) -> list[tuple[int, Word, Word]]:
     """Check o(ts) <= 6 for all T-pairs; list cubes of the order-6 products.
 
-    Products are conjugation-invariant, so the left factor ranges over one
-    representative per conjugation orbit while the right factor ranges over
-    everything; the orders are looked up by base image in G.
+    Products are conjugation-invariant and T is a union of conjugacy classes,
+    so the left factor ranges over one member per class while the right
+    factor ranges over everything; the orders are looked up by base image in
+    G.  Cubes come back as element indices.
     """
-    elems = state.sorted_elements()
-    perms = [p for p, _ in elems]
-    words = [d.word for _, d in elems]
-    seen_orbits: set[int] = set()
-    reps: list[int] = []
-    for i, p in enumerate(perms):
-        orb = state.orbit[p.key()]
-        if orb not in seen_orbits:
-            seen_orbits.add(orb)
-            reps.append(i)
-    m = np.stack([p.img for p in perms])
-    prods = G.product_indices(m[reps], m)  # [r, s]: perms[reps[r]] * perms[s]
+    idx = np.array(sorted(derivations))
+    words = [derivations[i].word for i in idx]
+    reps = _first_per_class(G, idx)
+    m = G.element_images[idx]
+    prods = G.product_indices(m[reps], m)  # [r, s]: T[reps[r]] * T[s]
     orders = G.element_orders()[prods]
     if (orders > 6).any():
         r, s = (int(x) for x in np.argwhere(orders > 6)[0])
-        ri = reps[r]
+        t, u = Perm._trusted(m[reps[r]]), Perm._trusted(m[s])
         raise NotTrianglePointError(
-            f"product of T-set elements {perms[ri]} and {perms[s]} "
-            f"has order {(perms[ri] * perms[s]).order()} > 6"
+            f"product of T-set elements {t} and {u} "
+            f"has order {(t * u).order()} > 6"
         )
     six = np.argwhere(orders == 6)
     cubes = G.power_indices(prods[six[:, 0], six[:, 1]], 3)
-    E = G.element_images
     return [
-        (Perm._trusted(E[cube]), words[reps[int(r)]], words[int(s)])
+        (int(cube), words[reps[r]], words[s])
         for (r, s), cube in zip(six, cubes)
     ]
 
@@ -230,32 +193,48 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
     ab = a * b
     if ab.order() != 2:
         raise ValueError("ab must be an involution")
-    if generate(G.degree, [a, b, c]).order != G.order:
+    if not G.is_generated_by([a, b, c]):
         raise ValueError("seeds must generate the group")
 
-    state = _ClosureState({"a": a, "b": b, "c": c})
+    maps = [(letter, G.conjugation_map(g)) for letter, g in zip("abc", (a, b, c))]
+    derivations: dict[int, Derivation] = {}  # by element index of G
+
+    def conj_close(queue: list[int]) -> None:
+        # depth first, popping from the end, letters a, b, c: this order
+        # decides which derivation words certificates publish
+        while queue:
+            t = queue.pop()
+            word = derivations[t].word
+            for letter, conj in maps:
+                u = int(conj[t])
+                if u not in derivations:
+                    derivations[u] = Derivation(
+                        "conjugate", word.conj(Word(letter)).reduced())
+                    queue.append(u)
+
     queue = []
-    seed_words = ((a, Word("a")), (b, Word("b")), (c, Word("c")), (ab, Word("ab")))
-    for p, w in seed_words:
-        if state.add(p, Derivation("seed", w)):
-            queue.append(p)
-    state.conj_close(queue)
+    for p, w in ((a, "a"), (b, "b"), (c, "c"), (ab, "ab")):
+        i = G.index_of(p)
+        if i not in derivations:
+            derivations[i] = Derivation("seed", Word(w))
+            queue.append(i)
+    conj_close(queue)
     while True:
         fresh = []
-        for cube, w_t, w_s in _scan_products(G, state):
-            if cube.key() in state.entries:
-                continue
-            state.add(cube, Derivation("cube", ((w_t * w_s) ** 3).reduced()))
-            fresh.append(cube)
+        for cube, w_t, w_s in _scan_products(G, derivations):
+            if cube not in derivations:
+                derivations[cube] = Derivation("cube", ((w_t * w_s) ** 3).reduced())
+                fresh.append(cube)
         if not fresh:
             break
-        state.conj_close(fresh)
-    elems = state.sorted_elements()
+        conj_close(fresh)
+    idx = sorted(derivations)  # element order is lexicographic image order
+    E = G.element_images
     return TConfig(
         group=G,
         seeds=(a, b, c),
-        tset=tuple(p for p, _ in elems),
-        derivations=tuple(d for _, d in elems),
+        tset=tuple(Perm._trusted(E[i]) for i in idx),
+        derivations=tuple(derivations[i] for i in idx),
     )
 
 
@@ -311,7 +290,7 @@ def pair_type_counts(cfg: TConfig) -> dict[str, int]:
             f"product of T-set elements {cfg.tset[i]} and {cfg.tset[j]} "
             f"has order > 6")
     in_t = np.zeros(G.order, dtype=bool)
-    in_t[[G.index_of(t) for t in cfg.tset]] = True
+    in_t[_tset_indices(cfg)] = True
     # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
     six_t, six_r = np.nonzero(orders == 6)
     six = prods[six_t, six_r]
@@ -448,6 +427,17 @@ class M1Witness:
 _EXPRESSIBLE = ("2A", "2B", "4B")
 
 
+def _m1_sides(inner, left: dict[int, Fraction], right: dict[int, Fraction],
+              i: int, k: int) -> tuple[Fraction, Fraction]:
+    """(a_i a_j, a_k) and (a_i, a_j a_k), from left = a_i a_j and right = a_j a_k.
+
+    inner(x, y) is the form on axes x, y.
+    """
+    lhs = sum((c * inner(m, k) for m, c in left.items()), Fraction(0))
+    rhs = sum((c * inner(i, m) for m, c in right.items()), Fraction(0))
+    return lhs, rhs
+
+
 def audit_model(model: AxisSpanModel) -> M1Witness | None:
     """First basis triple (i,j,k) with (a_i a_j, a_k) != (a_i, a_j a_k)."""
     n = model.dim
@@ -475,8 +465,7 @@ def audit_model(model: AxisSpanModel) -> M1Witness | None:
                 right = products[j][k]
                 if right is None:
                     continue
-                lhs = sum((c * inner_of(m, k) for m, c in left.items()), Fraction(0))
-                rhs = sum((c * inner_of(i, m) for m, c in right.items()), Fraction(0))
+                lhs, rhs = _m1_sides(inner_of, left, right, i, k)
                 if lhs != rhs:
                     return M1Witness(
                         triple=(model.axes[i], model.axes[j], model.axes[k]),
@@ -556,38 +545,23 @@ def _tset_matrix(cfg: TConfig) -> np.ndarray:
     return np.stack([t.img for t in cfg.tset]).astype(np.intp)
 
 
-def _orbit_representatives(cfg: TConfig) -> list[int]:
-    """One index per conjugation orbit of the T-set, first in sorted order."""
-    seen: set[bytes] = set()
-    reps = []
-    for i, t in enumerate(cfg.tset):
-        if t.key() in seen:
-            continue
-        reps.append(i)
-        queue = [t]
-        seen.add(t.key())
-        while queue:
-            u = queue.pop()
-            for g in cfg.seeds:
-                v = u.conj(g)
-                if v.key() not in seen:
-                    seen.add(v.key())
-                    queue.append(v)
-    return reps
+def _tset_indices(cfg: TConfig) -> np.ndarray:
+    return np.array([cfg.group.index_of(t) for t in cfg.tset], dtype=np.intp)
 
 
 def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[Perm, Perm, Perm]]:
     """Generating triples (x, y, z) of 2^3 subgroups inside the T-set.
 
-    Anchored at one representative per conjugation orbit of x; full coverage
-    of all subgroups is restored afterwards by closing under conjugation.
+    Anchored at the first T-element of each conjugacy class for x; full
+    coverage of all subgroups is restored afterwards by closing under
+    conjugation.
     """
     tset = cfg.tset
     n = len(tset)
     m = _tset_matrix(cfg)
     index = {t.key(): i for i, t in enumerate(tset)}
     found: list[tuple[Perm, Perm, Perm]] = []
-    for xi in _orbit_representatives(cfg):
+    for xi in _first_per_class(cfg.group, _tset_indices(cfg)):
         x = tset[xi]
         prod = m[:, m[xi]]
         rev = m[xi][m]
@@ -736,11 +710,9 @@ def find_subgroups_iso(G: PermGroup, ref: PermGroup) -> tuple[PermGroup, ...]:
     pools: dict[int, list[Perm]] = {}
     for o in set(orders):
         pools[o] = [g for g in G.elements if g.order() == o]
-    anchors = [
-        min(cls, key=lambda p: p.sort_key())
-        for cls in G.conjugacy_classes()
-        if cls[0].order() == orders[0]
-    ]
+    # least member of each class, classes ordered by least member
+    anchors = [cls[0] for cls in G.conjugacy_classes()
+               if cls[0].order() == orders[0]]
     found: dict[frozenset, PermGroup] = {}
     seen_prefix: set[tuple[int, frozenset]] = set()
 
@@ -762,7 +734,7 @@ def find_subgroups_iso(G: PermGroup, ref: PermGroup) -> tuple[PermGroup, ...]:
         for g in pools[orders[depth]]:
             extend(gens + [g], depth + 1)
 
-    for x in sorted(anchors, key=lambda p: p.sort_key()):
+    for x in anchors:
         extend([x], 1)
     queue = list(found.values())
     while queue:
@@ -867,29 +839,16 @@ def _m1_certificate(
     )
 
 
-def _klein_in_subgroup(cfg: TConfig, K: PermGroup) -> PermGroup | None:
-    """2^3 subgroup of small K with every involution in the T-set, if any."""
-    invs = [t for t in K.involutions() if t in cfg]
-    for i, x in enumerate(invs):
-        for j in range(i + 1, len(invs)):
-            y = invs[j]
-            if x * y != y * x or (x * y) not in cfg:
-                continue
-            xy = x * y
-            for k in range(j + 1, len(invs)):
-                z = invs[k]
-                if z == xy or x * z != z * x or y * z != z * y:
-                    continue
-                if (x * z) in cfg and (y * z) in cfg and (xy * z) in cfg:
-                    return generate(cfg.group.degree, [x, y, z])
-    return None
-
-
 def obstruct(cfg: TConfig) -> ObstructionCertificate | None:
     """Certificate that no Majorana representation exists, or None.
 
     Tries the Klein fusion obstruction first; failing that, audits every
-    2xD8 subgroup for an M1 violation over its axis span.
+    2xD8 subgroup with exactly ten designated involutions for an M1
+    violation over its axis span.  A 2xD8 with all eleven involutions
+    designated is skipped: a 2^3 inside it would lie inside T, and
+    klein_search is complete over T (T is a union of conjugacy classes, and
+    every 2^3 inside T has a conjugate through the first T-element of a
+    class, where the search anchors).
     """
     K = klein_search(cfg)
     if K is not None:
@@ -898,12 +857,7 @@ def obstruct(cfg: TConfig) -> ObstructionCertificate | None:
         cert = None
         for K in find_subgroups_iso(cfg.group, two_d8_reference()):
             designated = [t for t in K.involutions() if t in cfg]
-            if len(designated) == 11:
-                inner = _klein_in_subgroup(cfg, K)
-                if inner is not None:
-                    cert = _klein_certificate(cfg, inner)
-                    break
-            elif len(designated) == 10:
+            if len(designated) == 10:
                 basis = _canonical_2d8_basis(K, cfg.__contains__)
                 if basis is None:
                     basis = designated
@@ -961,6 +915,4 @@ def verify_certificate(cfg: TConfig, cert: ObstructionCertificate) -> bool:
     right = model.product_entry(j, k)
     if left is None or right is None:
         return False
-    lhs_check = sum((c * model.inner_entry(m, k) for m, c in left.items()), Fraction(0))
-    rhs_check = sum((c * model.inner_entry(i, m) for m, c in right.items()), Fraction(0))
-    return lhs_check == lhs and rhs_check == rhs and lhs != rhs
+    return _m1_sides(model.inner_entry, left, right, i, k) == (lhs, rhs) and lhs != rhs

@@ -402,27 +402,6 @@ def identify(G: PermGroup) -> str:
 # -- triangle-point verdict -------------------------------------------------------
 
 
-def _class_union(G: PermGroup, seeds: Iterable[Perm]) -> np.ndarray:
-    rows: dict[bytes, np.ndarray] = {}
-    frontier = []
-    for p in seeds:
-        if p.key() not in rows:
-            rows[p.key()] = p.img
-            frontier.append(p.img)
-    pairs = [(g.img, g.inverse().img) for g in G.generators]
-    while frontier:
-        F = np.stack(frontier)
-        frontier = []
-        for g_img, ginv_img in pairs:
-            New = g_img[F[:, ginv_img]]
-            for row in New:
-                k = row.tobytes()
-                if k not in rows:
-                    rows[k] = row
-                    frontier.append(row)
-    return np.stack(list(rows.values()))
-
-
 def is_triangle_point(G: PermGroup, a: Perm, b: Perm, c: Perm) -> bool:
     """a, b, c, ab are involutions generating G with class products of order <= 6."""
     for p in (a, b, c):
@@ -431,9 +410,9 @@ def is_triangle_point(G: PermGroup, a: Perm, b: Perm, c: Perm) -> bool:
     seeds = (a, b, c, a * b)
     if (G.element_orders()[[G.index_of(p) for p in seeds]] != 2).any():
         return False
-    if generate(G.degree, [a, b, c]).order != G.order:
+    if not G.is_generated_by([a, b, c]):
         return False
-    M = _class_union(G, seeds)
+    M = G.element_images[G.class_union(seeds)]
     # M is a union of classes and o(t^g s) = o(t s^(g^-1)), so the seeds as
     # left factors meet every product of two elements of M
     left = np.stack([p.img for p in seeds])
@@ -715,36 +694,22 @@ def _count_discrepancy(label: str, type_count: int, config_count: int,
     return f"{line}, because {cause}" if cause else line
 
 
-def classify_all(jobs: int = 1) -> ClassificationReport:
+def classify_all() -> ClassificationReport:
     """Run the whole pipeline and reconcile the counts.
 
     Counts are reported twice: by isomorphism type, and by configuration
     (a type's group together with one closed T-set), which is what the
     stated totals count.
-
-    jobs > 1 spreads the per-parent lattice and quotient work over threads;
-    the report is assembled in catalog order either way.
     """
     entries = catalog()
     small = small_tp_groups()
     discrepancies: list[str] = []
     repairs: list[str] = []
 
-    def parent_work(entry: CatalogEntry):
-        lattice = normal_subgroups_index_gt(entry.group, 12)
-        return lattice, quotient_records(entry, lattice)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _references()  # warm the shared cache before threads race on it
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_parent = list(pool.map(parent_work, entries))
-    else:
-        per_parent = [parent_work(e) for e in entries]
-
     quotients: list[QuotientRecord] = []
-    for entry, (lattice, recs) in zip(entries, per_parent):
+    for entry in entries:
+        lattice = normal_subgroups_index_gt(entry.group, 12)
+        recs = quotient_records(entry, lattice)
         if len(recs) != len(lattice):
             extra = sorted(N.order for N in lattice)
             discrepancies.append(

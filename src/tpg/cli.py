@@ -50,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "markdown"),
                    default="markdown", help="stdout rendering")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel workers across independent targets")
+                   help="accepted for compatibility; every run is serial")
     p.add_argument("--coset-capacity", type=int, default=10 ** 6, metavar="N",
                    dest="capacity", help="coset table size ceiling")
     p.add_argument("--verify", action="store_true",
@@ -313,7 +313,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
-    report = classify.classify_all(jobs=max(1, cfg.jobs))
+    report = classify.classify_all()
     paths = classify.write_outputs(report, cfg.out)
     rec = report.reconciliation
     if cfg.format == "json":

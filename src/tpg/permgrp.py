@@ -4,9 +4,9 @@ Permutations are numpy uint16 image arrays (0-based internally,
 1-based in cycle notation).  Composition is left to right: (p*q) means
 "apply p, then q", so (p*q).img = q.img[p.img].  Groups enumerate all
 their elements by breadth-first closure, which is fine at this scale
-(orders up to ~20000) and keeps conjugacy classes, normal closures and
-quotients straightforward.  Hot loops are batched through numpy fancy
-indexing so even degree-4374 groups close in seconds.
+(orders up to ~20000) and keeps normal closures and quotients
+straightforward.  Hot loops are batched through numpy fancy indexing so even
+degree-4374 groups close in seconds.
 
 Each group also keys its elements by their images of a short base, picked
 along the stabiliser chain (Sims' base; Seress, Permutation Group
@@ -15,6 +15,12 @@ row key otherwise, in a sorted array searched with np.searchsorted.  Element
 orders follow powers on the base images only, and product orders compose
 only the base images of the two factors and look the product's order up,
 so no full image array of a product or a power is ever built.
+
+Conjugacy classes are one cached label per element (class_labels): each
+generator g gives a conjugation map x -> g^-1 x g on element indices, read
+from base images, and the least index of each orbit is propagated along the
+maps.  Conjugacy classes, class unions, normal closures and class
+invariants for isomorphism testing are lookups into these labels.
 """
 
 from __future__ import annotations
@@ -255,6 +261,21 @@ class _Closure:
             if not moved:
                 return True
 
+    def take_sorted(self) -> tuple[np.ndarray, dict[bytes, int]]:
+        """The elements in lexicographic order, with their byte-key index.
+
+        The closure's own rows and keys are released before sorting, which
+        lowers the peak memory of large closures; the closure is spent.
+        """
+        E = np.stack(self.rows)
+        self.rows, self.index = [], {}
+        keys = [row.astype(">u2").tobytes() for row in E]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
+        E = np.ascontiguousarray(E[order])
+        E.setflags(write=False)
+        return E, {row.tobytes(): i for i, row in enumerate(E)}
+
 
 class IsoFingerprint(NamedTuple):
     """Cheap isomorphism invariants; equality is necessary, not sufficient."""
@@ -302,6 +323,7 @@ class PermGroup:
         self._index: Optional[dict[bytes, int]] = None
         self._elements: Optional[tuple[Perm, ...]] = None
         self._classes = None
+        self._labels: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None
         self._base_keys: Optional[np.ndarray] = None
         self._base_elements: Optional[np.ndarray] = None
@@ -319,15 +341,7 @@ class PermGroup:
         for g in self.generators:
             cl.add_gen(g.img)
         cl.run()
-        E = np.stack(cl.rows)
-        del cl  # free the closure's rows and byte keys before sorting
-        keys = [row.astype(">u2").tobytes() for row in E]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        del keys
-        E = np.ascontiguousarray(E[order])
-        E.setflags(write=False)
-        self._E = E
-        self._index = {row.tobytes(): i for i, row in enumerate(E)}
+        self._E, self._index = cl.take_sorted()
 
     @classmethod
     def _from_rows(cls, degree, rows_index, gens, **kw) -> "PermGroup":
@@ -497,36 +511,54 @@ class PermGroup:
         idx = np.nonzero(self.element_orders() == 2)[0]
         return tuple(Perm._trusted(self._E[i]) for i in idx)
 
+    def conjugation_map(self, g: Perm) -> np.ndarray:
+        """Element index of g^-1 x g for every element x, by base image.
+
+        g must lie in the group; the base images of g^-1 x g are
+        g.img[x.img[g^-1.img[base]]].
+        """
+        base = self.base()
+        return self.indices_of_base_images(g.img[self._E[:, g.inverse().img[base]]])
+
+    def class_labels(self) -> np.ndarray:
+        """Conjugacy class number of every element, aligned with .elements.
+
+        Classes are numbered by their least member.  Each element starts
+        labelled by its own index; the least label is pulled along every
+        generator's conjugation map, both ways, until nothing changes.
+        """
+        if self._labels is None:
+            self._enumerate()
+            maps = [self.conjugation_map(g) for g in self.generators]
+            least = np.arange(len(self._E))
+            while True:
+                before = least
+                for m in maps:
+                    least = np.minimum(least, least[m])
+                    least[m] = np.minimum(least[m], least)
+                least = least[least]
+                if (least == before).all():
+                    break
+            labels = np.unique(least, return_inverse=True)[1].reshape(-1)
+            labels.setflags(write=False)
+            self._labels = labels
+        return self._labels
+
+    def class_union(self, perms: Iterable[Perm]) -> np.ndarray:
+        """Sorted element indices of the conjugacy classes that meet perms."""
+        labels = self.class_labels()
+        met = labels[[self.index_of(p) for p in perms]]
+        return np.flatnonzero(np.isin(labels, met))
+
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
         """Conjugation orbits, ordered by least member, members sorted."""
-        self._enumerate()
         if self._classes is None:
-            E = self._E
-            n = len(E)
-            gen_pairs = [(g.img, g.inverse().img) for g in self.generators]
-            class_idx = np.full(n, -1, dtype=np.int64)
-            classes = []
-            for start in range(n):
-                if class_idx[start] >= 0:
-                    continue
-                cls_no = len(classes)
-                class_idx[start] = cls_no
-                members = [start]
-                frontier = [start]
-                while frontier:
-                    F = E[frontier]
-                    frontier = []
-                    for g_img, ginv_img in gen_pairs:
-                        R = g_img[F[:, ginv_img]]
-                        for row in R:
-                            j = self._index[row.tobytes()]
-                            if class_idx[j] < 0:
-                                class_idx[j] = cls_no
-                                members.append(j)
-                                frontier.append(j)
-                classes.append(tuple(sorted(members)))
+            labels = self.class_labels()
+            members = np.argsort(labels, kind="stable")
+            bounds = np.cumsum(np.bincount(labels))[:-1]
             self._classes = tuple(
-                tuple(Perm._trusted(E[i]) for i in members) for members in classes
+                tuple(Perm._trusted(self._E[i]) for i in cls)
+                for cls in np.split(members, bounds)
             )
         return self._classes
 
@@ -616,6 +648,17 @@ class PermGroup:
         assert self.order % H.order == 0, "Lagrange violated: corrupt closure"
         return H
 
+    def is_generated_by(self, perms: Iterable[Perm]) -> bool:
+        """Whether perms, members of the group, generate all of it.
+
+        Answered without a closure when the non-identity perms are exactly
+        the group's generators; otherwise perms are closed.
+        """
+        perms = [p for p in perms if not p.is_identity()]
+        if {p.key() for p in perms} == {g.key() for g in self.generators}:
+            return True
+        return PermGroup(self.degree, perms).order == self.order
+
     def normal_closure(
         self, X: Iterable[Perm], abort_above: Optional[int] = None
     ) -> Optional["PermGroup"]:
@@ -626,46 +669,18 @@ class PermGroup:
         """
         self._enumerate()
         seeds = [x for x in X if not x.is_identity()]
-        conj_rows: list[np.ndarray] = []
-        conj_seen: set[bytes] = set()
-        gen_pairs = [(g.img, g.inverse().img) for g in self.generators]
-        for x in seeds:
-            if x.key() not in self._index:
-                raise ValueError("closure seed outside the group")
-            if x.key() in conj_seen:
-                continue
-            frontier = [x.img]
-            conj_seen.add(x.key())
-            conj_rows.append(x.img)
-            while frontier:
-                F = np.stack(frontier)
-                frontier = []
-                for g_img, ginv_img in gen_pairs:
-                    R = g_img[F[:, ginv_img]]
-                    for row in R:
-                        key = row.tobytes()
-                        if key not in conj_seen:
-                            conj_seen.add(key)
-                            row = row.copy()
-                            conj_rows.append(row)
-                            frontier.append(row)
-        conj_rows.sort(key=lambda r: r.astype(">u2").tobytes())
+        if any(x.key() not in self._index for x in seeds):
+            raise ValueError("closure seed outside the group")
         cl = _Closure(self.degree, self.ceiling, abort_above)
         gens = []
-        for row in conj_rows:
+        for row in self._E[self.class_union(seeds)]:
             if row not in cl:
                 gens.append(Perm._trusted(row))
                 cl.add_gen(row)
                 if not cl.run():
                     return None
-        E = np.stack(cl.rows)
-        keys = [row.astype(">u2").tobytes() for row in E]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        E = np.ascontiguousarray(E[order])
-        E.setflags(write=False)
-        index = {row.tobytes(): i for i, row in enumerate(E)}
         return PermGroup._from_rows(
-            self.degree, (E, index), gens, ceiling=self.ceiling
+            self.degree, cl.take_sorted(), gens, ceiling=self.ceiling
         )
 
     def is_normal(self, N: "PermGroup") -> bool:
@@ -777,15 +792,9 @@ def _prime_factors(n: int) -> list[int]:
 
 def _class_invariants(G: PermGroup) -> list[tuple[int, int]]:
     """(element order, class size) per element index."""
-    classes = G.conjugacy_classes()
-    orders = G.element_orders()
-    inv = [None] * G.order
-    for cls in classes:
-        size = len(cls)
-        for p in cls:
-            i = G.index_of(p)
-            inv[i] = (int(orders[i]), size)
-    return inv
+    labels = G.class_labels()
+    sizes = np.bincount(labels)[labels]
+    return list(zip(G.element_orders().tolist(), sizes.tolist()))
 
 
 def _image_rows(perms: Sequence[Perm], degree: int) -> np.ndarray:
@@ -859,7 +868,6 @@ def find_isomorphism(
     gens = tuple(gens)
     G_inv = _class_invariants(G)
     H_inv = _class_invariants(H)
-    H_classes = H.conjugacy_classes()
     gen_idx = [G.index_of(g) for g in gens]
 
     def ok(h: Perm) -> bool:
@@ -874,13 +882,14 @@ def find_isomorphism(
 
     # the first image may be fixed to one representative per class
     # (conjugating an isomorphism by an inner automorphism is free)
+    H_reps = np.unique(H.class_labels(), return_index=True)[1]
     cand0 = [
-        cls[0] for cls in H_classes
-        if H_inv[H.index_of(cls[0])] == G_inv[gen_idx[0]] and ok(cls[0])
+        H.elements[i] for i in H_reps
+        if H_inv[i] == G_inv[gen_idx[0]] and ok(H.elements[i])
     ] if gens else []
     later = [
-        [h for h in H.elements
-         if H_inv[H.index_of(h)] == G_inv[gen_idx[k]] and ok(h)]
+        [h for h, inv in zip(H.elements, H_inv)
+         if inv == G_inv[gen_idx[k]] and ok(h)]
         for k in range(len(gens))
     ]
     later_rows = [_image_rows(pool, H.degree) for pool in later]

@@ -6,7 +6,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tpg import classify
 from tpg.classify import (
     EXCLUDED_TYPE_NAMES,
     GROUP_NAMES,
@@ -257,7 +256,7 @@ class TestBaseImageLookup:
         else:
             G = entries[source].group
             a, b, c = (entries[source].images()[k] for k in "abc")
-        M = classify._class_union(G, (a, b, c, a * b))
+        M = G.element_images[G.class_union((a, b, c, a * b))]
         perms = [Perm(row) for row in M]
         orders = {}  # many pairs share a product; order each product once
 

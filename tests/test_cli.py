@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -157,6 +158,23 @@ class TestObstructAndVerify:
         gens = [Perm.parse(s, 6) for s in payload["certificate"]["generators"]]
         wanted = generate(6, [Perm.parse(s, 6) for s in ("(1,2)", "(3,4)", "(5,6)")])
         assert generate(6, gens).element_key_set() == wanted.element_key_set()
+
+    @pytest.mark.parametrize("target, cert_name", [
+        ("S6", "S6.cert.json"),            # klein
+        ("2^4:S5", "2_4_S5.cert.json"),    # m1-audit
+    ])
+    def test_obstruct_identical_across_hash_seeds(self, tmp_path, target,
+                                                  cert_name):
+        outputs = []
+        for seed in ("1", "12345"):
+            out = tmp_path / seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "tpg.cli", "--format", "json",
+                 "--out", str(out), "obstruct", target],
+                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, (out / cert_name).read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_verify_flag_rechecks_before_writing(self, capsys, tmp_path):
         code, out, _ = run_cli(

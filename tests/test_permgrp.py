@@ -292,6 +292,57 @@ def test_lookup_rejects_non_member_images():
         G.indices_of_base_images(np.array([[7]]))
 
 
+# -- conjugacy class labels ---------------------------------------------------
+
+
+def _g6():
+    gens = ("(1,2)(3,4)", "(1,3)(2,4)(5,6)(7,8)(9,10)(11,12)",
+            "(1,2)(3,5)(4,7)(6,9)(8,11)(10,12)")
+    return generate(12, [P(s, 12) for s in gens])
+
+
+@pytest.mark.parametrize("build", [lambda: symmetric_group(4),
+                                   lambda: alternating_group(5), _g6])
+def test_class_labels_match_brute_force(build):
+    # x ~ y iff some g in G has g^-1 x g = y, over every element g
+    G = build()
+    E = G.element_images
+    index = {row.tobytes(): i for i, row in enumerate(E)}
+    conjugates = [set() for _ in range(G.order)]
+    for g in G.elements:
+        for x, row in enumerate(g.img[E[:, g.inverse().img]]):
+            conjugates[x].add(index[row.tobytes()])
+    labels = G.class_labels()
+    for x in range(G.order):
+        assert set(np.flatnonzero(labels == labels[x])) == conjugates[x]
+    # numbered by least member, matching conjugacy_classes
+    assert [G.index_of(c[0]) for c in G.conjugacy_classes()] == [
+        int(np.flatnonzero(labels == k)[0]) for k in range(labels.max() + 1)]
+    for g in G.generators:
+        assert [G.elements[j] for j in G.conjugation_map(g)] == [
+            x.conj(g) for x in G.elements]
+
+
+def test_class_union():
+    S4 = symmetric_group(4)
+    union = S4.class_union([P("(1,2)", 4), P("(3,4)", 4), P("(1,2,3)", 4)])
+    assert [S4.elements[i].order() for i in union].count(2) == 6
+    assert len(union) == 6 + 8
+    assert list(union) == sorted(union)
+    assert len(S4.class_union([])) == 0
+    with pytest.raises(KeyError):
+        alternating_group(4).class_union([P("(1,2)", 4)])
+
+
+def test_is_generated_by():
+    G = _g6()
+    assert G.is_generated_by(G.generators)
+    assert G.is_generated_by(list(G.generators[::-1]) + [G.identity()])
+    a, b, c = G.generators
+    assert G.is_generated_by([a, b * c, c])
+    assert not G.is_generated_by([a, b])
+
+
 # -- property-based checks ----------------------------------------------------
 
 perm_strategy = st.integers(2, 5).flatmap(
