@@ -20,7 +20,6 @@ import numpy as np
 from .dihedral import FUSION
 from .fpgrp import Word, evaluate_word, parse_word
 from .permgrp import (
-    CapacityError,
     Perm,
     PermGroup,
     cyclic_group,
@@ -386,10 +385,6 @@ class AxisSpanModel:
             k = self.axis_index(t * s)
             e = Fraction(1, 8)
             return {i: e, j: e, k: -e}
-        if kind == "3C":
-            k = self.axis_index(t * s * t)
-            e = Fraction(1, 64)
-            return {i: e, j: e, k: -e}
         if kind == "4B":
             ts = t * s
             k1 = self.axis_index(t * s * t)
@@ -616,24 +611,27 @@ def klein_search(cfg: TConfig) -> PermGroup | None:
 def klein_witnesses(cfg: TConfig) -> tuple[PermGroup, ...]:
     """All 2^3 subgroups with every involution in the T-set."""
     subgroups: dict[frozenset, PermGroup] = {}
-    queue = []
     for triple in _klein_triples(cfg, stop_early=False):
         K = _subgroup_of_triple(cfg, triple)
-        ks = K.element_key_set()
-        if ks not in subgroups:
-            subgroups[ks] = K
-            queue.append(K)
+        subgroups.setdefault(K.element_key_set(), K)
+    return _conjugation_closed(cfg.group, subgroups, cfg.seeds)
+
+
+def _conjugation_closed(
+    G: PermGroup, found: dict[frozenset, PermGroup], conjugators
+) -> tuple[PermGroup, ...]:
+    """Close subgroups of G, keyed by element set, under conjugation by
+    conjugators; the result is sorted by element set."""
+    queue = list(found.values())
     while queue:
-        K = queue.pop()
-        for g in cfg.seeds:
-            Kg = cfg.group.conjugate_subgroup(K, g)
-            ks = Kg.element_key_set()
-            if ks not in subgroups:
-                subgroups[ks] = Kg
-                queue.append(Kg)
-    return tuple(
-        subgroups[ks] for ks in sorted(subgroups, key=lambda s: tuple(sorted(s)))
-    )
+        H = queue.pop()
+        for g in conjugators:
+            Hg = G.conjugate_subgroup(H, g)
+            ks = Hg.element_key_set()
+            if ks not in found:
+                found[ks] = Hg
+                queue.append(Hg)
+    return tuple(found[ks] for ks in sorted(found, key=lambda s: tuple(sorted(s))))
 
 
 def klein_identity() -> dict:
@@ -717,11 +715,8 @@ def find_subgroups_iso(G: PermGroup, ref: PermGroup) -> tuple[PermGroup, ...]:
     seen_prefix: set[tuple[int, frozenset]] = set()
 
     def extend(gens: list[Perm], depth: int):
-        try:
-            H = generate(G.degree, gens, ceiling=target)
-            if target % H.order:
-                return
-        except CapacityError:
+        H = G.subgroup_within(gens, abort_above=target)
+        if H is None or target % H.order:
             return
         state = (depth, H.element_key_set())
         if state in seen_prefix:
@@ -736,16 +731,7 @@ def find_subgroups_iso(G: PermGroup, ref: PermGroup) -> tuple[PermGroup, ...]:
 
     for x in anchors:
         extend([x], 1)
-    queue = list(found.values())
-    while queue:
-        H = queue.pop()
-        for g in G.generating_tuple():
-            Hg = G.conjugate_subgroup(H, g)
-            ks = Hg.element_key_set()
-            if ks not in found:
-                found[ks] = Hg
-                queue.append(Hg)
-    return tuple(found[ks] for ks in sorted(found, key=lambda s: tuple(sorted(s))))
+    return _conjugation_closed(G, found, G.generating_tuple())
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .fpgrp import (
     tp_presentation,
 )
 from .permgrp import (
-    CapacityError,
     Perm,
     PermGroup,
     alternating_group,
@@ -37,7 +36,6 @@ from .permgrp import (
     dihedral_group,
     direct_product,
     elementary_abelian_2,
-    generate,
     isomorphic,
     quaternion_group,
     symmetric_group,
@@ -201,35 +199,41 @@ def _entry(name: str) -> CatalogEntry:
 def normal_subgroups_index_gt(G: PermGroup, bound: int = 12) -> list[PermGroup]:
     """All normal subgroups of index strictly greater than bound.
 
+    A normal subgroup is a union of conjugacy classes, so the lattice is
+    built on class sets (Hulpke, "Computing normal subgroups", ISSAC 1998).
     Complete: every normal subgroup is the join of the class closures it
     contains, so closing the atom set under pairwise joins finds them all.
+    The join of A and B is the product set AB, of order |A||B|/|A n B|.
     """
     limit = -(-G.order // bound) - 1  # largest order with index > bound
-    found: dict[frozenset, PermGroup] = {}
-    for cls in G.conjugacy_classes():
-        if cls[0].is_identity():
-            continue
-        N = G.normal_closure([cls[0]], abort_above=limit)
-        if N is not None and N.order <= limit:
-            found.setdefault(N.element_key_set(), N)
-    frontier = list(found.items())
+    sizes = np.bincount(G.class_labels())
+
+    def order(S: frozenset[int]) -> int:
+        return int(sizes[list(S)].sum())
+
+    found: set[frozenset[int]] = set()
+    for cls in range(1, len(sizes)):  # class 0 is the identity
+        S = G.class_closure({cls}, bound=limit)
+        if S is not None:
+            found.add(S)
+    frontier = list(found)
     while frontier:
         fresh = []
-        for key_a, A in frontier:
-            for key_b, B in list(found.items()):
-                if key_a <= key_b or key_b <= key_a:
+        for A in frontier:
+            for B in list(found):
+                if A <= B or B <= A:
                     continue
-                J = generate(G.degree, list(A.generators) + list(B.generators),
-                             ceiling=limit)
-                try:
-                    kj = J.element_key_set()
-                except CapacityError:
+                if order(A) * order(B) > limit * order(A & B):
                     continue
-                if kj not in found:
-                    found[kj] = J
-                    fresh.append((kj, J))
+                J = G.class_product(A, B)
+                if J not in found:
+                    found.add(J)
+                    fresh.append(J)
         frontier = fresh
-    out = sorted(found.values(), key=lambda N: (N.order, sorted(N.element_key_set())))
+    reps = G.element_images[G.class_representatives()]
+    members = [G.normal_closure(Perm._trusted(reps[i]) for i in sorted(S))
+               for S in found]
+    out = sorted(members, key=lambda N: (N.order, sorted(N.element_key_set())))
     for N in out:
         if not G.is_normal(N):
             raise ClassificationError("lattice produced a non-normal subgroup")
@@ -483,9 +487,9 @@ def quotient_records(
     images = entry.images()
     if lattice is None:
         lattice = normal_subgroups_index_gt(G, 12)
-    lattice_keys = {N.element_key_set() for N in lattice}
+    lattice_keys = {G.classes_meeting(N.elements) for N in lattice}
     recs: list[QuotientRecord] = []
-    seen: set[frozenset] = set()
+    seen: set[frozenset[int]] = set()
     for i, row in enumerate(rows):
         seeds = [evaluate_word(parse_word(w), images) for w in row.words]
         N = G.normal_closure(seeds)
@@ -493,7 +497,7 @@ def quotient_records(
             raise ClassificationError(
                 f"{entry.name} row {i}: closure has order {N.order}, "
                 f"row says {row.order}")
-        key = N.element_key_set()
+        key = G.classes_meeting(N.elements)
         if key not in lattice_keys:
             raise ClassificationError(
                 f"{entry.name} row {i}: closure is not a lattice member")

@@ -22,7 +22,7 @@ from .dihedral import (
     check_m1,
     check_miyamoto,
 )
-from .fpgrp import parse_word, todd_coxeter, tp_presentation
+from .fpgrp import parse_presentation, todd_coxeter
 from .permgrp import CapacityError
 
 __all__ = ["RunConfig", "main", "run"]
@@ -182,52 +182,13 @@ def _cmd_dihedral(cfg: RunConfig) -> int:
     return 1 if bad else 0
 
 
-def _read_presentation(path: Path):
-    """Parse an enumeration request: mnp/r exponents plus extra words.
-
-    Lines: `mnp: M N P`, optional `r: R1 R2 R3 R4 R5` ('-' = omitted),
-    `relator: WORD`, `subgroup: WORD`, '#' comments.
-    """
-    mnp = None
-    r = (None,) * 5
-    extra: list[str] = []
-    subgroup: list[str] = []
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "mnp":
-            mnp = tuple(int(x) for x in rest.split())
-            if len(mnp) != 3:
-                raise ValueError("mnp needs three integers")
-        elif key == "r":
-            parts = rest.split()
-            if len(parts) != 5:
-                raise ValueError("r needs five entries ('-' = omitted)")
-            r = tuple(None if x == "-" else int(x) for x in parts)
-        elif key == "relator":
-            extra.append(rest)
-        elif key == "subgroup":
-            subgroup.append(rest)
-        else:
-            raise ValueError(f"unrecognized line {raw!r}")
-    if mnp is None:
-        raise ValueError("missing 'mnp:' line")
-    pres = tp_presentation(*mnp, r)
-    for w in extra:
-        pres = pres.with_relator(parse_word(w), 1)
-    return pres, tuple(parse_word(w) for w in subgroup)
-
-
 def _cmd_enumerate(cfg: RunConfig) -> int:
     path = Path(cfg.targets[0]) if cfg.targets else None
     assert path is not None
     if not path.is_file():
         return _usage_error(f"no such file: {path}")
     try:
-        pres, subgroup = _read_presentation(path)
+        pres, subgroup = parse_presentation(path.read_text())
     except ValueError as exc:
         return _usage_error(f"{path}: {exc}")
     try:

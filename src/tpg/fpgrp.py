@@ -28,6 +28,12 @@ _COL = {"a": 0, "b": 1, "c": 2}
 
 DEFAULT_CAPACITY = 10**6
 
+# The presentation family uses exponents <= 6; the bounds leave ample room
+# for longer words and stop hostile input (a^99999999999999999999, or nested
+# powers and conjugates) before a word of that length is built.
+MAX_EXPONENT = 1000
+MAX_WORD_LENGTH = 10**6
+
 
 class Word:
     """Immutable word in the free product of three involutions.
@@ -134,29 +140,36 @@ def _parse_atom(toks, i):
     raise ValueError(f"unexpected token {kind} in word")
 
 
+def _check_length(length: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"word longer than {MAX_WORD_LENGTH} letters")
+
+
 def _parse_factor(toks, i):
     w, i = _parse_atom(toks, i)
     while i < len(toks) and toks[i][0] == "^":
         i += 1
         kind, val = toks[i] if i < len(toks) else ("END", None)
         if kind == "INT":
+            if abs(val) > MAX_EXPONENT:
+                raise ValueError(f"exponent {val} exceeds {MAX_EXPONENT} in size")
+            _check_length(len(w) * abs(val))
             w = w**val
             i += 1
         else:
             y, i = _parse_atom(toks, i)
+            _check_length(len(w) + 2 * len(y))
             w = w.conj(y)
     return w, i
 
 
 def _parse_seq(toks, i):
-    parts = []
+    letters: list[str] = []
     while i < len(toks) and toks[i][0] != ")":
         w, i = _parse_factor(toks, i)
-        parts.append(w)
-    out = Word()
-    for w in parts:
-        out = out * w
-    return out, i
+        letters += w.letters
+        _check_length(len(letters))
+    return Word(letters), i
 
 
 def parse_word(text: str) -> Word:
@@ -204,54 +217,6 @@ class Presentation:
     def relator_words(self) -> tuple[Word, ...]:
         return tuple(w**e for w, e in self.relators)
 
-    def to_text(self) -> str:
-        lines = ["gens a b c;"]
-        for w, e in self.relators:
-            lines.append(f"rel {w};" if e == 1 else f"rel ({w})^{e};")
-        return "\n".join(lines)
-
-    def __str__(self):
-        return self.to_text()
-
-
-def _split_outer_power(text: str) -> Optional[tuple[str, int]]:
-    """Match '(X)^k' with the opening paren closing right before '^'."""
-    text = text.strip()
-    if not text.startswith("("):
-        return None
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                rest = text[i + 1 :].strip()
-                if rest.startswith("^") and rest[1:].strip().isdigit():
-                    return text[1:i], int(rest[1:].strip())
-                return None
-    return None
-
-
-def parse_presentation(text: str) -> Presentation:
-    """Parse the text form: ``gens a b c; rel (ab)^2; rel acbc; # comment``."""
-    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    stmts = [s.strip() for s in body.split(";")]
-    stmts = [s for s in stmts if s]
-    if not stmts or stmts[0].split() != ["gens", "a", "b", "c"]:
-        raise ValueError("presentation must start with 'gens a b c'")
-    relators = []
-    for stmt in stmts[1:]:
-        if not stmt.startswith("rel"):
-            raise ValueError(f"bad statement {stmt!r}")
-        expr = stmt[3:].strip()
-        split = _split_outer_power(expr)
-        if split is not None:
-            relators.append((parse_word(split[0]), split[1]))
-        else:
-            relators.append((parse_word(expr), 1))
-    return Presentation(tuple(relators))
-
 
 def tp_presentation(
     m: int, n: int, p: int, r: Optional[Sequence[Optional[int]]] = None
@@ -282,6 +247,46 @@ def tp_presentation(
                 raise ValueError(f"added-relation exponent {ri!r} out of range 1..6")
             relators.append((word, ri))
     return Presentation(tuple(relators))
+
+
+def parse_presentation(text: str) -> tuple[Presentation, tuple[Word, ...]]:
+    """Parse an enumeration request: a family member plus extra words.
+
+    Lines: ``mnp: M N P``, optional ``r: R1 R2 R3 R4 R5`` ('-' = omitted),
+    ``relator: WORD``, ``subgroup: WORD``, '#' comments.  Returns the
+    presentation and the subgroup generators.
+    """
+    mnp = None
+    r = (None,) * 5
+    extra: list[str] = []
+    subgroup: list[str] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, rest = line.partition(":")
+        key, rest = key.strip(), rest.strip()
+        if key == "mnp":
+            mnp = tuple(int(x) for x in rest.split())
+            if len(mnp) != 3:
+                raise ValueError("mnp needs three integers")
+        elif key == "r":
+            parts = rest.split()
+            if len(parts) != 5:
+                raise ValueError("r needs five entries ('-' = omitted)")
+            r = tuple(None if x == "-" else int(x) for x in parts)
+        elif key == "relator":
+            extra.append(rest)
+        elif key == "subgroup":
+            subgroup.append(rest)
+        else:
+            raise ValueError(f"unrecognized line {raw!r}")
+    if mnp is None:
+        raise ValueError("missing 'mnp:' line")
+    pres = tp_presentation(*mnp, r)
+    for w in extra:
+        pres = pres.with_relator(parse_word(w), 1)
+    return pres, tuple(parse_word(w) for w in subgroup)
 
 
 @dataclass(frozen=True)

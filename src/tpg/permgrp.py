@@ -19,8 +19,10 @@ so no full image array of a product or a power is ever built.
 Conjugacy classes are one cached label per element (class_labels): each
 generator g gives a conjugation map x -> g^-1 x g on element indices, read
 from base images, and the least index of each orbit is propagated along the
-maps.  Conjugacy classes, class unions, normal closures and class
-invariants for isomorphism testing are lookups into these labels.
+maps.  Conjugacy classes, class unions, normal closures, the centre and
+class invariants for isomorphism testing are lookups into these labels, and
+a normal subgroup, a union of classes, is handled as its set of class
+numbers (class_closure, class_product).
 """
 
 from __future__ import annotations
@@ -188,10 +190,6 @@ class Perm:
         return f"Perm[{self}]"
 
 
-def element_order(g: Perm) -> int:
-    return g.order()
-
-
 class _Closure:
     """Incremental breadth-first closure of a set of generator arrays."""
 
@@ -324,6 +322,7 @@ class PermGroup:
         self._elements: Optional[tuple[Perm, ...]] = None
         self._classes = None
         self._labels: Optional[np.ndarray] = None
+        self._class_reps: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None
         self._base_keys: Optional[np.ndarray] = None
         self._base_elements: Optional[np.ndarray] = None
@@ -539,16 +538,59 @@ class PermGroup:
                 least = least[least]
                 if (least == before).all():
                     break
-            labels = np.unique(least, return_inverse=True)[1].reshape(-1)
+            reps, labels = np.unique(least, return_inverse=True)
+            labels = labels.reshape(-1)
             labels.setflags(write=False)
-            self._labels = labels
+            reps.setflags(write=False)
+            self._labels, self._class_reps = labels, reps
         return self._labels
+
+    def class_representatives(self) -> np.ndarray:
+        """Element index of the least member of each class, by class number."""
+        self.class_labels()
+        return self._class_reps
+
+    def classes_meeting(self, perms: Iterable[Perm]) -> frozenset[int]:
+        """Class numbers of the conjugacy classes that meet perms."""
+        labels = self.class_labels()
+        return frozenset(labels[[self.index_of(p) for p in perms]].tolist())
 
     def class_union(self, perms: Iterable[Perm]) -> np.ndarray:
         """Sorted element indices of the conjugacy classes that meet perms."""
+        met = list(self.classes_meeting(perms))
+        return np.flatnonzero(np.isin(self.class_labels(), met))
+
+    def class_product(self, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
+        """Class numbers of the products x y, x in the classes A, y in B.
+
+        The least member of each class of A is the only left factor needed:
+        when B is a union of classes, g^-1 x y g = (g^-1 x g)(g^-1 y g) puts
+        every product's class into reps(A) . B.  For normal subgroups A and
+        B, given as class sets, this is the product subgroup AB.
+        """
         labels = self.class_labels()
-        met = labels[[self.index_of(p) for p in perms]]
-        return np.flatnonzero(np.isin(labels, met))
+        left = self._E[self.class_representatives()[sorted(A)]]
+        right = self._E[np.flatnonzero(np.isin(labels, list(B)))]
+        return frozenset(labels[self.product_indices(left, right)].ravel().tolist())
+
+    def class_closure(
+        self, classes: Iterable[int], bound: Optional[int] = None
+    ) -> Optional[frozenset[int]]:
+        """Class numbers of the normal closure of a set of classes.
+
+        S grows as S | class_product(S, S) from the classes and the identity
+        (class 0) until it stops; a finite set closed under products is a
+        subgroup.  Returns None once the summed class sizes pass bound.
+        """
+        sizes = np.bincount(self.class_labels())
+        S = frozenset(classes) | {0}
+        while True:
+            grown = S | self.class_product(S, S)
+            if bound is not None and sizes[list(grown)].sum() > bound:
+                return None
+            if grown == S:
+                return S
+            S = grown
 
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
         """Conjugation orbits, ordered by least member, members sorted."""
@@ -573,26 +615,36 @@ class PermGroup:
         return all(o <= 2 for o, _ in self.order_histogram())
 
     def center(self) -> "PermGroup":
-        self._enumerate()
+        """The union of the conjugacy classes of size 1."""
         if self._center is None:
-            E = self._E
-            mask = np.ones(len(E), dtype=bool)
-            for g in self.generators:
-                mask &= (g.img[E] == E[:, g.img]).all(axis=1)
-            members = [Perm._trusted(E[i]) for i in np.nonzero(mask)[0]]
-            self._center = self.subgroup(self._reduce_gens(members))
+            labels = self.class_labels()
+            central = self._E[np.bincount(labels)[labels] == 1]
+            self._center = self.normal_closure(Perm._trusted(r) for r in central)
         return self._center
 
-    def _reduce_gens(self, members: list[Perm]) -> list[Perm]:
-        """Greedy small generating subset of a closed member list."""
-        cl = _Closure(self.degree, self.ceiling)
+    def _greedy_closure(
+        self, rows: np.ndarray, abort_above: Optional[int] = None
+    ) -> Optional["PermGroup"]:
+        """The subgroup generated by rows, members of the group, or None once
+        it is known to have more than abort_above elements.
+
+        Its generators are picked greedily: each row not yet in the closure
+        of the rows picked before it, in the given order.
+        """
+        cl = _Closure(self.degree, self.ceiling, abort_above)
         gens = []
-        for p in members:
-            if p.img not in cl:
-                gens.append(p)
-                cl.add_gen(p.img)
-                cl.run()
-        return gens
+        for row in rows:
+            if len(cl.rows) == self.order:
+                break  # the closure is the whole group: nothing is left to pick
+            if row not in cl:
+                gens.append(Perm._trusted(row))
+                cl.add_gen(row)
+                if not cl.run():
+                    return None
+        # a closure that is the whole group shares its sorted rows
+        whole = len(cl.rows) == self.order
+        rows_index = (self._E, self._index) if whole else cl.take_sorted()
+        return PermGroup._from_rows(self.degree, rows_index, gens, ceiling=self.ceiling)
 
     def derived_subgroup(self) -> "PermGroup":
         if self._derived is None:
@@ -648,6 +700,13 @@ class PermGroup:
         assert self.order % H.order == 0, "Lagrange violated: corrupt closure"
         return H
 
+    def subgroup_within(
+        self, gens: Sequence[Perm], abort_above: int
+    ) -> Optional["PermGroup"]:
+        """The subgroup generated by gens, members of the group, or None once
+        it is known to have more than abort_above elements."""
+        return self._greedy_closure(_image_rows(gens, self.degree), abort_above)
+
     def is_generated_by(self, perms: Iterable[Perm]) -> bool:
         """Whether perms, members of the group, generate all of it.
 
@@ -671,17 +730,7 @@ class PermGroup:
         seeds = [x for x in X if not x.is_identity()]
         if any(x.key() not in self._index for x in seeds):
             raise ValueError("closure seed outside the group")
-        cl = _Closure(self.degree, self.ceiling, abort_above)
-        gens = []
-        for row in self._E[self.class_union(seeds)]:
-            if row not in cl:
-                gens.append(Perm._trusted(row))
-                cl.add_gen(row)
-                if not cl.run():
-                    return None
-        return PermGroup._from_rows(
-            self.degree, cl.take_sorted(), gens, ceiling=self.ceiling
-        )
+        return self._greedy_closure(self._E[self.class_union(seeds)], abort_above)
 
     def is_normal(self, N: "PermGroup") -> bool:
         if N.degree != self.degree:
@@ -752,17 +801,7 @@ class PermGroup:
 
     def generating_tuple(self) -> tuple[Perm, ...]:
         """Greedy lexicographically-least generating tuple."""
-        self._enumerate()
-        cl = _Closure(self.degree, self.ceiling)
-        gens = []
-        for row in self._E:
-            if len(cl.rows) == self.order:
-                break
-            if row not in cl:
-                gens.append(Perm._trusted(row))
-                cl.add_gen(row)
-                cl.run()
-        return tuple(gens)
+        return self._greedy_closure(self.element_images).generators
 
 
 def generate(degree: int, gens: Iterable[Perm], **kw) -> PermGroup:
@@ -882,7 +921,7 @@ def find_isomorphism(
 
     # the first image may be fixed to one representative per class
     # (conjugating an isomorphism by an inner automorphism is free)
-    H_reps = np.unique(H.class_labels(), return_index=True)[1]
+    H_reps = H.class_representatives()
     cand0 = [
         H.elements[i] for i in H_reps
         if H_inv[i] == G_inv[gen_idx[0]] and ok(H.elements[i])

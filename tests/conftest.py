@@ -1,5 +1,8 @@
 """Shared fixtures: the full classification run is expensive, build it once."""
 
+import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -15,14 +18,18 @@ def classification_report():
 
 @pytest.fixture(scope="session")
 def cli_classify(tmp_path_factory):
-    """Two back-to-back `tpg classify` runs for determinism and timing."""
-    from tpg import cli
+    """`tpg classify` in two fresh processes with different hash seeds.
 
-    out1 = tmp_path_factory.mktemp("classify-run1")
-    t0 = time.perf_counter()
-    code1 = cli.run(["--out", str(out1), "classify"])
-    seconds = time.perf_counter() - t0
-    out2 = tmp_path_factory.mktemp("classify-run2")
-    code2 = cli.run(["--out", str(out2), "classify"])
+    The outputs must not depend on the seed; `seconds` times the first run.
+    """
+    runs = []
+    for seed in ("1", "12345"):
+        out = tmp_path_factory.mktemp(f"classify-seed{seed}")
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpg.cli", "--out", str(out), "classify"],
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        runs.append((proc.returncode, out, time.perf_counter() - t0))
+    (code1, out1, seconds), (code2, out2, _) = runs
     return SimpleNamespace(
         code1=code1, code2=code2, out1=out1, out2=out2, seconds=seconds)

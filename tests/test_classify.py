@@ -8,6 +8,7 @@ import pytest
 
 from tpg.classify import (
     EXCLUDED_TYPE_NAMES,
+    G11_ROWS,
     GROUP_NAMES,
     ClassificationError,
     catalog,
@@ -103,6 +104,11 @@ class TestNormalLattice:
             assert G.is_normal(N)
             assert G.order % N.order == 0
             assert G.order // N.order > 12
+
+    def test_g11_lattice_matches_table_rows(self, entries):
+        lattice = normal_subgroups_index_gt(entries["G11"].group, 12)
+        assert len(lattice) == len(G11_ROWS) == 23
+        assert [N.order for N in lattice] == sorted(r.order for r in G11_ROWS)
 
     def test_join_closed(self, entries):
         G = entries["G6"].group

@@ -9,6 +9,7 @@ import pytest
 
 from tpg import cli
 from tpg.classify import EXCLUDED_TYPE_NAMES
+from tpg.fpgrp import Word
 from tpg.permgrp import Perm, generate
 
 
@@ -138,6 +139,19 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", str(src))
         assert code == 2
         assert "three integers" in err
+
+
+    @pytest.mark.parametrize("exponent", ["99999999999999999999", "1000001"])
+    def test_huge_exponent_is_a_usage_error(self, capsys, tmp_path,
+                                            monkeypatch, exponent):
+        # the exponent is rejected before a word of that length is built
+        monkeypatch.setattr(Word, "__pow__", lambda w, n: pytest.fail(
+            f"power {n} was built"))
+        src = tmp_path / "huge.pres"
+        src.write_text(f"mnp: 6 6 6\nrelator: a^{exponent}\n")
+        code, _, err = run_cli(capsys, "enumerate", str(src))
+        assert code == 2
+        assert f"exponent {exponent} exceeds" in err
 
 
 class TestObstructAndVerify:

@@ -100,6 +100,23 @@ class TestWord:
             with pytest.raises(ValueError):
                 parse_word(bad)
 
+    def test_length_bounds(self, monkeypatch):
+        # rejected before any long word is built
+        monkeypatch.setattr(Word, "__pow__", lambda w, n: pytest.fail(
+            f"power {n} was built"))
+        for bad in ("a^1001", "1^-99999999999999999999"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_word(bad)
+        nested = "a" + "^(a" * 25 + ")" * 25  # conjugates double the length
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word(nested)
+        monkeypatch.undo()
+        assert len(parse_word("(ab)^1000")) == 2000
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word("(((ab)^1000)^1000)")
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word(" ".join(["(ab)^1000"] * 501))
+
     @given(st.lists(st.sampled_from("abc"), max_size=12))
     def test_parse_print_round_trip(self, letters):
         w = Word(letters)
@@ -169,28 +186,33 @@ class TestPresentation:
     def test_text_round_trip(self):
         p = tp_presentation(4, 5, 6, (4, None, None, None, 3))
         p = p.with_relator(Word("cacbca"), 1)
-        assert parse_presentation(p.to_text()) == p
+        text = "mnp: 4 5 6\nr: 4 - - - 3\nrelator: cacbca\nsubgroup: ab\n"
+        assert parse_presentation(text) == (p, (Word("ab"),))
 
     def test_parse_with_comments(self):
         text = """
-        gens a b c;   # generators
-        rel (a)^2; rel (b)^2;  # involutions
-        rel (c)^2;
-        rel acbc;
+        # the (4,4,4) member
+        mnp: 4 4 4   # o(ac), o(bc), o(abc)
+
+        relator: acbc  # one extra relator
+        subgroup: a
         """
-        p = parse_presentation(text)
-        assert p.relators == (
-            (Word("a"), 2),
-            (Word("b"), 2),
-            (Word("c"), 2),
-            (Word("acbc"), 1),
-        )
+        p, subgroup = parse_presentation(text)
+        assert p.relators == tp_presentation(4, 4, 4).relators + (
+            (Word("acbc"), 1),)
+        assert subgroup == (Word("a"),)
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_presentation("gens a b; rel (a)^2;")
-        with pytest.raises(ValueError):
-            parse_presentation("gens a b c; relator (a)^2;")
+        for text, message in (
+            ("mnp: 6 6\n", "three integers"),
+            ("mnp: 6 6 6\nr: 6 6 6\n", "five entries"),
+            ("r: 6 6 6 - 3\n", "missing 'mnp:'"),
+            ("mnp: 6 6 6\nrel: ab\n", "unrecognized line"),
+            ("mnp: 6 6 7\n", "out of range"),
+            ("mnp: 6 6 6\nrelator: a^99999999999999999999\n", "exponent"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_presentation(text)
 
 
 class TestEvaluate:

@@ -301,6 +301,19 @@ def _g6():
     return generate(12, [P(s, 12) for s in gens])
 
 
+def _g9():
+    gens = ("(1,2)(3,4)(5,6)(7,8)", "(1,8)(2,7)(3,4)(5,6)",
+            "(2,5)(3,6)(9,10)(11,12)")
+    return generate(12, [P(s, 12) for s in gens])
+
+
+def _g10():
+    gens = ("(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)",
+            "(1,3)(2,4)(5,8)(6,7)(9,12)(10,11)",
+            "(1,7)(2,6)(3,9)(4,11)(5,10)(8,12)")
+    return generate(12, [P(s, 12) for s in gens])
+
+
 @pytest.mark.parametrize("build", [lambda: symmetric_group(4),
                                    lambda: alternating_group(5), _g6])
 def test_class_labels_match_brute_force(build):
@@ -332,6 +345,46 @@ def test_class_union():
     assert len(S4.class_union([])) == 0
     with pytest.raises(KeyError):
         alternating_group(4).class_union([P("(1,2)", 4)])
+
+
+@pytest.mark.parametrize("build", [lambda: symmetric_group(4),
+                                   lambda: alternating_group(5), _g6, _g9,
+                                   _g10])
+def test_class_closure_matches_normal_closure(build):
+    G = build()
+    labels = G.class_labels()
+    reps = G.class_representatives()
+    assert (labels[reps] == np.arange(len(reps))).all()
+    for k in range(len(reps)):
+        rep = G.elements[reps[k]]
+        S = G.class_closure({k})
+        N = G.normal_closure([rep])
+        assert set(np.flatnonzero(np.isin(labels, list(S)))) == {
+            G.index_of(n) for n in N.elements}
+        assert G.classes_meeting(N.elements) == S
+        # the bound answers None exactly where the element closure aborts
+        for bound in {1, max(1, N.order - 1), N.order, G.order // 2}:
+            assert (G.class_closure({k}, bound=bound) is None) == (
+                G.normal_closure([rep], abort_above=bound) is None)
+
+
+def test_class_product_is_product_subgroup():
+    S4 = symmetric_group(4)
+    V = S4.classes_meeting([P("(1,2)(3,4)", 4)]) | {0}
+    A4 = S4.class_closure(S4.classes_meeting([P("(1,2,3)", 4)]))
+    T = S4.class_closure(S4.classes_meeting([P("(1,2)", 4)]))
+    assert S4.class_product(V, V) == V
+    assert S4.class_product(V, A4) == A4
+    assert S4.class_product(A4, T) == T == set(range(len(S4.conjugacy_classes())))
+
+
+def test_center_is_the_size_one_classes():
+    for G in (_g6(), _g9(), _g10(), dihedral_group(8), symmetric_group(4)):
+        E = G.element_images
+        central = [i for i in range(G.order)
+                   if all((g.img[E[i]] == E[i][g.img]).all()
+                          for g in G.generators)]
+        assert [G.index_of(z) for z in G.center().elements] == central
 
 
 def test_is_generated_by():
