@@ -27,7 +27,6 @@ from .permgrp import (
     direct_product,
     elementary_abelian_2,
     find_isomorphism,
-    generate,
     isomorphic,
 )
 from .qlin import Vector, parse_rat, rat_str
@@ -212,8 +211,7 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
                     queue.append(u)
 
     queue = []
-    for p, w in ((a, "a"), (b, "b"), (c, "c"), (ab, "ab")):
-        i = G.index_of(p)
+    for i, w in zip(G.indices_of((a, b, c, ab)).tolist(), ("a", "b", "c", "ab")):
         if i not in derivations:
             derivations[i] = Derivation("seed", Word(w))
             queue.append(i)
@@ -289,7 +287,7 @@ def pair_type_counts(cfg: TConfig) -> dict[str, int]:
             f"product of T-set elements {cfg.tset[i]} and {cfg.tset[j]} "
             f"has order > 6")
     in_t = np.zeros(G.order, dtype=bool)
-    in_t[_tset_indices(cfg)] = True
+    in_t[cfg.group.indices_of(cfg.tset)] = True
     # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
     six_t, six_r = np.nonzero(orders == 6)
     six = prods[six_t, six_r]
@@ -540,10 +538,6 @@ def _tset_matrix(cfg: TConfig) -> np.ndarray:
     return np.stack([t.img for t in cfg.tset]).astype(np.intp)
 
 
-def _tset_indices(cfg: TConfig) -> np.ndarray:
-    return np.array([cfg.group.index_of(t) for t in cfg.tset], dtype=np.intp)
-
-
 def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[Perm, Perm, Perm]]:
     """Generating triples (x, y, z) of 2^3 subgroups inside the T-set.
 
@@ -556,7 +550,7 @@ def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[Perm, Perm, Per
     m = _tset_matrix(cfg)
     index = {t.key(): i for i, t in enumerate(tset)}
     found: list[tuple[Perm, Perm, Perm]] = []
-    for xi in _first_per_class(cfg.group, _tset_indices(cfg)):
+    for xi in _first_per_class(cfg.group, cfg.group.indices_of(cfg.tset)):
         x = tset[xi]
         prod = m[:, m[xi]]
         rev = m[xi][m]
@@ -594,7 +588,7 @@ def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[Perm, Perm, Per
 
 
 def _subgroup_of_triple(cfg: TConfig, triple: tuple[Perm, Perm, Perm]) -> PermGroup:
-    K = generate(cfg.group.degree, list(triple))
+    K = cfg.group.subgroup(triple)
     if K.order != 8 or not K.is_elementary_abelian_2():
         raise RuntimeError("klein scan produced a non-2^3 subgroup")
     return K
@@ -771,6 +765,13 @@ def _strings(value, field: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _integer(value, field: str) -> int:
+    # JSON numbers also read as floats (Infinity among them) and bools
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{field} must be an integer")
+    return value
+
+
 def cert_from_dict(data: dict) -> ObstructionCertificate:
     """Parse a certificate; malformed fields raise KeyError, TypeError or ValueError."""
     kind = data["kind"]
@@ -784,8 +785,8 @@ def cert_from_dict(data: dict) -> ObstructionCertificate:
             raise TypeError(f"{field} must be a string")
     return ObstructionCertificate(
         kind=kind,
-        degree=int(data["degree"]),
-        group_order=int(data["group_order"]),
+        degree=_integer(data["degree"], "degree"),
+        group_order=_integer(data["group_order"], "group_order"),
         generators=_strings(data["generators"], "generators"),
         members=tuple((p, w) for p, w in (_strings(m, "members entry")
                                           for m in data["members"])),
@@ -872,7 +873,14 @@ def verify_certificate(cfg: TConfig, cert: ObstructionCertificate) -> bool:
     for p, w in members:
         if evaluate_word(w, images) != p or p not in cfg:
             return False
-    K = generate(deg, gens)
+    # a hostile certificate may name generators outside the group, or
+    # members of it that generate a large subgroup: the first are rejected
+    # before any closure, the second once the closure passes 16 elements
+    if any(g not in cfg.group for g in gens):
+        return False
+    K = cfg.group.subgroup_within(gens, abort_above=16)
+    if K is None:
+        return False
     if cert.kind == "klein":
         if K.order != 8 or not K.is_elementary_abelian_2():
             return False

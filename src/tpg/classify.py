@@ -412,7 +412,7 @@ def is_triangle_point(G: PermGroup, a: Perm, b: Perm, c: Perm) -> bool:
         if p.degree != G.degree or p not in G:
             raise ValueError("triple must lie in the group")
     seeds = (a, b, c, a * b)
-    if (G.element_orders()[[G.index_of(p) for p in seeds]] != 2).any():
+    if (G.element_orders()[G.indices_of(seeds)] != 2).any():
         return False
     if not G.is_generated_by([a, b, c]):
         return False

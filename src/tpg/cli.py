@@ -37,7 +37,6 @@ class RunConfig:
     out: Path
     format: str
     verify: bool
-    jobs: int
     capacity: int
 
 
@@ -49,8 +48,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="directory for emitted artifacts (default: out)")
     p.add_argument("--format", choices=("json", "markdown"),
                    default="markdown", help="stdout rendering")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted for compatibility; every run is serial")
     p.add_argument("--coset-capacity", type=int, default=10 ** 6, metavar="N",
                    dest="capacity", help="coset table size ceiling")
     p.add_argument("--verify", action="store_true",
@@ -89,7 +86,7 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         if t is not None)
     return RunConfig(
         subcommand=ns.subcommand, targets=targets, out=Path(ns.out),
-        format=ns.format, verify=ns.verify, jobs=ns.jobs,
+        format=ns.format, verify=ns.verify,
         capacity=ns.capacity)
 
 
@@ -307,8 +304,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = _config(ns)
-    if cfg.jobs < 1:
-        return _usage_error("--jobs must be at least 1")
     if cfg.capacity < 1:
         return _usage_error("--coset-capacity must be positive")
     handler = {

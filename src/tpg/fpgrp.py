@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .permgrp import CapacityError, Perm, PermGroup, generate
+from .permgrp import CapacityError, Perm, PermGroup
 
 GENERATORS = ("a", "b", "c")
 _COL = {"a": 0, "b": 1, "c": 2}
@@ -30,9 +30,11 @@ DEFAULT_CAPACITY = 10**6
 
 # The presentation family uses exponents <= 6; the bounds leave ample room
 # for longer words and stop hostile input (a^99999999999999999999, or nested
-# powers and conjugates) before a word of that length is built.
+# powers and conjugates) before a word of that length is built.  The nesting
+# bound keeps the recursive parser far from Python's recursion limit.
 MAX_EXPONENT = 1000
 MAX_WORD_LENGTH = 10**6
+MAX_NESTING = 100
 
 
 class Word:
@@ -180,6 +182,11 @@ def parse_word(text: str) -> Word:
     is the empty word.
     """
     toks = _tokenize(text)
+    depth = 0
+    for kind, _ in toks:
+        depth += (kind == "(") - (kind == ")")
+        if depth > MAX_NESTING:
+            raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
     w, i = _parse_seq(toks, 0)
     if i != len(toks):
         raise ValueError(f"trailing tokens in word {text!r}")
@@ -595,4 +602,4 @@ def verify_presentation(
             return False
     if any(g not in H for g in gens):
         return False
-    return generate(H.degree, gens).order == H.order
+    return H.is_generated_by(gens)

@@ -2,19 +2,26 @@
 
 Permutations are numpy uint16 image arrays (0-based internally,
 1-based in cycle notation).  Composition is left to right: (p*q) means
-"apply p, then q", so (p*q).img = q.img[p.img].  Groups enumerate all
-their elements by breadth-first closure, which is fine at this scale
-(orders up to ~20000) and keeps normal closures and quotients
-straightforward.  Hot loops are batched through numpy fancy indexing so even
-degree-4374 groups close in seconds.
+"apply p, then q", so (p*q).img = q.img[p.img].  A group enumerates all its
+elements once, by breadth-first closure of its generators, which is fine at
+this scale (orders up to ~20000); the elements are kept as one array of
+image rows in lexicographic order, so the identity is row 0.
 
-Each group also keys its elements by their images of a short base, picked
+Each group keys its elements by their images of a short base, picked
 along the stabiliser chain (Sims' base; Seress, Permutation Group
 Algorithms, ch. 4): one int64 per element when degree**len(base) fits, a
-row key otherwise, in a sorted array searched with np.searchsorted.  Element
-orders follow powers on the base images only, and product orders compose
-only the base images of the two factors and look the product's order up,
-so no full image array of a product or a power is ever built.
+row key otherwise, in a sorted array searched with np.searchsorted.  This is
+the one element lookup: a permutation is found by its base images, and one
+compare of its full row rejects a non-member that shares a member's base
+images.  Element orders follow powers on the base images only, and product
+orders compose only the base images of the two factors and look the
+product's order up, so no full image array of a product or a power is ever
+built.
+
+A subgroup of an enumerated group is a boolean mask over its elements,
+closed from seed element indices by one kernel (_index_closure): each
+frontier is one gather through the cached right-multiplication maps
+x -> x*g of the picked generators.  Its elements are the masked rows.
 
 Conjugacy classes are one cached label per element (class_labels): each
 generator g gives a conjugation map x -> g^-1 x g on element indices, read
@@ -39,6 +46,10 @@ _LOOKUP_BATCH = 2**20  # base-image entries composed per product batch
 
 class CapacityError(RuntimeError):
     """Group or coset enumeration outgrew its configured ceiling."""
+
+
+class NonMemberError(KeyError, ValueError):
+    """A permutation or base image looked up in a group is not a member."""
 
 
 class Perm:
@@ -190,91 +201,6 @@ class Perm:
         return f"Perm[{self}]"
 
 
-class _Closure:
-    """Incremental breadth-first closure of a set of generator arrays."""
-
-    def __init__(self, degree: int, ceiling: int, abort_above: Optional[int] = None):
-        self.degree = degree
-        self.ceiling = ceiling
-        self.abort_above = abort_above
-        ident = np.arange(degree, dtype=DTYPE)
-        self.rows: list[np.ndarray] = [ident]
-        self.index: dict[bytes, int] = {ident.tobytes(): 0}
-        self.gens: list[np.ndarray] = []
-        self._ptr: list[int] = []
-        self.aborted = False
-
-    def __contains__(self, row: np.ndarray) -> bool:
-        return row.tobytes() in self.index
-
-    def add_seed(self, row: np.ndarray) -> bool:
-        key = row.tobytes()
-        if key in self.index:
-            return False
-        if self.abort_above is not None and len(self.rows) + 1 > self.abort_above:
-            self.aborted = True
-            return False
-        if len(self.rows) + 1 > self.ceiling:
-            raise CapacityError(f"closure exceeded ceiling {self.ceiling}")
-        self.index[key] = len(self.rows)
-        self.rows.append(np.array(row, dtype=DTYPE))
-        return True
-
-    def add_gen(self, row: np.ndarray):
-        self.gens.append(np.asarray(row, dtype=DTYPE))
-        self._ptr.append(0)
-        self.add_seed(row)
-
-    def run(self) -> bool:
-        """Process every (element, generator) pair once; False if aborted."""
-        if self.aborted:
-            return False
-        while True:
-            moved = False
-            for k, g in enumerate(self.gens):
-                start = self._ptr[k]
-                if start >= len(self.rows):
-                    continue
-                moved = True
-                stop = len(self.rows)
-                self._ptr[k] = stop
-                chunk = np.stack(self.rows[start:stop])
-                prods = g[chunk]
-                for row in prods:
-                    key = row.tobytes()
-                    if key in self.index:
-                        continue
-                    if (
-                        self.abort_above is not None
-                        and len(self.rows) + 1 > self.abort_above
-                    ):
-                        self.aborted = True
-                        return False
-                    if len(self.rows) + 1 > self.ceiling:
-                        raise CapacityError(
-                            f"closure exceeded ceiling {self.ceiling}"
-                        )
-                    self.index[key] = len(self.rows)
-                    self.rows.append(row.copy())
-            if not moved:
-                return True
-
-    def take_sorted(self) -> tuple[np.ndarray, dict[bytes, int]]:
-        """The elements in lexicographic order, with their byte-key index.
-
-        The closure's own rows and keys are released before sorting, which
-        lowers the peak memory of large closures; the closure is spent.
-        """
-        E = np.stack(self.rows)
-        self.rows, self.index = [], {}
-        keys = [row.astype(">u2").tobytes() for row in E]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        del keys
-        E = np.ascontiguousarray(E[order])
-        E.setflags(write=False)
-        return E, {row.tobytes(): i for i, row in enumerate(E)}
-
-
 class IsoFingerprint(NamedTuple):
     """Cheap isomorphism invariants; equality is necessary, not sufficient."""
 
@@ -318,7 +244,7 @@ class PermGroup:
         self.name = name
         self.tracked = dict(tracked) if tracked else {}
         self._E: Optional[np.ndarray] = None
-        self._index: Optional[dict[bytes, int]] = None
+        self._right_maps: dict[int, np.ndarray] = {}
         self._elements: Optional[tuple[Perm, ...]] = None
         self._classes = None
         self._labels: Optional[np.ndarray] = None
@@ -334,22 +260,37 @@ class PermGroup:
     # -- element enumeration ------------------------------------------------
 
     def _enumerate(self):
+        """The first closure of the group from its generators, breadth first
+        and keyed by image bytes; the only closure that builds image rows."""
         if self._E is not None:
             return
-        cl = _Closure(self.degree, self.ceiling)
-        for g in self.generators:
-            cl.add_gen(g.img)
-        cl.run()
-        self._E, self._index = cl.take_sorted()
-
-    @classmethod
-    def _from_rows(cls, degree, rows_index, gens, **kw) -> "PermGroup":
-        """Internal: wrap an already-closed element set."""
-        E, index = rows_index
-        G = cls(degree, gens, **kw)
-        G._E = E
-        G._index = index
-        return G
+        ident = np.arange(self.degree, dtype=DTYPE)
+        rows = [ident]
+        seen = {ident.tobytes()}
+        done = 0
+        while done < len(rows):
+            chunk = np.stack(rows[done:])
+            done = len(rows)
+            for g in self.generators:
+                for row in g.img[chunk]:
+                    key = row.tobytes()
+                    if key in seen:
+                        continue
+                    if len(rows) == self.ceiling:
+                        raise CapacityError(
+                            f"closure exceeded ceiling {self.ceiling}")
+                    seen.add(key)
+                    rows.append(row.copy())
+        # release the keys before sorting, which lowers the peak memory of
+        # large closures
+        E = np.stack(rows)
+        del rows, seen
+        keys = [row.astype(">u2").tobytes() for row in E]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
+        E = np.ascontiguousarray(E[order])
+        E.setflags(write=False)
+        self._E = E
 
     @property
     def order(self) -> int:
@@ -370,12 +311,31 @@ class PermGroup:
         return self._E
 
     def index_of(self, p: Perm) -> int:
-        self._enumerate()
-        return self._index[p.key()]
+        return int(self.indices_of([p])[0])
+
+    def indices_of(self, perms: Iterable[Perm]) -> np.ndarray:
+        """Element indices of perms; NonMemberError if one is not a member."""
+        perms = list(perms)
+        if any(p.degree != self.degree for p in perms):
+            raise NonMemberError("permutation of another degree")
+        idx = self._lookup(_image_rows(perms, self.degree))
+        if (idx < 0).any():
+            raise NonMemberError(f"{perms[int(np.argmin(idx))]} is not a member")
+        return idx
 
     def __contains__(self, p) -> bool:
-        self._enumerate()
-        return isinstance(p, Perm) and p.key() in self._index
+        return (isinstance(p, Perm) and p.degree == self.degree
+                and self._lookup(p.img[None])[0] >= 0)
+
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of each full image row, -1 for a non-member.
+
+        A row is found by its base images; one compare of the full row then
+        rejects a non-member that shares a member's base images.
+        """
+        idx = self._find(rows[..., self.base()])
+        idx[(idx < 0) | (self._E[idx] != rows).any(axis=-1)] = -1
+        return idx
 
     def __len__(self):
         return self.order
@@ -456,19 +416,27 @@ class PermGroup:
         raw = np.ascontiguousarray(images, dtype=">u2")
         return raw.view(np.dtype((np.void, 2 * width))).ravel()
 
-    def indices_of_base_images(self, images: np.ndarray) -> np.ndarray:
-        """Element indices for rows of base images, shape images.shape[:-1].
-
-        Every row must be the base images of a member of the group; rows
-        that match no element raise ValueError.
-        """
+    def _find(self, images: np.ndarray) -> np.ndarray:
+        """Element indices for rows of base images, shape images.shape[:-1],
+        with -1 for rows that match no element."""
         base = self.base()
         keys = self._keys(images.reshape(math.prod(images.shape[:-1]), len(base)))
         pos = np.searchsorted(self._base_keys, keys)
         pos[pos == len(self._base_keys)] = 0
-        if (self._base_keys[pos] != keys).any():
-            raise ValueError("base images of a non-member")
-        return self._base_elements[pos].reshape(images.shape[:-1])
+        idx = self._base_elements[pos]
+        idx[self._base_keys[pos] != keys] = -1
+        return idx.reshape(images.shape[:-1])
+
+    def indices_of_base_images(self, images: np.ndarray) -> np.ndarray:
+        """Element indices for rows of base images, shape images.shape[:-1].
+
+        Every row must be the base images of a member of the group; rows
+        that match no element raise NonMemberError.
+        """
+        idx = self._find(images)
+        if (idx < 0).any():
+            raise NonMemberError("base images of a non-member")
+        return idx
 
     def product_indices(self, L: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Indices of the products L[i] * R[j] of member image rows.
@@ -552,8 +520,7 @@ class PermGroup:
 
     def classes_meeting(self, perms: Iterable[Perm]) -> frozenset[int]:
         """Class numbers of the conjugacy classes that meet perms."""
-        labels = self.class_labels()
-        return frozenset(labels[[self.index_of(p) for p in perms]].tolist())
+        return frozenset(self.class_labels()[self.indices_of(perms)].tolist())
 
     def class_union(self, perms: Iterable[Perm]) -> np.ndarray:
         """Sorted element indices of the conjugacy classes that meet perms."""
@@ -618,33 +585,70 @@ class PermGroup:
         """The union of the conjugacy classes of size 1."""
         if self._center is None:
             labels = self.class_labels()
-            central = self._E[np.bincount(labels)[labels] == 1]
-            self._center = self.normal_closure(Perm._trusted(r) for r in central)
+            self._center = self._greedy_closure(
+                np.flatnonzero(np.bincount(labels)[labels] == 1))
         return self._center
 
-    def _greedy_closure(
-        self, rows: np.ndarray, abort_above: Optional[int] = None
-    ) -> Optional["PermGroup"]:
-        """The subgroup generated by rows, members of the group, or None once
-        it is known to have more than abort_above elements.
+    def _right_map(self, i: int) -> np.ndarray:
+        """Index of x * g for every element x, where g is element i; cached."""
+        m = self._right_maps.get(i)
+        if m is None:
+            m = self.product_indices(self._E, self._E[i : i + 1])[:, 0]
+            self._right_maps[i] = m
+        return m
 
-        Its generators are picked greedily: each row not yet in the closure
-        of the rows picked before it, in the given order.
+    def _index_closure(
+        self, seeds: Iterable[int], abort_above: Optional[int] = None
+    ) -> Optional[tuple[np.ndarray, list[int]]]:
+        """The subgroup generated by the elements with indices seeds.
+
+        Returns a boolean mask over the elements and the seeds picked as
+        generators, each one not yet in the closure of those picked before
+        it, or None once the subgroup has more than abort_above elements.
+        The mask grows frontier by frontier from the identity, row 0; for g
+        outside a closed H, all of H*g is new and is the first frontier.
         """
-        cl = _Closure(self.degree, self.ceiling, abort_above)
-        gens = []
-        for row in rows:
-            if len(cl.rows) == self.order:
+        n = self.order
+        mask = np.zeros(n, dtype=bool)
+        mask[0] = True
+        count = 1
+        picked: list[int] = []
+        maps: list[np.ndarray] = []
+        for s in seeds:
+            if count == n:
                 break  # the closure is the whole group: nothing is left to pick
-            if row not in cl:
-                gens.append(Perm._trusted(row))
-                cl.add_gen(row)
-                if not cl.run():
+            s = int(s)
+            if mask[s]:
+                continue
+            picked.append(s)
+            maps.append(self._right_map(s))
+            frontier = maps[-1][np.flatnonzero(mask)]
+            while frontier.size:
+                mask[frontier] = True
+                count += frontier.size
+                if abort_above is not None and count > abort_above:
                     return None
-        # a closure that is the whole group shares its sorted rows
-        whole = len(cl.rows) == self.order
-        rows_index = (self._E, self._index) if whole else cl.take_sorted()
-        return PermGroup._from_rows(self.degree, rows_index, gens, ceiling=self.ceiling)
+                step = np.concatenate([m[frontier] for m in maps])
+                frontier = np.unique(step[~mask[step]])
+        return mask, picked
+
+    def _greedy_closure(
+        self, seeds: Iterable[int], abort_above: Optional[int] = None
+    ) -> Optional["PermGroup"]:
+        """_index_closure of seeds as a group: the masked rows, with the
+        picked seeds as generators."""
+        found = self._index_closure(seeds, abort_above)
+        if found is None:
+            return None
+        mask, picked = found
+        H = PermGroup(self.degree, (Perm._trusted(self._E[i]) for i in picked),
+                      ceiling=self.ceiling)
+        if mask.all():
+            H._E = self._E  # the whole group shares its rows
+        else:
+            H._E = self._E[mask]
+            H._E.setflags(write=False)
+        return H
 
     def derived_subgroup(self) -> "PermGroup":
         if self._derived is None:
@@ -691,32 +695,20 @@ class PermGroup:
     # -- subgroups and quotients ---------------------------------------------
 
     def subgroup(self, gens: Iterable[Perm]) -> "PermGroup":
-        gens = list(gens)
-        self._enumerate()
-        for g in gens:
-            if g.key() not in self._index:
-                raise ValueError("subgroup generator outside the group")
-        H = PermGroup(self.degree, gens, ceiling=self.ceiling)
-        assert self.order % H.order == 0, "Lagrange violated: corrupt closure"
-        return H
+        """The subgroup generated by gens, members of the group."""
+        return self._greedy_closure(self.indices_of(gens))
 
     def subgroup_within(
         self, gens: Sequence[Perm], abort_above: int
     ) -> Optional["PermGroup"]:
         """The subgroup generated by gens, members of the group, or None once
         it is known to have more than abort_above elements."""
-        return self._greedy_closure(_image_rows(gens, self.degree), abort_above)
+        return self._greedy_closure(self.indices_of(gens), abort_above)
 
     def is_generated_by(self, perms: Iterable[Perm]) -> bool:
-        """Whether perms, members of the group, generate all of it.
-
-        Answered without a closure when the non-identity perms are exactly
-        the group's generators; otherwise perms are closed.
-        """
-        perms = [p for p in perms if not p.is_identity()]
-        if {p.key() for p in perms} == {g.key() for g in self.generators}:
-            return True
-        return PermGroup(self.degree, perms).order == self.order
+        """Whether perms, members of the group, generate all of it."""
+        mask, _ = self._index_closure(self.indices_of(perms))
+        return bool(mask.all())
 
     def normal_closure(
         self, X: Iterable[Perm], abort_above: Optional[int] = None
@@ -726,21 +718,17 @@ class PermGroup:
         With abort_above set, returns None as soon as the closure is known
         to have more than abort_above elements.
         """
-        self._enumerate()
-        seeds = [x for x in X if not x.is_identity()]
-        if any(x.key() not in self._index for x in seeds):
-            raise ValueError("closure seed outside the group")
-        return self._greedy_closure(self._E[self.class_union(seeds)], abort_above)
+        return self._greedy_closure(self.class_union(X), abort_above)
 
     def is_normal(self, N: "PermGroup") -> bool:
         if N.degree != self.degree:
             return False
-        N._enumerate()
-        return all(
-            n.conj(g).key() in N._index
-            for n in N.generators
-            for g in self.generators
-        ) and all(n.key() in self._index for n in N.generators)
+        gens = _image_rows(N.generators, self.degree)
+        if (self._lookup(gens) < 0).any():
+            return False
+        # g^-1 n g has images g.img[n.img[g^-1.img]]
+        return all((N._lookup(g.img[gens[:, g.inverse().img]]) >= 0).all()
+                   for g in self.generators)
 
     def quotient(self, N: "PermGroup") -> "PermGroup":
         """Action of the group on the cosets of a normal subgroup N.
@@ -750,44 +738,35 @@ class PermGroup:
         """
         if not self.is_normal(N):
             raise ValueError("quotient by a non-normal subgroup")
-        self._enumerate()
-        N._enumerate()
-        n = self.order
         N_E = N.element_images
-        coset_of = np.full(n, -1, dtype=np.int64)
-        reps: list[np.ndarray] = []
+        coset_of = np.full(self.order, -1, dtype=np.intp)
+        reps: list[int] = []
 
-        def open_coset(row: np.ndarray) -> int:
-            c = len(reps)
-            reps.append(row)
-            for member in row[N_E]:
-                coset_of[self._index[member.tobytes()]] = c
-            return c
+        def open_coset(r: int) -> None:
+            # the coset N r, found by the products n * r
+            coset_of[self.product_indices(N_E, self._E[r : r + 1])[:, 0]] = len(reps)
+            reps.append(r)
 
-        open_coset(np.arange(self.degree, dtype=DTYPE))
-        trans = [[] for _ in self.generators]
+        # cosets are numbered breadth first from N, generators in order
+        open_coset(0)
+        maps = [self._right_map(i) for i in self.indices_of(self.generators)]
+        trans = [[] for _ in maps]
         i = 0
         while i < len(reps):
-            rep = reps[i]
-            for k, g in enumerate(self.generators):
-                row = g.img[rep]
-                j = coset_of[self._index[row.tobytes()]]
-                if j < 0:
-                    j = open_coset(row)
-                trans[k].append(j)
+            for k, m in enumerate(maps):
+                y = int(m[reps[i]])
+                if coset_of[y] < 0:
+                    open_coset(y)
+                trans[k].append(coset_of[y])
             i += 1
         count = len(reps)
-        assert count * N.order == n, "coset bookkeeping failed"
+        assert count * N.order == self.order, "coset bookkeeping failed"
         gen_imgs = [Perm(np.array(t, dtype=DTYPE)) for t in trans]
-        tracked = {}
-        if self.tracked:
-            R = np.stack(reps)
-            for label, p in self.tracked.items():
-                rows = p.img[R]
-                imgs = [
-                    int(coset_of[self._index[row.tobytes()]]) for row in rows
-                ]
-                tracked[label] = Perm(np.array(imgs, dtype=DTYPE))
+        R = self._E[reps]
+        tracked = {
+            label: Perm(coset_of[self.product_indices(R, p.img[None])[:, 0]])
+            for label, p in self.tracked.items()
+        }
         Q = PermGroup(count, gen_imgs, ceiling=self.ceiling, tracked=tracked)
         assert Q.order == count, "coset action of a quotient must be regular"
         return Q
@@ -796,12 +775,13 @@ class PermGroup:
         return self.subgroup([h.conj(g) for h in H.generators])
 
     def element_key_set(self) -> frozenset[bytes]:
-        self._enumerate()
-        return frozenset(self._index)
+        """The image bytes of every element."""
+        return frozenset(row.tobytes() for row in self.element_images)
 
     def generating_tuple(self) -> tuple[Perm, ...]:
         """Greedy lexicographically-least generating tuple."""
-        return self._greedy_closure(self.element_images).generators
+        _, picked = self._index_closure(range(self.order))
+        return tuple(Perm._trusted(self._E[i]) for i in picked)
 
 
 def generate(degree: int, gens: Iterable[Perm], **kw) -> PermGroup:
@@ -842,26 +822,27 @@ def _image_rows(perms: Sequence[Perm], degree: int) -> np.ndarray:
     return np.stack([p.img for p in perms])
 
 
-def _certify_hom(G: PermGroup, gens, H: PermGroup, imgs) -> bool:
-    """Check that gens -> imgs extends to an isomorphism via mirrored BFS.
+def _certify_hom(G: PermGroup, gens: Sequence[int], H: PermGroup,
+                 imgs: Sequence[int]) -> bool:
+    """Check that gens -> imgs, element indices, extends to an isomorphism
+    via mirrored BFS.
 
-    The search runs level by level; every edge x -> x*g is checked against
-    phi(x) -> phi(x)*h, with both products looked up by base image.
+    The search runs level by level from the identities, row 0; every edge
+    x -> x*g is checked against phi(x) -> phi(x)*h, both read from the
+    groups' right-multiplication maps.
     """
     n = G.order
     if H.order != n:
         return False
     phi = np.full(n, -1, dtype=np.intp)
-    start = G.index_of(G.identity())
-    phi[start] = H.index_of(H.identity())
-    frontier = np.array([start], dtype=np.intp)
+    phi[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
     reached = 1
-    G_E, H_E = G.element_images, H.element_images
     while frontier.size:
         fresh = []
         for g, h in zip(gens, imgs):
-            y = G.product_indices(G_E[frontier], g.img[None])[:, 0]
-            fy = H.product_indices(H_E[phi[frontier]], h.img[None])[:, 0]
+            y = G._right_map(g)[frontier]
+            fy = H._right_map(h)[phi[frontier]]
             new = phi[y] < 0
             phi[y[new]] = fy[new]
             if (phi[y] != fy).any():
@@ -878,6 +859,8 @@ def _certify_hom(G: PermGroup, gens, H: PermGroup, imgs) -> bool:
 
 def isomorphic(G: PermGroup, H: PermGroup) -> bool:
     """Exact isomorphism test: fingerprint gate, then certified search."""
+    if G is H:
+        return True
     if G.order != H.order:
         return False
     if G.fingerprint() != H.fingerprint():
@@ -904,50 +887,48 @@ def find_isomorphism(
         return None
     if gens is None:
         gens = G.generating_tuple()
-    gens = tuple(gens)
+    gen_idx = G.indices_of(gens).tolist()
     G_inv = _class_invariants(G)
     H_inv = _class_invariants(H)
-    gen_idx = [G.index_of(g) for g in gens]
+    H_E = H.element_images
 
-    def ok(h: Perm) -> bool:
-        return allowed is None or allowed(h)
+    def ok(i: int) -> bool:
+        return allowed is None or allowed(H.elements[i])
 
     # orders of the partial subgroups <g_0..g_k> prune the search hard
-    partial_orders = []
-    for k in range(len(gens)):
-        partial_orders.append(PermGroup(G.degree, gens[: k + 1]).order)
-    gen_rows = _image_rows(gens, G.degree)
+    partial_orders = [
+        int(np.count_nonzero(G._index_closure(gen_idx[: k + 1])[0]))
+        for k in range(len(gen_idx))
+    ]
+    gen_rows = G.element_images[gen_idx]
     pair_orders = G.product_orders(gen_rows, gen_rows)  # [i, k]: o(g_i g_k)
 
     # the first image may be fixed to one representative per class
     # (conjugating an isomorphism by an inner automorphism is free)
-    H_reps = H.class_representatives()
     cand0 = [
-        H.elements[i] for i in H_reps
-        if H_inv[i] == G_inv[gen_idx[0]] and ok(H.elements[i])
-    ] if gens else []
+        int(i) for i in H.class_representatives()
+        if H_inv[i] == G_inv[gen_idx[0]] and ok(i)
+    ] if gen_idx else []
     later = [
-        [h for h, inv in zip(H.elements, H_inv)
-         if inv == G_inv[gen_idx[k]] and ok(h)]
-        for k in range(len(gens))
+        np.array([i for i, inv in enumerate(H_inv)
+                  if inv == G_inv[g] and ok(i)], dtype=np.intp)
+        for g in gen_idx
     ]
-    later_rows = [_image_rows(pool, H.degree) for pool in later]
 
-    def extend(k: int, imgs: list[Perm]) -> Optional[tuple[Perm, ...]]:
-        if k == len(gens):
-            return tuple(imgs) if _certify_hom(G, gens, H, imgs) else None
+    def extend(k: int, imgs: list[int]) -> Optional[tuple[Perm, ...]]:
+        if k == len(gen_idx):
+            if not _certify_hom(G, gen_idx, H, imgs):
+                return None
+            return tuple(Perm._trusted(H_E[i]) for i in imgs)
         pool = cand0
         if k:
             # o(imgs[i] * h) must equal o(gens[i] * gens[k]) for every i < k
-            orders = H.product_orders(_image_rows(imgs, H.degree), later_rows[k])
+            orders = H.product_orders(H_E[imgs], H_E[later[k]])
             keep = (orders == pair_orders[:k, k, None]).all(axis=0)
-            pool = [h for h, kept in zip(later[k], keep) if kept]
+            pool = later[k][keep].tolist()
         for h in pool:
-            cl = _Closure(H.degree, H.ceiling, abort_above=partial_orders[k])
-            for p in imgs:
-                cl.add_gen(p.img)
-            cl.add_gen(h.img)
-            if not cl.run() or len(cl.rows) != partial_orders[k]:
+            closed = H._index_closure(imgs + [h], abort_above=partial_orders[k])
+            if closed is None or np.count_nonzero(closed[0]) != partial_orders[k]:
                 continue
             found = extend(k + 1, imgs + [h])
             if found is not None:

@@ -1,13 +1,18 @@
 """Tests for the command line front end."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tpg import cli
+from tpg import classify, cli
+from tpg.axial import cert_to_dict, obstruct
 from tpg.classify import EXCLUDED_TYPE_NAMES
 from tpg.fpgrp import Word
 from tpg.permgrp import Perm, generate
@@ -38,10 +43,10 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys, )[0] == 2
 
-    def test_bad_jobs(self, capsys):
-        code, _, err = run_cli(capsys, "--jobs", "0", "catalog", "--only", "G1")
+    def test_jobs_flag_is_gone(self, capsys):
+        code, _, err = run_cli(capsys, "--jobs", "2", "catalog", "--only", "G1")
         assert code == 2
-        assert "--jobs" in err
+        assert "usage" in err
 
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
@@ -242,6 +247,16 @@ class TestObstructAndVerify:
         assert code == 2
         assert "malformed certificate" in err
 
+    def test_non_integer_degree_rejected(self, capsys, tmp_path):
+        payload = json.loads(_s6_payload())
+        path = tmp_path / "S6.cert.json"
+        for degree in (float("inf"), 6.0, True):
+            payload["certificate"]["degree"] = degree
+            path.write_text(json.dumps(payload))
+            code, _, err = run_cli(capsys, "verify", str(path))
+            assert code == 2
+            assert "malformed certificate" in err
+
     def test_m1_audit_summary(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "--out", str(tmp_path), "obstruct", "2^4:S5")
@@ -250,6 +265,64 @@ class TestObstructAndVerify:
         assert "-3/256" in out
         payload = json.loads((tmp_path / "2_4_S5.cert.json").read_text())
         assert payload["certificate"]["kind"] == "m1-audit"
+
+    def test_hostile_generators_rejected(self, capsys, tmp_path):
+        # a generator outside the group, and members of it that generate all
+        # of it: both are rejected before a large closure is built
+        code, _, _ = run_cli(
+            capsys, "--out", str(tmp_path), "obstruct", "2^4:S5")
+        assert code == 0
+        path = tmp_path / "2_4_S5.cert.json"
+        payload = json.loads(path.read_text())
+        long_cycle = "(" + ",".join(str(i) for i in range(1, 17)) + ")"
+        target = classify.obstruction_target("2^4:S5")
+        for gens in (["(1,2)", long_cycle], [str(g) for g in target.generators]):
+            payload["certificate"]["generators"] = gens
+            path.write_text(json.dumps(payload))
+            code, out, _ = run_cli(capsys, "verify", str(path))
+            assert code == 1
+            assert "REJECTED" in out
+
+
+@functools.cache
+def _s6_payload() -> str:
+    cert = obstruct(classify.target_config("S6"))
+    return json.dumps({"schema": cli.CERT_SCHEMA, "type": "S6",
+                       "certificate": cert_to_dict(cert)})
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**9, 10**9),
+                          st.floats(), st.text(max_size=8))
+_perm_texts = st.one_of(
+    st.permutations(range(6)).map(lambda img: str(Perm(img))),
+    st.text(alphabet="(),0123456789- ", max_size=16))
+_word_texts = st.text(alphabet="abc()^*1- 0123456789", max_size=24)
+_mutations = st.one_of(
+    st.tuples(st.just("degree"), _json_scalars),
+    st.tuples(st.just("group_order"), _json_scalars),
+    st.tuples(st.just("generators"),
+              st.one_of(_json_scalars, st.lists(_perm_texts, max_size=5))),
+    st.tuples(st.just("members"), st.one_of(_json_scalars, st.lists(
+        st.one_of(_json_scalars, st.lists(st.one_of(_perm_texts, _word_texts),
+                                          max_size=3)),
+        max_size=8))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_mutations, max_size=3), st.data())
+def test_fuzzed_certificate_ends_in_an_exit_code(mutations, data):
+    payload = json.loads(_s6_payload())
+    cert = payload["certificate"]
+    if data.draw(st.booleans()):  # a reordered or partial set of real members
+        cert["members"] = data.draw(st.lists(st.sampled_from(cert["members"]),
+                                             max_size=8))
+    for field, value in mutations:
+        cert[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(payload))
+        assert cli.run(["verify", str(path)]) in (0, 1, 2)
 
 
 class TestClassify:

@@ -116,6 +116,10 @@ class TestWord:
             parse_word("(((ab)^1000)^1000)")
         with pytest.raises(ValueError, match="longer than"):
             parse_word(" ".join(["(ab)^1000"] * 501))
+        # nesting past the recursion limit is an error, not a RecursionError
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_word("(" * 5000 + "a" + ")" * 5000)
+        assert parse_word("(" * 100 + "a" + ")" * 100) == Word("a")
 
     @given(st.lists(st.sampled_from("abc"), max_size=12))
     def test_parse_print_round_trip(self, letters):

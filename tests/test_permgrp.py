@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tpg.fpgrp import evaluate_word, parse_word
 from tpg.permgrp import (
     CapacityError,
     Perm,
@@ -394,6 +397,62 @@ def test_is_generated_by():
     a, b, c = G.generators
     assert G.is_generated_by([a, b * c, c])
     assert not G.is_generated_by([a, b])
+
+
+@pytest.mark.parametrize("build", [lambda: symmetric_group(4),
+                                   lambda: alternating_group(5), _g6, _g10])
+def test_index_closure_matches_fresh_closure(build):
+    G = build()
+    reps = [G.elements[i] for i in G.class_representatives()[1:7]]
+    subsets = ([[x] for x in reps] + [list(p) for p in itertools.permutations(reps, 2)]
+               + [reps])
+    for gens in subsets:
+        fresh = PermGroup(G.degree, gens)
+        H = G.subgroup(gens)
+        assert np.array_equal(H.element_images, fresh.element_images)
+        # greedy: a seed is picked only when those picked before miss it
+        kept = []
+        for g in gens:
+            if g not in PermGroup(G.degree, kept):
+                kept.append(g)
+        assert H.generators == tuple(kept)
+        for bound in (fresh.order - 1, fresh.order, fresh.order + 1):
+            assert (G.subgroup_within(gens, bound) is None) == (fresh.order > bound)
+
+
+def test_non_member_sharing_base_images():
+    G = generate(4, [P("(1,2)(3,4)", 4)])
+    p = P("(1,2)", 4)
+    # p has the base images of the generator, element 1
+    assert G.indices_of_base_images(p.img[G.base()][None]).tolist() == [1]
+    assert p not in G
+    with pytest.raises(KeyError):
+        G.index_of(p)
+    with pytest.raises(ValueError):
+        G.subgroup([p])
+
+
+@pytest.mark.parametrize("degree, gens, words, images", [
+    # G2 and its first table row: |N| = 9, quotient order 16
+    (10, ("(1,2)(3,4)", "(5,6)(7,8)", "(1,2)(3,9)(4,5)(6,10)"), ("(a * b^c)^2",),
+     ("(1,2)(3,5)(4,8)(6,11)(7,12)(9,10)(13,15)(14,16)",
+      "(1,3)(2,5)(4,9)(6,12)(7,11)(8,10)(13,16)(14,15)",
+      "(1,4)(2,6)(3,7)(5,10)(8,13)(9,14)(11,15)(12,16)")),
+    # G9 and its first table row: |N| = 48, quotient order 24
+    (12, ("(1,2)(3,4)(5,6)(7,8)", "(1,8)(2,7)(3,4)(5,6)", "(2,5)(3,6)(9,10)(11,12)"),
+     ("(ac)^2", "(a * b^c)^2"),
+     ("(1,2)(3,5)(4,6)(7,9)(8,10)(11,13)(12,14)(15,17)(16,18)(19,21)(20,22)(23,24)",
+      "(1,3)(2,5)(4,8)(6,10)(7,11)(9,13)(12,16)(14,18)(15,19)(17,21)(20,23)(22,24)",
+      "(1,4)(2,6)(3,7)(5,9)(8,12)(10,14)(11,15)(13,17)(16,20)(18,22)(19,23)(21,24)")),
+])
+def test_quotient_images_pinned(degree, gens, words, images):
+    # cosets are numbered breadth first from N, so the images are fixed
+    a, b, c = (P(s, degree) for s in gens)
+    G = PermGroup(degree, [a, b, c], tracked={"a": a, "b": b, "c": c})
+    seeds = [evaluate_word(parse_word(w), G.tracked) for w in words]
+    Q = G.quotient(G.normal_closure(seeds))
+    assert [str(g) for g in Q.generators] == list(images)
+    assert {k: str(v) for k, v in Q.tracked.items()} == dict(zip("abc", images))
 
 
 # -- property-based checks ----------------------------------------------------
