@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dihedral import FUSION
+from .dihedral import FUSION, bilinear
 from .fpgrp import Word, evaluate_word, parse_word
 from .permgrp import (
     Perm,
@@ -644,35 +644,24 @@ def klein_identity() -> dict:
     def axis(p: Perm) -> Vector:
         return Vector.unit(dim, model.axis_index(p))
 
-    def mul(u: Vector, v: Vector) -> Vector:
-        out = Vector.zero(dim)
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                coeffs = model.product_entry(i, j)
-                for k, ck in coeffs.items():
-                    out = out + Vector.unit(dim, k) * (ci * cj * ck)
-        return out
-
     for i in range(dim):
         for j in range(dim):
             if model.pair_of(model.axes[i], model.axes[j]).forced != ("1A" if i == j else "2A"):
                 raise UnsupportedConfigurationError("expected an all-2A klein span")
+    entries = [[model.product_entry(i, j) for j in range(dim)] for i in range(dim)]
+    mult = [[Vector([e.get(k, 0) for k in range(dim)]) for e in row] for row in entries]
 
     alpha = axis(t1) - axis(t0 * t1)
     beta = axis(t2) - axis(t0 * t2)
     gamma = axis(t1 * t2) - axis(t0 * t1 * t2)
     quarter = Fraction(1, 4)
     steps = []
-    if mul(alpha, beta) != gamma * -quarter:
+    if bilinear(mult, alpha, beta) != gamma * -quarter:
         raise UnsupportedConfigurationError("product identity failed to expand")
     steps.append("alpha * beta = -(1/4) gamma")
     a0 = axis(t0)
     for name, w in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if mul(a0, w) != w * quarter:
+        if bilinear(mult, a0, w) != w * quarter:
             raise UnsupportedConfigurationError(f"{name} is not a 1/4-eigenvector")
         steps.append(f"a(t0) * {name} = (1/4) {name}")
     cell = FUSION[(quarter, quarter)]

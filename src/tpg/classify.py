@@ -530,21 +530,15 @@ def _explicit(deg: int, sa: str, sb: str, sc: str, name: str) -> PermGroup:
                      tracked={"a": a, "b": b, "c": c})
 
 
-def _presented(mnp, r, extra=(), subgroup=("a", "b"), expect=0) -> PermGroup:
-    pres = tp_presentation(*mnp, r)
-    for sub in (subgroup, ()):
-        Q = _coset_group(pres, extra=extra, subgroup=sub)
-        if Q.order == expect:
-            return Q
-    raise ClassificationError(f"presented group has wrong order (want {expect})")
-
+# The tower types are quotients of the G11 presentation.
+_TOWER_BASE = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
 
 # Excluded types: name -> (order, builder). Explicit generator triples are used
 # where the non-existence arguments supply them; the rest are presentation
 # quotients carrying tracked images of a, b, c.
 _EXCLUDED_BUILDERS: dict[str, tuple[int, object]] = {
-    "2xS3xS3": (72, lambda: _presented(
-        (6, 6, 6), (2, 6, 6, None, None), expect=72)),
+    "2xS3xS3": (72, lambda: _coset_group(
+        tp_presentation(6, 6, 6, (2, 6, 6, None, None)), subgroup=("a", "b"))),
     "S6": (720, lambda: _explicit(
         6, "(1,2)(3,4)(5,6)", "(5,6)", "(2,3)(4,5)", "S6")),
     "(2^4:(S3xS3))x2": (1152, lambda: _entry("G9").group),
@@ -557,16 +551,12 @@ _EXCLUDED_BUILDERS: dict[str, tuple[int, object]] = {
     "2x(3^{1+2}:2^2)": (216, lambda: _explicit(
         11, "(1,4)(2,6)(3,5)(8,9)", "(1,4)(2,8)(6,9)(10,11)",
         "(2,7)(3,4)(5,9)", "2x(3^{1+2}:2^2)")),
-    "S3:(3^{1+2}:2^2)": (648, lambda: _presented(
-        (6, 6, 6), (6, 6, 6, None, 3),
-        extra=("(ab * a^(cbc))^2", "(a * b^(cabc))^2"), expect=648)),
-    "(3^2:2):(3^{1+2}:2^2)": (1944, lambda: _presented(
-        (6, 6, 6), (6, 6, 6, None, 3),
-        extra=("(a * b^(cabc))^2",), expect=1944)),
-    "(3^3:2):(3^{1+2}:2^2)": (5832, lambda: _presented(
-        (6, 6, 6), (6, 6, 6, None, 3),
-        extra=("c^(acbcacb) * c^(bcacbca)",),
-        subgroup=("a", "b", X3_WORD), expect=5832)),
+    "S3:(3^{1+2}:2^2)": (648, lambda: _coset_group(
+        _TOWER_BASE, extra=("(ab * a^(cbc))^2", "(a * b^(cabc))^2"), subgroup=("a", "b"))),
+    "(3^2:2):(3^{1+2}:2^2)": (1944, lambda: _coset_group(
+        _TOWER_BASE, extra=("(a * b^(cabc))^2",), subgroup=("a", "b"))),
+    "(3^3:2):(3^{1+2}:2^2)": (5832, lambda: _coset_group(
+        _TOWER_BASE, extra=("c^(acbcacb) * c^(bcacbca)",), subgroup=("a", "b", X3_WORD))),
     "(3^4:2):(3^{1+2}:2^2)": (17496, lambda: _entry("G11").group),
 }
 

@@ -6,6 +6,16 @@ the dihedral relabeling symmetries of the axis indices.  Any clash between a
 seeded and a derived entry, or any product left undetermined by the closure,
 aborts the construction.  The finished table must satisfy associativity of
 the form (M1) before it is released to callers.
+
+The axiom checks work on tables and eigenvector pairs, never on per-vector
+solves.  M1 compares two n x n tables of Gram-transformed products.  The
+fusion and Miyamoto checks share one pass over the unordered pairs u, v of
+an axis's eigenbasis (mu, nu for their eigenvalues).  The adjoint is
+diagonalizable, so u*v lies in the sum of the eigenspaces for a set L exactly
+when the product of (ad - lam) over L kills it.  tau and sigma are linear and
+act on eigenvectors by signs, and the product and form are bilinear, so
+checking them on eigenbasis pairs is equivalent to checking them on basis
+pairs.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ __all__ = [
     "ConstructionError",
     "DihedralAlgebra",
     "ad_spectrum",
+    "bilinear",
     "build",
     "check_fusion",
     "check_inclusion",
@@ -408,18 +419,26 @@ def build(t: str) -> DihedralAlgebra:
     return alg
 
 
-def product(alg: DihedralAlgebra, u: Vector, v: Vector) -> Vector:
-    if len(u) != alg.dim or len(v) != alg.dim:
-        raise ValueError(f"vectors must have dimension {alg.dim}")
-    out = Vector.zero(alg.dim)
+def bilinear(mult, u: Vector, v: Vector) -> Vector:
+    """The product sum_ij u_i v_j mult[i][j] of a table of basis products."""
+    acc = [_ZERO] * len(mult)
+    right = [(j, c) for j, c in enumerate(v) if c]
     for i, ci in enumerate(u):
         if not ci:
             continue
-        row = alg.mult[i]
-        for j, cj in enumerate(v):
-            if cj:
-                out = out + row[j] * (ci * cj)
-    return out
+        row = mult[i]
+        for j, cj in right:
+            c = ci * cj
+            for k, x in enumerate(row[j]):
+                if x:
+                    acc[k] += c * x
+    return Vector(acc)
+
+
+def product(alg: DihedralAlgebra, u: Vector, v: Vector) -> Vector:
+    if len(u) != alg.dim or len(v) != alg.dim:
+        raise ValueError(f"vectors must have dimension {alg.dim}")
+    return bilinear(alg.mult, u, v)
 
 
 def inner(alg: DihedralAlgebra, u: Vector, v: Vector) -> Fraction:
@@ -461,22 +480,23 @@ def ad_spectrum(alg: DihedralAlgebra, axis: str) -> dict[Fraction, tuple[int, tu
     return spectrum
 
 
-def _eigencomponents(alg: DihedralAlgebra, spectrum, w: Vector) -> dict[Fraction, Vector]:
-    """Decompose w into its adjoint eigencomponents."""
-    cols: list[Vector] = []
-    lams: list[Fraction] = []
-    for lam, (_, eb) in spectrum.items():
-        for v in eb:
-            cols.append(v)
-            lams.append(lam)
-    coords = Matrix.from_columns(cols).solve(w)
-    if coords is None:
-        raise AxiomError(f"{alg.type}: eigenbasis does not span the algebra")
-    parts: dict[Fraction, Vector] = {lam: Vector.zero(alg.dim) for lam in spectrum}
-    for c, lam, v in zip(coords, lams, cols):
-        if c:
-            parts[lam] = parts[lam] + v * c
-    return parts
+def _eigen_pairs(alg: DihedralAlgebra, spectrum):
+    """(mu, u, nu, v, u*v) for every unordered pair u, v of eigenbasis vectors."""
+    flat = [(lam, u) for lam, (_, eb) in spectrum.items() for u in eb]
+    for i, (mu, u) in enumerate(flat):
+        for nu, v in flat[i:]:
+            yield mu, u, nu, v, product(alg, u, v)
+
+
+def _in_eigenspaces(alg: DihedralAlgebra, a: Vector, w: Vector, lams) -> bool:
+    """Whether w lies in the sum of the eigenspaces of ad(a) for the eigenvalues lams.
+
+    ad(a) is diagonalizable (ad_spectrum refuses it otherwise), so this holds
+    exactly when the product of (ad(a) - lam) over lams kills w.
+    """
+    for lam in lams:
+        w = product(alg, a, w) - w * lam
+    return w.is_zero()
 
 
 def check_fusion(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
@@ -487,50 +507,36 @@ def check_fusion(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
             out.extend(check_fusion(alg, ax))
         return out
     spectrum = ad_spectrum(alg, axis)
-    lams = list(spectrum)
+    a = alg.basis_vector(axis)
     violations = []
-    for i, mu in enumerate(lams):
-        for nu in lams[i:]:
-            allowed = fusion_rule(mu, nu)
-            for u in spectrum[mu][1]:
-                for v in spectrum[nu][1]:
-                    parts = _eigencomponents(alg, spectrum, product(alg, u, v))
-                    for lam, comp in parts.items():
-                        if lam not in allowed and not comp.is_zero():
-                            violations.append(
-                                f"{alg.type}/{axis}: ({mu},{nu}) product has a {lam}-component"
-                            )
+    for mu, _, nu, _, w in _eigen_pairs(alg, spectrum):
+        allowed = fusion_rule(mu, nu)
+        if _in_eigenspaces(alg, a, w, [lam for lam in spectrum if lam in allowed]):
+            continue
+        # w has a lam-component exactly when it leaves the other eigenspaces.
+        for lam in spectrum:
+            if lam not in allowed and not _in_eigenspaces(alg, a, w, [k for k in spectrum if k != lam]):
+                violations.append(f"{alg.type}/{axis}: ({mu},{nu}) product has a {lam}-component")
     return violations
 
 
 def check_m1(alg: DihedralAlgebra) -> list[str]:
-    """Verify (u*v, w) == (u, v*w) on all basis triples; return violations."""
+    """Verify (u*v, w) == (u, v*w) on all basis triples; return violations.
+
+    (a_i a_j, a_k) is (G^T m_ij)[k] and (a_i, a_j a_k) is (G m_jk)[i], for the
+    Gram matrix G and the table entries m; both tables are built once.
+    """
+    gram_t = alg.gram.transpose()
+    left = [[gram_t.apply(m) for m in row] for row in alg.mult]
+    right = [[alg.gram.apply(m) for m in row] for row in alg.mult]
     violations = []
-    units = [alg.basis_vector(lab) for lab in alg.basis]
     for i, x in enumerate(alg.basis):
         for j, y in enumerate(alg.basis):
             for k, z in enumerate(alg.basis):
-                lhs = inner(alg, product(alg, units[i], units[j]), units[k])
-                rhs = inner(alg, units[i], product(alg, units[j], units[k]))
+                lhs, rhs = left[i][j][k], right[j][k][i]
                 if lhs != rhs:
                     violations.append(f"{alg.type}: ({x}*{y}, {z}) = {lhs} but ({x}, {y}*{z}) = {rhs}")
     return violations
-
-
-def _tau_sigma_matrices(alg: DihedralAlgebra, spectrum) -> tuple[Matrix, Matrix]:
-    """Matrices acting as -1 on the 1/32-eigenspace resp. the 1/4-eigenspace."""
-    tau_cols = []
-    sigma_cols = []
-    for j in range(alg.dim):
-        parts = _eigencomponents(alg, spectrum, Vector.unit(alg.dim, j))
-        tau = Vector.zero(alg.dim)
-        sigma = Vector.zero(alg.dim)
-        for lam, comp in parts.items():
-            tau = tau + (comp * (-1) if lam == _THIRTY_SECOND else comp)
-            sigma = sigma + (comp * (-1) if lam == _QUARTER else comp)
-        tau_cols.append(tau)
-        sigma_cols.append(sigma)
-    return Matrix.from_columns(tau_cols), Matrix.from_columns(sigma_cols)
 
 
 def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
@@ -539,6 +545,9 @@ def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
     The map tau negating the 1/32-eigenspace of an axis must be an algebra
     automorphism preserving the inner product.  On the tau-fixed subspace, the
     map sigma negating the 1/4-eigenspace must preserve the restricted product.
+    Both maps act on eigenvectors by signs, so on an eigenbasis pair u, v the
+    conditions read: u*v lies in the eigenspaces of the matching sign, and
+    (u, v) = 0 when exactly one of u, v is a 1/32-vector.
     """
     if axis is None:
         out: list[str] = []
@@ -546,33 +555,23 @@ def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
             out.extend(check_miyamoto(alg, ax))
         return out
     spectrum = ad_spectrum(alg, axis)
-    tau, sigma = _tau_sigma_matrices(alg, spectrum)
+    a = alg.basis_vector(axis)
+    fixed = [lam for lam in spectrum if lam != _THIRTY_SECOND]  # the tau-fixed eigenvalues
     violations = []
-    units = [alg.basis_vector(lab) for lab in alg.basis]
-    for i, x in enumerate(alg.basis):
-        for j, y in enumerate(alg.basis[i:], start=i):
-            lhs = tau.apply(product(alg, units[i], units[j]))
-            rhs = product(alg, tau.apply(units[i]), tau.apply(units[j]))
-            if lhs != rhs:
-                violations.append(f"{alg.type}/{axis}: tau is not multiplicative on ({x}, {y})")
-            if inner(alg, tau.apply(units[i]), tau.apply(units[j])) != inner(alg, units[i], units[j]):
-                violations.append(f"{alg.type}/{axis}: tau does not preserve the form on ({x}, {y})")
-    # tau-fixed subspace: spanned by the eigenvectors away from 1/32.
-    fixed = [v for lam in spectrum if lam != _THIRTY_SECOND for v in spectrum[lam][1]]
-    for i, u in enumerate(fixed):
-        for v in fixed[i:]:
-            p = product(alg, u, v)
-            parts = _eigencomponents(alg, spectrum, p)
-            stray = parts.get(_THIRTY_SECOND)
-            if stray is not None and not stray.is_zero():
-                violations.append(
-                    f"{alg.type}/{axis}: product of tau-fixed vectors leaves the tau-fixed subspace"
-                )
-                continue
-            if sigma.apply(p) != product(alg, sigma.apply(u), sigma.apply(v)):
-                violations.append(
-                    f"{alg.type}/{axis}: sigma is not multiplicative on the tau-fixed subspace"
-                )
+    for mu, u, nu, v, w in _eigen_pairs(alg, spectrum):
+        where = f"{alg.type}/{axis}"
+        # tau(u) tau(v) is -u*v when exactly one of u, v is a 1/32-vector, else u*v.
+        odd = (mu == _THIRTY_SECOND) != (nu == _THIRTY_SECOND)
+        if not _in_eigenspaces(alg, a, w, [_THIRTY_SECOND] if odd else fixed):
+            violations.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
+        elif _THIRTY_SECOND not in (mu, nu):
+            # sigma likewise on a tau-fixed pair, with 1/4 in place of 1/32.
+            flip = (mu == _QUARTER) != (nu == _QUARTER)
+            lams = [_QUARTER] if flip else [lam for lam in fixed if lam != _QUARTER]
+            if not _in_eigenspaces(alg, a, w, lams):
+                violations.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
+        if odd and inner(alg, u, v):
+            violations.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
     return violations
 
 

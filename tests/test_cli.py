@@ -325,6 +325,32 @@ def test_fuzzed_certificate_ends_in_an_exit_code(mutations, data):
         assert cli.run(["verify", str(path)]) in (0, 1, 2)
 
 
+_PRES_LINES = ("mnp: 6 6 6", "mnp: 3 3 3", "r: 6 6 6 - 3", "r: 2 - - 1 -",
+               "relator: (a * b^(cabc))^2", "subgroup: a", "subgroup: b^(ca)")
+_pres_numbers = st.lists(st.sampled_from(
+    ["0", "1", "2", "3", "6", "7", "-", "-1", "x", "2.5", "", "²"]), max_size=6).map(" ".join)
+# small exponents keep every word short, and the coset capacity bounds each enumeration
+_pres_words = st.lists(st.sampled_from(
+    ["a", "b", "c", "1", "ab", "(", ")", "^", "^2", "^3", "^-1", "^0", "^(c)",
+     "*", " ", "#", ":", "x"]), max_size=10).map("".join)
+_pres_keys = st.sampled_from(["mnp", "r", "relator", "subgroup", "", "gens", "mnp r"])
+_pres_mutant = st.tuples(_pres_keys, st.sampled_from([": ", ":", " ", "::"]),
+                        st.one_of(_pres_numbers, _pres_words)).map("".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_PRES_LINES), max_size=5),
+       st.lists(st.tuples(st.integers(0, 5), _pres_mutant), max_size=2))
+def test_fuzzed_presentation_ends_in_an_exit_code(lines, mutants):
+    for at, line in mutants:
+        lines.insert(at, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.pres"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.run(["--coset-capacity", "200", "enumerate", str(path)])
+    assert code in (0, 1, 2)
+
+
 class TestClassify:
     def test_exit_code_flags_verified_discrepancies(self, cli_classify):
         assert cli_classify.code1 == 1

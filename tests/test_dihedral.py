@@ -211,6 +211,58 @@ class TestChecks:
         )
         assert check_m1(bad) != []
 
+    def test_fusion_names_the_offending_eigenvalue(self):
+        # a_1 * a_rho gains a multiple of the 1/4-eigenvector a_1 - a_rho of
+        # ad(a_0); ad(a_0) itself is untouched, so its spectrum still holds.
+        alg = build("2A")
+        bad = tampered(alg, "a_1", "a_rho", (unit(alg, "a_1") - unit(alg, "a_rho")) * Fraction(1, 8))
+        assert check_fusion(bad, "a_0") == [
+            "2A/a_0: (0,0) product has a 1/4-component",
+            "2A/a_0: (1/4,1/4) product has a 1/4-component",
+        ]
+        assert check_miyamoto(bad, "a_0") == [
+            "2A/a_0: sigma is not multiplicative on a (0,0) pair",
+            "2A/a_0: sigma is not multiplicative on a (1/4,1/4) pair",
+        ]
+
+    def test_miyamoto_detects_tau_not_multiplicative(self):
+        # u_rho^2 gains the 1/32-eigenvector a_1 - a_-1 of ad(a_0), so products
+        # of tau-fixed vectors leave the tau-fixed subspace.
+        alg = build("3A")
+        bad = tampered(alg, "u_rho", "u_rho", (unit(alg, "a_1") - unit(alg, "a_-1")) * Fraction(1, 4))
+        assert check_miyamoto(bad, "a_0") == [
+            "3A/a_0: tau is not multiplicative on a (0,0) pair",
+            "3A/a_0: tau is not multiplicative on a (0,1/4) pair",
+            "3A/a_0: tau is not multiplicative on a (1/4,1/4) pair",
+        ]
+        assert "3A/a_0: (0,0) product has a 1/32-component" in check_fusion(bad, "a_0")
+
+    def test_miyamoto_detects_tau_not_preserving_the_form(self):
+        # Only the form changes, so the fusion rules still hold.
+        alg = build("3A")
+        bad = tampered(alg, "a_1", "u_rho", gram_delta=Fraction(1, 8))
+        assert check_fusion(bad, "a_0") == []
+        assert check_miyamoto(bad, "a_0") == [
+            "3A/a_0: tau does not preserve the form on a (0,1/32) pair",
+            "3A/a_0: tau does not preserve the form on a (1/4,1/32) pair",
+        ]
+
+
+def tampered(alg: DihedralAlgebra, x: str, y: str, product_delta: Vector | None = None,
+             gram_delta: Fraction = ZERO) -> DihedralAlgebra:
+    """alg with the product and form of the basis pair (x, y) shifted symmetrically."""
+    i, j = alg.index(x), alg.index(y)
+    mult = [list(row) for row in alg.mult]
+    if product_delta is not None:
+        mult[i][j] = mult[j][i] = mult[i][j] + product_delta
+    gram = [list(row) for row in alg.gram.rows]
+    gram[i][j] += gram_delta
+    if i != j:
+        gram[j][i] += gram_delta
+    return DihedralAlgebra(
+        type=alg.type, basis=alg.basis, mult=tuple(tuple(row) for row in mult), gram=Matrix(gram),
+    )
+
 
 class TestNortonInequality:
     @pytest.mark.parametrize("t", DIHEDRAL_TYPES)
