@@ -14,14 +14,7 @@ from pathlib import Path
 
 from . import classify
 from .axial import cert_from_dict, cert_to_dict, obstruct, verify_certificate
-from .dihedral import (
-    DIHEDRAL_TYPES,
-    build,
-    check_fusion,
-    check_inclusion,
-    check_m1,
-    check_miyamoto,
-)
+from .dihedral import DIHEDRAL_TYPES, _axis_checks, build, check_inclusion, check_m1
 from .fpgrp import parse_presentation, todd_coxeter
 from .permgrp import CapacityError
 
@@ -161,7 +154,8 @@ def _cmd_dihedral(cfg: RunConfig) -> int:
     results = []
     for t in DIHEDRAL_TYPES:
         alg = build(t)
-        failures = check_m1(alg) + check_fusion(alg) + check_miyamoto(alg)
+        fusion, miyamoto = _axis_checks(alg)
+        failures = check_m1(alg) + fusion + miyamoto
         if t in ("4A", "4B", "6A"):
             failures += check_inclusion(alg)
         results.append({

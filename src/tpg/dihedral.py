@@ -499,25 +499,63 @@ def _in_eigenspaces(alg: DihedralAlgebra, a: Vector, w: Vector, lams) -> bool:
     return w.is_zero()
 
 
-def check_fusion(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
-    """Verify the fusion rules for one axis (or all axes); return violations."""
+def _axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[str], list[str]]:
+    """Fusion and Miyamoto violations for one axis (or all axes, in order).
+
+    Both checks read the same spectrum and eigenbasis-pair products, so this
+    one pass builds them once per axis; see check_fusion and check_miyamoto.
+    """
     if axis is None:
-        out: list[str] = []
+        fusion: list[str] = []
+        miyamoto: list[str] = []
         for ax in alg.axes:
-            out.extend(check_fusion(alg, ax))
-        return out
+            f, m = _axis_checks(alg, ax)
+            fusion += f
+            miyamoto += m
+        return fusion, miyamoto
     spectrum = ad_spectrum(alg, axis)
     a = alg.basis_vector(axis)
-    violations = []
-    for mu, _, nu, _, w in _eigen_pairs(alg, spectrum):
+    where = f"{alg.type}/{axis}"
+    fixed = [lam for lam in spectrum if lam != _THIRTY_SECOND]  # the tau-fixed eigenvalues
+    fusion, miyamoto = [], []
+    for mu, u, nu, v, w in _eigen_pairs(alg, spectrum):
         allowed = fusion_rule(mu, nu)
-        if _in_eigenspaces(alg, a, w, [lam for lam in spectrum if lam in allowed]):
-            continue
-        # w has a lam-component exactly when it leaves the other eigenspaces.
-        for lam in spectrum:
-            if lam not in allowed and not _in_eigenspaces(alg, a, w, [k for k in spectrum if k != lam]):
-                violations.append(f"{alg.type}/{axis}: ({mu},{nu}) product has a {lam}-component")
-    return violations
+        if not _in_eigenspaces(alg, a, w, [lam for lam in spectrum if lam in allowed]):
+            # w has a lam-component exactly when it leaves the other eigenspaces.
+            for lam in spectrum:
+                if lam not in allowed and not _in_eigenspaces(alg, a, w, [k for k in spectrum if k != lam]):
+                    fusion.append(f"{where}: ({mu},{nu}) product has a {lam}-component")
+        # tau(u) tau(v) is -u*v when exactly one of u, v is a 1/32-vector, else u*v.
+        odd = (mu == _THIRTY_SECOND) != (nu == _THIRTY_SECOND)
+        if not _in_eigenspaces(alg, a, w, [_THIRTY_SECOND] if odd else fixed):
+            miyamoto.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
+        elif _THIRTY_SECOND not in (mu, nu):
+            # sigma likewise on a tau-fixed pair, with 1/4 in place of 1/32.
+            flip = (mu == _QUARTER) != (nu == _QUARTER)
+            lams = [_QUARTER] if flip else [lam for lam in fixed if lam != _QUARTER]
+            if not _in_eigenspaces(alg, a, w, lams):
+                miyamoto.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
+        if odd and inner(alg, u, v):
+            miyamoto.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
+    return fusion, miyamoto
+
+
+def check_fusion(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
+    """Verify the fusion rules for one axis (or all axes); return violations."""
+    return _axis_checks(alg, axis)[0]
+
+
+def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
+    """Verify the Miyamoto involution and its even companion; return violations.
+
+    The map tau negating the 1/32-eigenspace of an axis must be an algebra
+    automorphism preserving the inner product.  On the tau-fixed subspace, the
+    map sigma negating the 1/4-eigenspace must preserve the restricted product.
+    Both maps act on eigenvectors by signs, so on an eigenbasis pair u, v the
+    conditions read: u*v lies in the eigenspaces of the matching sign, and
+    (u, v) = 0 when exactly one of u, v is a 1/32-vector.
+    """
+    return _axis_checks(alg, axis)[1]
 
 
 def check_m1(alg: DihedralAlgebra) -> list[str]:
@@ -536,42 +574,6 @@ def check_m1(alg: DihedralAlgebra) -> list[str]:
                 lhs, rhs = left[i][j][k], right[j][k][i]
                 if lhs != rhs:
                     violations.append(f"{alg.type}: ({x}*{y}, {z}) = {lhs} but ({x}, {y}*{z}) = {rhs}")
-    return violations
-
-
-def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
-    """Verify the Miyamoto involution and its even companion; return violations.
-
-    The map tau negating the 1/32-eigenspace of an axis must be an algebra
-    automorphism preserving the inner product.  On the tau-fixed subspace, the
-    map sigma negating the 1/4-eigenspace must preserve the restricted product.
-    Both maps act on eigenvectors by signs, so on an eigenbasis pair u, v the
-    conditions read: u*v lies in the eigenspaces of the matching sign, and
-    (u, v) = 0 when exactly one of u, v is a 1/32-vector.
-    """
-    if axis is None:
-        out: list[str] = []
-        for ax in alg.axes:
-            out.extend(check_miyamoto(alg, ax))
-        return out
-    spectrum = ad_spectrum(alg, axis)
-    a = alg.basis_vector(axis)
-    fixed = [lam for lam in spectrum if lam != _THIRTY_SECOND]  # the tau-fixed eigenvalues
-    violations = []
-    for mu, u, nu, v, w in _eigen_pairs(alg, spectrum):
-        where = f"{alg.type}/{axis}"
-        # tau(u) tau(v) is -u*v when exactly one of u, v is a 1/32-vector, else u*v.
-        odd = (mu == _THIRTY_SECOND) != (nu == _THIRTY_SECOND)
-        if not _in_eigenspaces(alg, a, w, [_THIRTY_SECOND] if odd else fixed):
-            violations.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
-        elif _THIRTY_SECOND not in (mu, nu):
-            # sigma likewise on a tau-fixed pair, with 1/4 in place of 1/32.
-            flip = (mu == _QUARTER) != (nu == _QUARTER)
-            lams = [_QUARTER] if flip else [lam for lam in fixed if lam != _QUARTER]
-            if not _in_eigenspaces(alg, a, w, lams):
-                violations.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
-        if odd and inner(alg, u, v):
-            violations.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
     return violations
 
 

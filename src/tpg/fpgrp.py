@@ -6,10 +6,16 @@ a word is its reversal.  Words do not auto-reduce; cancelling adjacent equal
 letters is available explicitly via :meth:`Word.reduced` and is sound because
 every presentation carries the square relators.
 
-Coset enumeration is HLT-style with coincidence handling.  After the scan
-passes reach a fixpoint the table is compacted, renumbered breadth-first from
-the subgroup coset (a canonical standardization), and re-verified entry by
-entry, so a returned table is always complete, closed and deterministic.
+Coset enumeration is HLT-style with coincidence handling (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, ch. 5).  The table lives in
+one ``array('i')`` per generator column plus a union-find parent array;
+scans read each relator as a tuple of those column arrays.  After each sweep
+the live rows are compacted into a numpy table, and one vectorised check
+(columns are involutions of range(n), every relator fixes every coset,
+every subgroup word fixes coset 0) decides whether the table is closed.  The
+closed table is renumbered breadth-first from the subgroup coset (a
+canonical standardization) and checked again, so a returned table is always
+complete, closed and deterministic.
 """
 
 from __future__ import annotations
@@ -318,7 +324,13 @@ class CosetTable:
 
 
 class _Enumerator:
-    """HLT coset enumeration state over involutory columns."""
+    """HLT coset enumeration state over involutory columns.
+
+    Storage stays compact for enumerations that define many more cosets than
+    survive (R4_5 defines about 10^5 for 12): one ``array('i')`` per column
+    plus the union-find parent array.  Relators and subgroup words are held
+    as tuples of those column arrays, so a scan step is ``cword[i][f]``.
+    """
 
     def __init__(self, relators, subgroup_rows, capacity):
         self.relators = relators
@@ -326,8 +338,13 @@ class _Enumerator:
         self.capacity = capacity
         self.cols = (array("i", [-1]), array("i", [-1]), array("i", [-1]))
         self.parent = array("i", [0])
-        self.total = 1
         self.mutations = 0
+        self.rel_cols = self._columns(relators)
+        self.sub_cols = self._columns(subgroup_rows)
+
+    def _columns(self, rows) -> tuple[tuple[array, ...], ...]:
+        """Each letter row as the tuple of the column arrays it reads."""
+        return tuple(tuple(self.cols[x] for x in row) for row in rows)
 
     def _rep(self, x: int) -> int:
         parent = self.parent
@@ -336,50 +353,50 @@ class _Enumerator:
             x = parent[x]
         return x
 
-    def _define(self, f: int, col: int) -> int:
-        if self.total >= self.capacity:
+    def _define(self, f: int, col: array) -> int:
+        m = len(self.parent)  # every coset ever defined, live or collapsed
+        if m >= self.capacity:
             raise CapacityError(
                 f"coset table capacity {self.capacity} exhausted; the "
                 "presented group may be infinite or the bound too small"
             )
-        m = len(self.parent)
         for c in self.cols:
             c.append(-1)
         self.parent.append(m)
-        self.cols[col][f] = m
-        self.cols[col][m] = f
-        self.total += 1
+        col[f] = m
+        col[m] = f
         self.mutations += 1
         return m
 
     def _coincidence(self, k: int, l: int):
-        cols = self.cols
+        parent = self.parent
+        rep = self._rep
         queue: deque[int] = deque()
 
         def merge(u: int, v: int):
-            u, v = self._rep(u), self._rep(v)
+            u, v = rep(u), rep(v)
             if u == v:
                 return
             if u > v:
                 u, v = v, u
-            self.parent[v] = u
+            parent[v] = u
             self.mutations += 1
             queue.append(v)
 
         merge(k, l)
         while queue:
             g = queue.popleft()
-            for x in (0, 1, 2):
-                d = cols[x][g]
+            for col in self.cols:
+                d = col[g]
                 if d == -1:
                     continue
-                if cols[x][d] == g:
-                    cols[x][d] = -1
-                u, v = self._rep(g), self._rep(d)
-                eu, ev = cols[x][u], cols[x][v]
+                if col[d] == g:
+                    col[d] = -1
+                u, v = rep(g), rep(d)
+                eu, ev = col[u], col[v]
                 if eu == -1 and ev == -1:
-                    cols[x][u] = v
-                    cols[x][v] = u
+                    col[u] = v
+                    col[v] = u
                     self.mutations += 1
                 else:
                     if eu != -1:
@@ -387,57 +404,62 @@ class _Enumerator:
                     if ev != -1:
                         merge(u, ev)
 
-    def _scan_and_fill(self, start: int, word: tuple[int, ...]):
-        cols = self.cols
+    def _scan_and_fill(self, start: int, cword: tuple[array, ...]):
+        # A live coset is its own parent, so _rep runs only on dead entries.
+        parent = self.parent
         f = start
         i = 0
         b = start
-        j = len(word) - 1
+        j = len(cword) - 1
         while True:
             while i <= j:
-                nxt = cols[word[i]][f]
+                nxt = cword[i][f]
                 if nxt == -1:
                     break
-                f = self._rep(nxt)
+                f = nxt if parent[nxt] == nxt else self._rep(nxt)
                 i += 1
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
                 return
             while j >= i:
-                nxt = cols[word[j]][b]
+                nxt = cword[j][b]
                 if nxt == -1:
                     break
-                b = self._rep(nxt)
+                b = nxt if parent[nxt] == nxt else self._rep(nxt)
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
                 return
             if j == i:
-                cols[word[i]][f] = b
-                cols[word[i]][b] = f
+                col = cword[i]
+                col[f] = b
+                col[b] = f
                 self.mutations += 1
                 return
-            self._define(f, word[i])
+            self._define(f, cword[i])
 
     def _sweep(self):
-        for row in self.subgroup_rows:
-            self._scan_and_fill(0, row)
+        parent = self.parent
+        scan = self._scan_and_fill
+        for cword in self.sub_cols:
+            scan(0, cword)
         alpha = 0
-        while alpha < len(self.parent):
-            if self._rep(alpha) == alpha:
-                for row in self.relators:
-                    self._scan_and_fill(alpha, row)
-                    if self._rep(alpha) != alpha:
+        while alpha < len(parent):
+            if parent[alpha] == alpha:
+                for cword in self.rel_cols:
+                    scan(alpha, cword)
+                    if parent[alpha] != alpha:
                         break
-                if self._rep(alpha) == alpha:
-                    for x in (0, 1, 2):
-                        if self.cols[x][alpha] == -1:
-                            self._define(alpha, x)
+                else:
+                    for col in self.cols:
+                        if col[alpha] == -1:
+                            self._define(alpha, col)
             alpha += 1
 
-    def _live_table(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Rep-normalized live rows, or None if any entry is undefined."""
+    def _live_table(self) -> Optional[np.ndarray]:
+        """Rep-normalized live rows (3 x live, int32), or None if any entry
+        is undefined."""
         par = np.frombuffer(self.parent, dtype=np.int32).copy()
         while True:
             nxt = par[par]
@@ -445,40 +467,76 @@ class _Enumerator:
                 break
             par = nxt
         live = np.flatnonzero(par == np.arange(len(par), dtype=np.int32))
-        mat = np.empty((3, len(live)), dtype=np.int64)
-        for x in (0, 1, 2):
-            col = np.frombuffer(self.cols[x], dtype=np.int32)[live]
+        mat = np.empty((3, len(live)), dtype=np.int32)
+        for x, col in enumerate(self.cols):
+            col = np.frombuffer(col, dtype=np.int32)[live]
             if (col == -1).any():
                 return None
             mat[x] = np.searchsorted(live, par[col])
-        return mat, live
-
-    def _closed(self, mat: np.ndarray) -> bool:
-        n = mat.shape[1]
-        idx = np.arange(n)
-        for row in self.relators:
-            pos = idx
-            for x in row:
-                pos = mat[x][pos]
-            if not np.array_equal(pos, idx):
-                return False
-        for row in self.subgroup_rows:
-            pos = 0
-            for x in row:
-                pos = int(mat[x][pos])
-            if pos != 0:
-                return False
-        return True
+        return mat
 
     def run(self) -> np.ndarray:
         while True:
             before = self.mutations
             self._sweep()
-            table = self._live_table()
-            if table is not None and self._closed(table[0]):
-                return table[0]
+            mat = self._live_table()
+            if mat is not None and _table_fault(
+                    mat, self.relators, self.subgroup_rows) is None:
+                return mat
             if self.mutations == before:
                 raise RuntimeError("coset enumeration stalled without closing")
+
+
+def _table_fault(mat: np.ndarray, relators, subgroup_rows) -> Optional[str]:
+    """The first check a coset table fails, or None if it passes them all.
+
+    ``mat`` is 3 x n: row x maps each coset under generator x.  The checks, in
+    order: "symmetry" (every column is an involution of range(n)), "relator"
+    (every relator fixes every coset) and "subgroup" (every subgroup word
+    fixes coset 0).
+    """
+    n = mat.shape[1]
+    idx = np.arange(n)
+    if mat.min() < 0 or mat.max() >= n or any(
+            not np.array_equal(col[col], idx) for col in mat):
+        return "symmetry"
+    for row in relators:
+        pos = idx
+        for x in row:
+            pos = mat[x][pos]
+        if not np.array_equal(pos, idx):
+            return "relator"
+    for row in subgroup_rows:
+        pos = 0
+        for x in row:
+            pos = mat[x, pos]
+        if pos != 0:
+            return "subgroup"
+    return None
+
+
+def _verify(mat: np.ndarray, relators, subgroup_rows) -> None:
+    fault = _table_fault(mat, relators, subgroup_rows)
+    if fault is not None:
+        raise RuntimeError(f"coset table failed {fault} verification")
+
+
+def _standardize(mat: np.ndarray) -> np.ndarray:
+    """Renumber a complete table breadth-first from the subgroup coset 0."""
+    cols = mat.tolist()
+    n = len(cols[0])
+    number = [-1] * n
+    number[0] = 0
+    order = [0]
+    for u in order:  # order grows while it is walked: a BFS queue
+        for col in cols:
+            v = col[u]
+            if number[v] == -1:
+                number[v] = len(order)
+                order.append(v)
+    if len(order) != n:
+        raise RuntimeError("coset table is not transitive")
+    return np.array(number, dtype=np.int32)[mat[:, order]]
 
 
 def todd_coxeter(
@@ -508,50 +566,10 @@ def todd_coxeter(
         row = tuple(_COL[ch] for ch in w.letters)
         if row:
             sub_rows.append(row)
-    enum = _Enumerator(rel_rows, sub_rows, capacity)
-    mat = enum.run()
-
-    # standardize: breadth-first renumbering from the subgroup coset
-    n = mat.shape[1]
-    number = np.full(n, -1, dtype=np.int64)
-    number[0] = 0
-    order = [0]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for x in (0, 1, 2):
-            v = int(mat[x][u])
-            if number[v] == -1:
-                number[v] = len(order)
-                order.append(v)
-    if len(order) != n:
-        raise RuntimeError("coset table is not transitive")
-    rows = tuple(
-        tuple(int(number[mat[x][u]]) for x in (0, 1, 2)) for u in order
-    )
-
-    # verification pass on the standardized table
-    for i, row in enumerate(rows):
-        for x in (0, 1, 2):
-            j = row[x]
-            if not 0 <= j < n or rows[j][x] != i:
-                raise RuntimeError("coset table failed symmetry verification")
-    for rel in rel_rows:
-        for i in range(n):
-            pos = i
-            for x in rel:
-                pos = rows[pos][x]
-            if pos != i:
-                raise RuntimeError("coset table failed relator verification")
-    for sub in sub_rows:
-        pos = 0
-        for x in sub:
-            pos = rows[pos][x]
-        if pos != 0:
-            raise RuntimeError("coset table failed subgroup verification")
-
-    return CosetTable(rows=rows, complete=True, subgroup=tuple(subgroup))
+    std = _standardize(_Enumerator(rel_rows, sub_rows, capacity).run())
+    _verify(std, rel_rows, sub_rows)
+    return CosetTable(rows=tuple(zip(*std.tolist())), complete=True,
+                      subgroup=tuple(subgroup))
 
 
 def coset_action(table: CosetTable) -> PermGroup:

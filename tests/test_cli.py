@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpg import classify, cli
+from tpg import classify, cli, dihedral
 from tpg.axial import cert_to_dict, obstruct
 from tpg.classify import EXCLUDED_TYPE_NAMES
 from tpg.fpgrp import Word
@@ -108,6 +109,30 @@ class TestDihedral:
             "1A", "2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A"]
         assert all(r["gram_psd"] and not r["failures"] for r in results)
 
+    def test_failures_keep_the_check_order(self, capsys, monkeypatch):
+        # 3A with u_rho^2 shifted by the 1/32-eigenvector a_1 - a_-1 of
+        # ad(a_0): every axis keeps its spectrum, and M1, the fusion rules and
+        # tau all fail.  The report lists them check by check, axis by axis.
+        alg = dihedral.build("3A")
+        i = alg.index("u_rho")
+        mult = [list(row) for row in alg.mult]
+        mult[i][i] = mult[i][i] + (
+            alg.basis_vector("a_1") - alg.basis_vector("a_-1")) * Fraction(1, 4)
+        bad = dihedral.DihedralAlgebra(
+            type="3A", basis=alg.basis, mult=tuple(map(tuple, mult)), gram=alg.gram)
+        monkeypatch.setattr(
+            cli, "build", lambda t: bad if t == "3A" else dihedral.build(t))
+        code, out, _ = run_cli(capsys, "--format", "json", "dihedral", "verify")
+        assert code == 1
+        failures = {r["type"]: r["failures"] for r in json.loads(out)}
+        m1, fusion, miyamoto = (dihedral.check_m1(bad), dihedral.check_fusion(bad),
+                                dihedral.check_miyamoto(bad))
+        assert (len(m1), len(fusion), len(miyamoto)) == (4, 19, 9)
+        assert failures["3A"] == m1 + fusion + miyamoto
+        assert fusion[0] == "3A/a_-1: (0,0) product has a 1-component"
+        assert miyamoto[-1] == "3A/a_1: tau is not multiplicative on a (1/4,1/4) pair"
+        assert not any(failures[t] for t in failures if t != "3A")
+
 
 class TestEnumerate:
     def test_g11_presentation(self, capsys, tmp_path):
@@ -137,6 +162,19 @@ class TestEnumerate:
             capsys, "--coset-capacity", "100", "enumerate", str(src))
         assert code == 1
         assert "aborted" in err
+
+    def test_g9_capacity_boundary(self, capsys, tmp_path):
+        # G9's enumeration defines 14,735 cosets before it closes on 1,152
+        src = tmp_path / "G9.txt"
+        src.write_text("mnp: 6 6 6\nr: 4 6 6 - -\n")
+        code, _, err = run_cli(
+            capsys, "--coset-capacity", "14734", "enumerate", str(src))
+        assert code == 1
+        assert "enumeration aborted" in err
+        code, out, _ = run_cli(
+            capsys, "--coset-capacity", "14735", "enumerate", str(src))
+        assert code == 0
+        assert "cosets: 1152" in out
 
     def test_malformed_file(self, capsys, tmp_path):
         src = tmp_path / "bad.pres"

@@ -1,5 +1,8 @@
 """Words, presentations and coset enumeration."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from tpg.fpgrp import (
     todd_coxeter,
     tp_presentation,
     verify_presentation,
+    _verify,
 )
 from tpg.permgrp import (
     CapacityError,
@@ -327,6 +331,150 @@ class TestToddCoxeter:
         t = CosetTable(rows=rows, complete=True)
         with pytest.raises(CapacityError, match="65535"):
             coset_action(t)
+
+
+G11 = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
+
+
+class TestDefinitionOrder:
+    """The HLT definitions, their order and the standardization are fixed:
+    any change to them moves these tables or the capacity boundary."""
+
+    @pytest.mark.parametrize("pres,subgroup,count,digest", [
+        (tp_presentation(6, 6, 6, (5, 5, 5, 4, None)), (), 3840,
+         "f15e59db57cb0f358c17c7451fe23c14b743fa8dacc93ef9a8a989c894ea3bce"),
+        (G11, ("a", "b", "bacacacbacacacbacacac"), 2187,
+         "05205c32e40c02f033d5a366ed44208772dc44d4732f7db053ae6540a8161613"),
+        (tp_presentation(6, 6, 6, (6, 6, 6, 4, None)), (), 216,
+         "bb3eafd8bb02d875331b22d1190c54501787460f6a18f7a9e0da61826530b246"),
+        (G11.with_relator(parse_word("c^(acbcacb) * c^(bcacbca)")), (), 5832,
+         "e56ccfb66dbc1d8a0a50d4e8dd4cc407009fe57a14615de23422523ce376a638"),
+    ], ids=["G10", "G11-over-2^3", "R4_4", "quotient5832"])
+    def test_standardized_rows_are_pinned(self, pres, subgroup, count, digest):
+        t = todd_coxeter(pres, subgroup=[parse_word(w) for w in subgroup])
+        assert t.coset_count == count
+        assert hashlib.sha256(repr(t.rows).encode()).hexdigest() == digest
+
+    def test_g9_capacity_boundary(self):
+        # the HLT run on G9 defines 14,735 cosets, 1,152 of them live
+        g9 = tp_presentation(6, 6, 6, (4, 6, 6, None, None))
+        assert todd_coxeter(g9, capacity=14735).coset_count == 1152
+        with pytest.raises(CapacityError):
+            todd_coxeter(g9, capacity=14734)
+
+
+def letter_rows(words):
+    return [tuple("abc".index(ch) for ch in w.letters) for w in words]
+
+
+def reference_fault(mat, relators, subgroup_rows):
+    """The entry-by-entry loops that the vectorised verifier replaced."""
+    rows = mat.T.tolist()
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for x in (0, 1, 2):
+            j = row[x]
+            if not 0 <= j < n or rows[j][x] != i:
+                return "symmetry"
+    for rel in relators:
+        for i in range(n):
+            pos = i
+            for x in rel:
+                pos = rows[pos][x]
+            if pos != i:
+                return "relator"
+    for sub in subgroup_rows:
+        pos = 0
+        for x in sub:
+            pos = rows[pos][x]
+        if pos != 0:
+            return "subgroup"
+    return None
+
+
+class TestVerifier:
+    """The check every enumerated table passes before it is returned."""
+
+    PRES = tp_presentation(4, 5, 6)  # 240 cosets
+
+    @pytest.fixture
+    def table(self):
+        t = todd_coxeter(self.PRES)
+        return np.array(t.rows, dtype=np.int32).T.copy()
+
+    def check(self, mat, subgroup=()):
+        """The verifier's verdict, which must match the reference loops."""
+        rels = letter_rows(self.PRES.relator_words())
+        subs = letter_rows(subgroup)
+        fault = reference_fault(mat, rels, subs)
+        if fault is None:
+            _verify(mat, rels, subs)
+        else:
+            with pytest.raises(RuntimeError, match=f"failed {fault} verification"):
+                _verify(mat, rels, subs)
+        return fault
+
+    def test_enumerated_table_passes(self, table):
+        assert self.check(table) is None
+
+    @pytest.mark.parametrize("tamper", ["cycle", "out-of-range", "negative"])
+    def test_column_not_an_involution(self, table, tamper):
+        n = table.shape[1]
+        if tamper == "cycle":
+            table[0] = (np.arange(n) + 1) % n
+        else:
+            table[1][5] = n if tamper == "out-of-range" else -1
+        assert self.check(table) == "symmetry"
+
+    def test_relator_failing_away_from_coset_0(self, table):
+        rels = letter_rows(self.PRES.relator_words())
+
+        def visited_from_0(mat):
+            seen = {0}
+            for rel in rels:
+                pos = 0
+                for x in rel:
+                    pos = int(mat[x][pos])
+                    seen.add(pos)
+            return seen
+
+        # re-pair two c-edges that no relator walk from coset 0 touches
+        seen = visited_from_0(table)
+        c = table[2]
+        far = [k for k in range(len(c)) if c[k] != k and k not in seen
+               and c[k] not in seen]
+        i = far[0]
+        j = next(k for k in far if k not in (i, c[i]))
+        i2, j2 = int(c[i]), int(c[j])
+        c[i], c[j], c[i2], c[j2] = j, i, j2, i2
+        # every relator still fixes coset 0
+        for rel in rels:
+            pos = 0
+            for x in rel:
+                pos = int(table[x][pos])
+            assert pos == 0
+        assert self.check(table) == "relator"
+
+    def test_subgroup_word_moves_coset_0(self, table):
+        # the regular table satisfies every relator, but a moves coset 0
+        assert self.check(table, subgroup=[Word("a")]) == "subgroup"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 6)] * 3),
+       st.none() | st.tuples(*[st.none() | st.integers(1, 6)] * 5))
+def test_random_family_members_agree_with_permgrp(mnp, r):
+    # without added relations most members are finite (up to 660 here) and
+    # (4,6,6), (5,5,6), (5,6,6), (6,6,6) exhaust the capacity
+    pres = tp_presentation(*mnp, r)
+    try:
+        t = todd_coxeter(pres, capacity=3000)
+    except CapacityError:
+        return
+    G = coset_action(t)
+    assert G.order == t.coset_count
+    for w in pres.relator_words():
+        assert evaluate_word(w, G.tracked).is_identity()
 
 
 class TestPaperGroups:
