@@ -8,12 +8,20 @@ kinds: an elementary abelian 2^3 subgroup all of whose involutions lie in T
 (contradicting the fusion rules), and an exact inner-product audit over the
 axis span of a 2xD8 subgroup (contradicting associativity of the form).
 Both produce self-verifying certificates.
+
+The subgroup searches behind them work on element indices of the group: the
+T-set is an index array with a membership mask, a candidate subgroup is the
+closure mask of its generators (PermGroup.index_closure), keyed and ordered
+by its sorted member indices, and a conjugate is one gather through a
+conjugation map.  A PermGroup is built only for an isomorphism test and for
+each subgroup returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +134,18 @@ class TConfig:
             self, "_index", {t.key(): i for i, t in enumerate(self.tset)}
         )
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """Element indices in the group of the T-set, in T-set order."""
+        return self.group.indices_of(self.tset)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """T-set membership of every element of the group."""
+        mask = np.zeros(self.group.order, dtype=bool)
+        mask[self.members] = True
+        return mask
+
     def __contains__(self, p: Perm) -> bool:
         return p.key() in self._index
 
@@ -166,7 +186,7 @@ def _scan_products(
     orders = G.element_orders()[prods]
     if (orders > 6).any():
         r, s = (int(x) for x in np.argwhere(orders > 6)[0])
-        t, u = Perm._trusted(m[reps[r]]), Perm._trusted(m[s])
+        t, u = Perm(m[reps[r]], validate=False), Perm(m[s], validate=False)
         raise NotTrianglePointError(
             f"product of T-set elements {t} and {u} "
             f"has order {(t * u).order()} > 6"
@@ -230,7 +250,7 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
     return TConfig(
         group=G,
         seeds=(a, b, c),
-        tset=tuple(Perm._trusted(E[i]) for i in idx),
+        tset=tuple(Perm(E[i], validate=False) for i in idx),
         derivations=tuple(derivations[i] for i in idx),
     )
 
@@ -278,7 +298,7 @@ def pair_type_counts(cfg: TConfig) -> dict[str, int]:
     """
     G = cfg.group
     n = len(cfg.tset)
-    m = _tset_matrix(cfg)
+    m = G.element_images[cfg.members]
     prods = G.product_indices(m, m)
     orders = G.element_orders()[prods]
     if (orders > 6).any():
@@ -286,8 +306,7 @@ def pair_type_counts(cfg: TConfig) -> dict[str, int]:
         raise NotTrianglePointError(
             f"product of T-set elements {cfg.tset[i]} and {cfg.tset[j]} "
             f"has order > 6")
-    in_t = np.zeros(G.order, dtype=bool)
-    in_t[cfg.group.indices_of(cfg.tset)] = True
+    in_t = cfg.mask
     # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
     six_t, six_r = np.nonzero(orders == 6)
     six = prods[six_t, six_r]
@@ -534,64 +553,42 @@ def m1_audit(cfg: TConfig, K: PermGroup, order: list[Perm] | None = None) -> M1W
     return audit_model(model)
 
 
-def _tset_matrix(cfg: TConfig) -> np.ndarray:
-    return np.stack([t.img for t in cfg.tset]).astype(np.intp)
-
-
-def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[Perm, Perm, Perm]]:
-    """Generating triples (x, y, z) of 2^3 subgroups inside the T-set.
+def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[int, int, int]]:
+    """Element indices (x, y, z) generating 2^3 subgroups inside the T-set.
 
     Anchored at the first T-element of each conjugacy class for x; full
     coverage of all subgroups is restored afterwards by closing under
-    conjugation.
+    conjugation.  For each x, the candidates are the T-elements y != x that
+    commute with x and have xy in T; a pair y < z of candidates qualifies
+    when y and z commute, yz and xyz lie in T and z != xy.  The pairs are
+    read from one mask over candidate pairs, in row-major order.
     """
-    tset = cfg.tset
-    n = len(tset)
-    m = _tset_matrix(cfg)
-    index = {t.key(): i for i, t in enumerate(tset)}
-    found: list[tuple[Perm, Perm, Perm]] = []
-    for xi in _first_per_class(cfg.group, cfg.group.indices_of(cfg.tset)):
-        x = tset[xi]
-        prod = m[:, m[xi]]
-        rev = m[xi][m]
-        commute = (prod == rev).all(axis=1)
-        cand = [
-            s
-            for s in np.flatnonzero(commute)
-            if s != xi and prod[s].astype(np.uint16).tobytes() in index
-        ]
-        for yj_pos, yj in enumerate(cand):
-            y = tset[int(yj)]
-            xy_key = prod[yj].astype(np.uint16).tobytes()
-            rest = np.array([s for s in cand[yj_pos + 1 :]], dtype=np.intp)
-            if rest.size == 0:
-                continue
-            sub = m[rest]
-            yz = sub[:, m[yj]]
-            zy = m[yj][sub]
-            pair_ok = (yz == zy).all(axis=1)
-            for pos in np.flatnonzero(pair_ok):
-                zi = int(rest[pos])
-                z_key = tset[zi].key()
-                if z_key == xy_key:
-                    continue
-                yz_key = yz[pos].astype(np.uint16).tobytes()
-                if yz_key not in index:
-                    continue
-                xyz = yz[pos][m[xi]]
-                if xyz.astype(np.uint16).tobytes() not in index:
-                    continue
-                found.append((x, y, tset[zi]))
-                if stop_early:
-                    return found
+    G = cfg.group
+    E = G.element_images
+    tset, in_t = cfg.members, cfg.mask
+    found: list[tuple[int, int, int]] = []
+    for x in tset[_first_per_class(G, tset)]:
+        xt = G.product_indices(E[x : x + 1], E[tset])[0]
+        tx = G.product_indices(E[tset], E[x : x + 1])[:, 0]
+        keep = (xt == tx) & (tset != x) & in_t[xt]
+        cand, xy = tset[keep], xt[keep]
+        yz = G.product_indices(E[cand], E[cand])
+        xyz = G.product_indices(E[x : x + 1], E[yz.ravel()]).reshape(yz.shape)
+        ok = (np.triu(yz == yz.T, 1) & in_t[yz] & in_t[xyz]
+              & (cand[None, :] != xy[:, None]))
+        for i, j in np.argwhere(ok):
+            found.append((int(x), int(cand[i]), int(cand[j])))
+            if stop_early:
+                return found
     return found
 
 
-def _subgroup_of_triple(cfg: TConfig, triple: tuple[Perm, Perm, Perm]) -> PermGroup:
-    K = cfg.group.subgroup(triple)
-    if K.order != 8 or not K.is_elementary_abelian_2():
+def _klein_members(G: PermGroup, triple: tuple[int, int, int]) -> np.ndarray:
+    """Sorted element indices of the subgroup a klein triple generates."""
+    members = np.flatnonzero(G.index_closure(triple)[0])
+    if len(members) != 8 or (G.element_orders()[members] > 2).any():
         raise RuntimeError("klein scan produced a non-2^3 subgroup")
-    return K
+    return members
 
 
 def klein_search(cfg: TConfig) -> PermGroup | None:
@@ -599,33 +596,34 @@ def klein_search(cfg: TConfig) -> PermGroup | None:
     triples = _klein_triples(cfg, stop_early=True)
     if not triples:
         return None
-    return _subgroup_of_triple(cfg, triples[0])
+    return cfg.group.subgroup_from_indices(_klein_members(cfg.group, triples[0]))
 
 
 def klein_witnesses(cfg: TConfig) -> tuple[PermGroup, ...]:
     """All 2^3 subgroups with every involution in the T-set."""
-    subgroups: dict[frozenset, PermGroup] = {}
-    for triple in _klein_triples(cfg, stop_early=False):
-        K = _subgroup_of_triple(cfg, triple)
-        subgroups.setdefault(K.element_key_set(), K)
-    return _conjugation_closed(cfg.group, subgroups, cfg.seeds)
+    triples = _klein_triples(cfg, stop_early=False)
+    return _conjugation_closed(
+        cfg.group, [_klein_members(cfg.group, t) for t in triples], cfg.seeds)
 
 
 def _conjugation_closed(
-    G: PermGroup, found: dict[frozenset, PermGroup], conjugators
+    G: PermGroup, subgroups: list[np.ndarray], conjugators
 ) -> tuple[PermGroup, ...]:
-    """Close subgroups of G, keyed by element set, under conjugation by
-    conjugators; the result is sorted by element set."""
+    """Close subgroups of G, given as sorted member indices, under
+    conjugation by conjugators; the result is sorted by member indices."""
+    maps = [G.conjugation_map(g) for g in conjugators]
+    found = {members.tobytes(): members for members in subgroups}
     queue = list(found.values())
     while queue:
-        H = queue.pop()
-        for g in conjugators:
-            Hg = G.conjugate_subgroup(H, g)
-            ks = Hg.element_key_set()
-            if ks not in found:
-                found[ks] = Hg
-                queue.append(Hg)
-    return tuple(found[ks] for ks in sorted(found, key=lambda s: tuple(sorted(s))))
+        members = queue.pop()
+        for conj in maps:
+            image = np.sort(conj[members])
+            key = image.tobytes()
+            if key not in found:
+                found[key] = image
+                queue.append(image)
+    ordered = sorted(found.values(), key=lambda members: members.tolist())
+    return tuple(G.subgroup_from_indices(members) for members in ordered)
 
 
 def klein_identity() -> dict:
@@ -680,41 +678,47 @@ def klein_identity() -> dict:
 def find_subgroups_iso(G: PermGroup, ref: PermGroup) -> tuple[PermGroup, ...]:
     """All subgroups of G isomorphic to ref, via generator-order backtracking.
 
+    Generators are element indices of G.  A partial subgroup is their closure
+    mask, and its search state is its depth with its sorted member indices.
     The first generator is anchored at conjugacy class representatives; the
     full list is recovered by closing under conjugation.
     """
     if ref.order > 32:
         raise ValueError("reference group too large for subgroup search")
-    ref_gens = ref.generating_tuple()
-    orders = [g.order() for g in ref_gens]
+    _, ref_gens = ref.index_closure(range(ref.order))
+    orders = ref.element_orders()[ref_gens].tolist()
     target = ref.order
-    pools: dict[int, list[Perm]] = {}
-    for o in set(orders):
-        pools[o] = [g for g in G.elements if g.order() == o]
+    element_orders = G.element_orders()
+    pools = {o: np.flatnonzero(element_orders == o).tolist() for o in set(orders)}
     # least member of each class, classes ordered by least member
-    anchors = [cls[0] for cls in G.conjugacy_classes()
-               if cls[0].order() == orders[0]]
-    found: dict[frozenset, PermGroup] = {}
-    seen_prefix: set[tuple[int, frozenset]] = set()
+    reps = G.class_representatives()
+    anchors = reps[element_orders[reps] == orders[0]].tolist()
+    found: list[np.ndarray] = []
+    seen_prefix: set[tuple[int, bytes]] = set()
 
-    def extend(gens: list[Perm], depth: int):
-        H = G.subgroup_within(gens, abort_above=target)
-        if H is None or target % H.order:
+    def extend(gens: list[int], depth: int):
+        closed = G.index_closure(gens, abort_above=target)
+        if closed is None:
             return
-        state = (depth, H.element_key_set())
+        members = np.flatnonzero(closed[0])
+        if target % len(members):
+            return
+        state = (depth, members.tobytes())
         if state in seen_prefix:
             return
         seen_prefix.add(state)
         if depth == len(orders):
-            if H.order == target and isomorphic(H, ref):
-                found.setdefault(H.element_key_set(), H)
+            if (len(members) == target
+                    and isomorphic(G.subgroup_from_indices(gens), ref)):
+                found.append(members)
             return
         for g in pools[orders[depth]]:
             extend(gens + [g], depth + 1)
 
     for x in anchors:
         extend([x], 1)
-    return _conjugation_closed(G, found, G.generating_tuple())
+    del extend  # the closure refers to itself; free it without the cyclic GC
+    return _conjugation_closed(G, found, G.generators)
 
 
 @dataclass(frozen=True)
@@ -867,7 +871,8 @@ def verify_certificate(cfg: TConfig, cert: ObstructionCertificate) -> bool:
     # before any closure, the second once the closure passes 16 elements
     if any(g not in cfg.group for g in gens):
         return False
-    K = cfg.group.subgroup_within(gens, abort_above=16)
+    K = cfg.group.subgroup_from_indices(cfg.group.indices_of(gens),
+                                        abort_above=16)
     if K is None:
         return False
     if cert.kind == "klein":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -53,6 +53,7 @@ __all__ = [
     "GROUP_NAMES",
     "catalog",
     "classify_all",
+    "entry",
     "identify",
     "is_triangle_point",
     "lemma_m66_groups",
@@ -111,6 +112,8 @@ _CATALOG_DATA: tuple[
      None),
 )
 
+GROUP_NAMES: tuple[str, ...] = tuple(row[0] for row in _CATALOG_DATA)
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -144,53 +147,46 @@ def _coset_group(
     return G
 
 
-_catalog_cache: list[CatalogEntry] | None = None
+@cache
+def entry(name: str) -> CatalogEntry:
+    """One of the eleven maximal groups, cross-validated when first built."""
+    try:
+        _, claimed, mnp, r, order, gens = next(
+            row for row in _CATALOG_DATA if row[0] == name)
+    except StopIteration:
+        raise KeyError(name) from None
+    pres = tp_presentation(*mnp, r)
+    if gens is not None:
+        deg, sa, sb, sc = gens
+        a, b, c = (Perm.parse(s, deg) for s in (sa, sb, sc))
+        G = PermGroup(deg, [a, b, c], name=name,
+                      tracked={"a": a, "b": b, "c": c})
+        source = "table-generators"
+    else:
+        subgroup = ("a", "b", X3_WORD) if name == "G11" else ()
+        G = _coset_group(pres, subgroup=subgroup, name=name)
+        source = "coset-action"
+    if G.order != order:
+        raise ClassificationError(
+            f"{name}: generated order {G.order}, catalog says {order}")
+    images = {k: G.tracked[k] for k in ("a", "b", "c")}
+    for w in pres.relator_words():
+        if not evaluate_word(w, images).is_identity():
+            raise ClassificationError(f"{name}: relator {w} fails")
+    # generation is structural: the group is built as the closure of the
+    # tracked triple in both construction routes
+    if [p.key() for p in G.generators] != [images[k].key() for k in "abc"]:
+        raise ClassificationError(f"{name}: generators drifted from a,b,c")
+    count = todd_coxeter(pres).coset_count
+    if count != order:
+        raise ClassificationError(
+            f"{name}: enumeration gives {count} cosets, expected {order}")
+    return CatalogEntry(name, claimed, mnp, tuple(r), order, source, G)
 
 
 def catalog() -> list[CatalogEntry]:
     """The eleven maximal groups, each one cross-validated before return."""
-    global _catalog_cache
-    if _catalog_cache is not None:
-        return _catalog_cache
-    entries = []
-    for name, claimed, mnp, r, order, gens in _CATALOG_DATA:
-        pres = tp_presentation(*mnp, r)
-        if gens is not None:
-            deg, sa, sb, sc = gens
-            a, b, c = (Perm.parse(s, deg) for s in (sa, sb, sc))
-            G = PermGroup(deg, [a, b, c], name=name,
-                          tracked={"a": a, "b": b, "c": c})
-            source = "table-generators"
-        else:
-            subgroup = ("a", "b", X3_WORD) if name == "G11" else ()
-            G = _coset_group(pres, subgroup=subgroup, name=name)
-            source = "coset-action"
-        if G.order != order:
-            raise ClassificationError(
-                f"{name}: generated order {G.order}, catalog says {order}")
-        images = {k: G.tracked[k] for k in ("a", "b", "c")}
-        for w in pres.relator_words():
-            if not evaluate_word(w, images).is_identity():
-                raise ClassificationError(f"{name}: relator {w} fails")
-        # generation is structural: the group is built as the closure of the
-        # tracked triple in both construction routes
-        if [p.key() for p in G.generators] != [images[k].key() for k in "abc"]:
-            raise ClassificationError(f"{name}: generators drifted from a,b,c")
-        count = todd_coxeter(pres).coset_count
-        if count != order:
-            raise ClassificationError(
-                f"{name}: enumeration gives {count} cosets, expected {order}")
-        entries.append(CatalogEntry(name, claimed, mnp, tuple(r), order,
-                                    source, G))
-    _catalog_cache = entries
-    return entries
-
-
-def _entry(name: str) -> CatalogEntry:
-    for e in catalog():
-        if e.name == name:
-            return e
-    raise KeyError(name)
+    return [entry(name) for name in GROUP_NAMES]
 
 
 # -- normal subgroup lattice ----------------------------------------------------
@@ -230,10 +226,9 @@ def normal_subgroups_index_gt(G: PermGroup, bound: int = 12) -> list[PermGroup]:
                     found.add(J)
                     fresh.append(J)
         frontier = fresh
-    reps = G.element_images[G.class_representatives()]
-    members = [G.normal_closure(Perm._trusted(reps[i]) for i in sorted(S))
-               for S in found]
-    out = sorted(members, key=lambda N: (N.order, sorted(N.element_key_set())))
+    labels = G.class_labels()
+    out = [G.subgroup_from_indices(np.flatnonzero(np.isin(labels, sorted(S))))
+           for S in sorted(found, key=lambda S: (order(S), sorted(S)))]
     for N in out:
         if not G.is_normal(N):
             raise ClassificationError("lattice produced a non-normal subgroup")
@@ -334,6 +329,9 @@ def _references() -> list[tuple[str, PermGroup]]:
     global _reference_cache
     if _reference_cache is not None:
         return _reference_cache
+    # the catalog goes first: G11's first closure sets the peak memory of
+    # a run, and it peaks lower before the references fill the heap
+    entries = catalog()
     S3 = symmetric_group(3)
     g11 = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
     builders: tuple[tuple[str, int, object], ...] = (
@@ -386,7 +384,7 @@ def _references() -> list[tuple[str, PermGroup]]:
         R.name = name
         R.fingerprint()
         refs.append((name, R))
-    refs.extend((e.claimed, e.group) for e in catalog())
+    refs.extend((e.claimed, e.group) for e in entries)
     _reference_cache = refs
     return refs
 
@@ -541,7 +539,7 @@ _EXCLUDED_BUILDERS: dict[str, tuple[int, object]] = {
         tp_presentation(6, 6, 6, (2, 6, 6, None, None)), subgroup=("a", "b"))),
     "S6": (720, lambda: _explicit(
         6, "(1,2)(3,4)(5,6)", "(5,6)", "(2,3)(4,5)", "S6")),
-    "(2^4:(S3xS3))x2": (1152, lambda: _entry("G9").group),
+    "(2^4:(S3xS3))x2": (1152, lambda: entry("G9").group),
     "2^4:S5": (1920, lambda: _explicit(
         16, "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)",
         "(1,3)(2,4)(5,6)(7,8)(13,14)(15,16)",
@@ -557,12 +555,10 @@ _EXCLUDED_BUILDERS: dict[str, tuple[int, object]] = {
         _TOWER_BASE, extra=("(a * b^(cabc))^2",), subgroup=("a", "b"))),
     "(3^3:2):(3^{1+2}:2^2)": (5832, lambda: _coset_group(
         _TOWER_BASE, extra=("c^(acbcacb) * c^(bcacbca)",), subgroup=("a", "b", X3_WORD))),
-    "(3^4:2):(3^{1+2}:2^2)": (17496, lambda: _entry("G11").group),
+    "(3^4:2):(3^{1+2}:2^2)": (17496, lambda: entry("G11").group),
 }
 
 EXCLUDED_TYPE_NAMES: tuple[str, ...] = tuple(_EXCLUDED_BUILDERS)
-
-GROUP_NAMES: tuple[str, ...] = tuple(row[0] for row in _CATALOG_DATA)
 
 _TOWER_NAMES = (
     "S3:(3^{1+2}:2^2)", "(3^2:2):(3^{1+2}:2^2)",

@@ -103,7 +103,7 @@ def _cmd_catalog(cfg: RunConfig) -> int:
     if only is not None and only not in classify.GROUP_NAMES:
         return _usage_error(f"unknown group {only!r}; "
                             f"expected one of {', '.join(classify.GROUP_NAMES)}")
-    entries = [e for e in classify.catalog() if only in (None, e.name)]
+    entries = classify.catalog() if only is None else [classify.entry(only)]
     if cfg.verify:
         for e in entries:
             lattice = classify.normal_subgroups_index_gt(e.group, 12)
@@ -131,8 +131,7 @@ def _cmd_normals(cfg: RunConfig) -> int:
     if name not in classify.GROUP_NAMES:
         return _usage_error(f"unknown group {name!r}; "
                             f"expected one of {', '.join(classify.GROUP_NAMES)}")
-    entry = next(e for e in classify.catalog() if e.name == name)
-    recs = classify.quotient_records(entry)
+    recs = classify.quotient_records(classify.entry(name))
     if cfg.format == "json":
         print(json.dumps([
             {"subgroup_order": r.subgroup_order, "words": list(r.words),

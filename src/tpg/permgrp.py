@@ -19,9 +19,12 @@ product's order up, so no full image array of a product or a power is ever
 built.
 
 A subgroup of an enumerated group is a boolean mask over its elements,
-closed from seed element indices by one kernel (_index_closure): each
+closed from seed element indices by one kernel (index_closure): each
 frontier is one gather through the cached right-multiplication maps
-x -> x*g of the picked generators.  Its elements are the masked rows.
+x -> x*g of the picked generators.  Its elements are the masked rows, and
+its sorted member indices are its key and its sort order in subgroup
+searches; a PermGroup is built from a mask only where one is needed
+(subgroup_from_indices).
 
 Conjugacy classes are one cached label per element (class_labels): each
 generator g gives a conjugation map x -> g^-1 x g on element indices, read
@@ -585,7 +588,7 @@ class PermGroup:
         """The union of the conjugacy classes of size 1."""
         if self._center is None:
             labels = self.class_labels()
-            self._center = self._greedy_closure(
+            self._center = self.subgroup_from_indices(
                 np.flatnonzero(np.bincount(labels)[labels] == 1))
         return self._center
 
@@ -597,7 +600,7 @@ class PermGroup:
             self._right_maps[i] = m
         return m
 
-    def _index_closure(
+    def index_closure(
         self, seeds: Iterable[int], abort_above: Optional[int] = None
     ) -> Optional[tuple[np.ndarray, list[int]]]:
         """The subgroup generated by the elements with indices seeds.
@@ -632,12 +635,12 @@ class PermGroup:
                 frontier = np.unique(step[~mask[step]])
         return mask, picked
 
-    def _greedy_closure(
+    def subgroup_from_indices(
         self, seeds: Iterable[int], abort_above: Optional[int] = None
     ) -> Optional["PermGroup"]:
-        """_index_closure of seeds as a group: the masked rows, with the
-        picked seeds as generators."""
-        found = self._index_closure(seeds, abort_above)
+        """index_closure of seeds as a group: the masked rows, with the
+        picked seeds as generators, or None once it passes abort_above."""
+        found = self.index_closure(seeds, abort_above)
         if found is None:
             return None
         mask, picked = found
@@ -688,7 +691,7 @@ class PermGroup:
                 abelian_invariants=self.abelian_invariants(),
                 center_order=self.center().order,
                 derived_order=self.derived_subgroup().order,
-                class_count=len(self.conjugacy_classes()),
+                class_count=len(self.class_representatives()),
             )
         return self._fingerprint
 
@@ -696,18 +699,11 @@ class PermGroup:
 
     def subgroup(self, gens: Iterable[Perm]) -> "PermGroup":
         """The subgroup generated by gens, members of the group."""
-        return self._greedy_closure(self.indices_of(gens))
-
-    def subgroup_within(
-        self, gens: Sequence[Perm], abort_above: int
-    ) -> Optional["PermGroup"]:
-        """The subgroup generated by gens, members of the group, or None once
-        it is known to have more than abort_above elements."""
-        return self._greedy_closure(self.indices_of(gens), abort_above)
+        return self.subgroup_from_indices(self.indices_of(gens))
 
     def is_generated_by(self, perms: Iterable[Perm]) -> bool:
         """Whether perms, members of the group, generate all of it."""
-        mask, _ = self._index_closure(self.indices_of(perms))
+        mask, _ = self.index_closure(self.indices_of(perms))
         return bool(mask.all())
 
     def normal_closure(
@@ -718,7 +714,7 @@ class PermGroup:
         With abort_above set, returns None as soon as the closure is known
         to have more than abort_above elements.
         """
-        return self._greedy_closure(self.class_union(X), abort_above)
+        return self.subgroup_from_indices(self.class_union(X), abort_above)
 
     def is_normal(self, N: "PermGroup") -> bool:
         if N.degree != self.degree:
@@ -771,25 +767,18 @@ class PermGroup:
         assert Q.order == count, "coset action of a quotient must be regular"
         return Q
 
-    def conjugate_subgroup(self, H: "PermGroup", g: Perm) -> "PermGroup":
-        return self.subgroup([h.conj(g) for h in H.generators])
-
     def element_key_set(self) -> frozenset[bytes]:
         """The image bytes of every element."""
         return frozenset(row.tobytes() for row in self.element_images)
 
     def generating_tuple(self) -> tuple[Perm, ...]:
         """Greedy lexicographically-least generating tuple."""
-        _, picked = self._index_closure(range(self.order))
+        _, picked = self.index_closure(range(self.order))
         return tuple(Perm._trusted(self._E[i]) for i in picked)
 
 
 def generate(degree: int, gens: Iterable[Perm], **kw) -> PermGroup:
     return PermGroup(degree, gens, **kw)
-
-
-def is_elementary_abelian_2(K: PermGroup) -> bool:
-    return K.is_elementary_abelian_2()
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -897,7 +886,7 @@ def find_isomorphism(
 
     # orders of the partial subgroups <g_0..g_k> prune the search hard
     partial_orders = [
-        int(np.count_nonzero(G._index_closure(gen_idx[: k + 1])[0]))
+        int(np.count_nonzero(G.index_closure(gen_idx[: k + 1])[0]))
         for k in range(len(gen_idx))
     ]
     gen_rows = G.element_images[gen_idx]
@@ -927,7 +916,7 @@ def find_isomorphism(
             keep = (orders == pair_orders[:k, k, None]).all(axis=0)
             pool = later[k][keep].tolist()
         for h in pool:
-            closed = H._index_closure(imgs + [h], abort_above=partial_orders[k])
+            closed = H.index_closure(imgs + [h], abort_above=partial_orders[k])
             if closed is None or np.count_nonzero(closed[0]) != partial_orders[k]:
                 continue
             found = extend(k + 1, imgs + [h])
@@ -935,7 +924,9 @@ def find_isomorphism(
                 return found
         return None
 
-    return extend(0, [])
+    images = extend(0, [])
+    del extend  # the closure refers to itself; free it without the cyclic GC
+    return images
 
 
 # -- standard constructions ---------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for T-set closure, pair typing, and the obstruction engines."""
 
+import gc
+import itertools
 import json
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -426,6 +429,21 @@ class TestKleinSearch:
             W.element_key_set() == target.element_key_set() for W in witnesses
         )
 
+    def test_deg9_witnesses_match_a_scan_of_t(self, deg9_config):
+        # commuting involutions x, y, z with z outside <x, y> span a 2^3
+        cfg = deg9_config
+        brute = set()
+        for x, y, z in itertools.combinations(cfg.tset, 3):
+            if x * y != y * x or x * z != z * x or y * z != z * y or z == x * y:
+                continue
+            invs = (x, y, z, x * y, x * z, y * z, x * y * z)
+            if all(t in cfg for t in invs):
+                brute.add(frozenset(t.key() for t in invs))
+        witnesses = klein_witnesses(cfg)
+        assert len(witnesses) == len(brute) > 0
+        assert {frozenset(t.key() for t in W.involutions())
+                for W in witnesses} == brute
+
     def test_dihedral_config_has_none(self):
         D = dihedral_group(8)
         invs = D.involutions()
@@ -473,6 +491,40 @@ class TestFindSubgroups:
         assert len(found) == 225
         ref = two_d8_reference()
         assert all(isomorphic(H, ref) for H in found[:5])
+
+    @pytest.mark.parametrize("ref, count", [
+        (generate(4, [Perm.parse("(1,2)", 4), Perm.parse("(3,4)", 4)]), 4),
+        (dihedral_group(8), 3),
+        (generate(3, [Perm.parse("(1,2)", 3), Perm.parse("(1,2,3)", 3)]), 4),
+    ])
+    def test_s4_matches_closing_every_pair(self, ref, count):
+        from tpg.permgrp import symmetric_group
+
+        S4 = symmetric_group(4)
+        found = find_subgroups_iso(S4, ref)
+        members = [S4.indices_of(H.elements).tolist() for H in found]
+        assert members == sorted(members)
+        # every reference here is 2-generated
+        brute = set()
+        for x, y in itertools.combinations(S4.elements, 2):
+            H = generate(4, [x, y])
+            if H.order == ref.order and isomorphic(H, ref):
+                brute.add(H.element_key_set())
+        assert len(brute) == count
+        assert {H.element_key_set() for H in found} == brute
+
+    def test_search_frees_its_state_without_the_cyclic_gc(self):
+        from tpg.permgrp import symmetric_group
+
+        S4 = symmetric_group(4)
+        dead = weakref.ref(S4)
+        gc.disable()
+        try:
+            assert len(find_subgroups_iso(S4, dihedral_group(8))) == 3
+            del S4
+            assert dead() is None
+        finally:
+            gc.enable()
 
     def test_no_quaternion_in_s4(self):
         from tpg.permgrp import quaternion_group, symmetric_group

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,26 @@ class TestCatalog:
         rows = json.loads(out)
         assert [r["name"] for r in rows] == [f"G{i}" for i in range(1, 12)]
         assert rows[10]["order"] == 17496
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["obstruct", "(2^4:(S3xS3))x2"], "G9"),
+    (["catalog", "--only", "G3"], "G3"),
+])
+def test_command_builds_one_catalog_entry(tmp_path, argv, built):
+    # in a fresh process: one cached entry, and it is the named one
+    code = (
+        "import sys\n"
+        "from tpg import classify, cli\n"
+        "assert cli.run(sys.argv[2:]) == 0\n"
+        "before = classify.entry.cache_info()\n"
+        "classify.entry(sys.argv[1])\n"
+        "print(before.currsize, classify.entry.cache_info().hits - before.hits)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, built, "--out", str(tmp_path), *argv],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["1", "1"]
 
 
 class TestNormals:
@@ -407,3 +428,15 @@ class TestClassify:
             first = (cli_classify.out1 / name).read_bytes()
             second = (cli_classify.out2 / name).read_bytes()
             assert first == second, name
+
+    def test_output_baseline(self, cli_classify):
+        # the JSON embeds all ten certificates, so this pins them too
+        wanted = {
+            "classification.json":
+                "398accb4b06309b63a0dc46c416b940be5739086b6e30185082d699e882ad4e4",
+            "tables.md":
+                "98b90335ab30caf62e675223aae588da82871b9df7746f1d7b9a64f0543136d8",
+        }
+        for name, digest in wanted.items():
+            data = (cli_classify.out1 / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
