@@ -321,62 +321,64 @@ def table_rows(parent: str) -> tuple[RowSpec, ...]:
 # -- reference catalog and identification ----------------------------------------
 
 
-_reference_cache: list[tuple[str, PermGroup]] | None = None
+# name, order and builder of each named construction identify compares with;
+# a builder runs only when identify meets a group of its order
+_REFERENCE_BUILDERS: tuple[tuple[str, int, object], ...] = (
+    ("1", 1, trivial_group),
+    ("2", 2, lambda: cyclic_group(2)),
+    ("2^2", 4, lambda: elementary_abelian_2(2)),
+    ("D8", 8, lambda: dihedral_group(8)),
+    ("2^3", 8, lambda: elementary_abelian_2(3)),
+    ("D12", 12, lambda: dihedral_group(12)),
+    ("2xD8", 16, lambda: direct_product(cyclic_group(2), dihedral_group(8))),
+    ("S4", 24, lambda: symmetric_group(4)),
+    ("2^2xS3", 24, lambda: direct_product(elementary_abelian_2(2), symmetric_group(3))),
+    ("2^4:2", 32, lambda: _coset_group(
+        tp_presentation(4, 4, 4, (2, None, None, None, None)))),
+    ("S3xS3", 36, lambda: direct_product(symmetric_group(3), symmetric_group(3))),
+    ("2xS4", 48, lambda: direct_product(cyclic_group(2), symmetric_group(4))),
+    ("A5", 60, lambda: alternating_group(5)),
+    ("(S3xS3):2", 72, lambda: _coset_group(
+        tp_presentation(4, 4, 6, (3, None, None, None, None)))),
+    ("2xS3xS3", 72, lambda: direct_product(
+        cyclic_group(2), symmetric_group(3), symmetric_group(3))),
+    ("2^2xS4", 96, lambda: direct_product(elementary_abelian_2(2),
+                                          symmetric_group(4))),
+    ("3^{1+2}:2^2", 108, lambda: _coset_group(tp_presentation(3, 6, 6))),
+    ("S5", 120, lambda: symmetric_group(5)),
+    ("2^4:D12", 192, lambda: _coset_group(
+        tp_presentation(4, 6, 6, (4, 3, None, None, None)))),
+    ("S3xS3xS3", 216, lambda: direct_product(
+        symmetric_group(3), symmetric_group(3), symmetric_group(3))),
+    ("2x(3^{1+2}:2^2)", 216, lambda: _coset_group(
+        _TOWER_BASE, extra=("(a * c^(bc))^2",), subgroup=("a", "b"))),
+    ("2^4:(S3xS3)", 576, lambda: _coset_group(
+        tp_presentation(6, 6, 6, (4, 6, 6, None, None)),
+        extra=("a * (b * c^(ac))^3",))),
+    ("S3:(3^{1+2}:2^2)", 648, lambda: _coset_group(
+        _TOWER_BASE, extra=("(ab * a^(cbc))^2", "(a * b^(cabc))^2"),
+        subgroup=("a", "b"))),
+    ("S6", 720, lambda: symmetric_group(6)),
+    ("2^4:S5", 1920, lambda: obstruction_target("2^4:S5")),
+    ("(3^2:2):(3^{1+2}:2^2)", 1944, lambda: _coset_group(
+        _TOWER_BASE, extra=("(a * b^(cabc))^2",), subgroup=("a", "b"))),
+    ("(3^3:2):(3^{1+2}:2^2)", 5832, lambda: _coset_group(
+        _TOWER_BASE, extra=("c^(acbcacb) * c^(bcacbca)",),
+        subgroup=("a", "b", X3_WORD))),
+)
 
 
-def _references() -> list[tuple[str, PermGroup]]:
-    """Named constructions used by identify, ordered and order-validated."""
-    global _reference_cache
-    if _reference_cache is not None:
-        return _reference_cache
-    # the catalog goes first: G11's first closure sets the peak memory of
-    # a run, and it peaks lower before the references fill the heap
-    entries = catalog()
-    S3 = symmetric_group(3)
-    g11 = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
-    builders: tuple[tuple[str, int, object], ...] = (
-        ("1", 1, trivial_group),
-        ("2", 2, lambda: cyclic_group(2)),
-        ("2^2", 4, lambda: elementary_abelian_2(2)),
-        ("D8", 8, lambda: dihedral_group(8)),
-        ("2^3", 8, lambda: elementary_abelian_2(3)),
-        ("D12", 12, lambda: dihedral_group(12)),
-        ("2xD8", 16, lambda: direct_product(cyclic_group(2), dihedral_group(8))),
-        ("S4", 24, lambda: symmetric_group(4)),
-        ("2^2xS3", 24, lambda: direct_product(elementary_abelian_2(2), S3)),
-        ("2^4:2", 32, lambda: _coset_group(
-            tp_presentation(4, 4, 4, (2, None, None, None, None)))),
-        ("S3xS3", 36, lambda: direct_product(S3, S3)),
-        ("2xS4", 48, lambda: direct_product(cyclic_group(2), symmetric_group(4))),
-        ("A5", 60, lambda: alternating_group(5)),
-        ("(S3xS3):2", 72, lambda: _coset_group(
-            tp_presentation(4, 4, 6, (3, None, None, None, None)))),
-        ("2xS3xS3", 72, lambda: direct_product(cyclic_group(2), S3, S3)),
-        ("2^2xS4", 96, lambda: direct_product(elementary_abelian_2(2),
-                                              symmetric_group(4))),
-        ("3^{1+2}:2^2", 108, lambda: _coset_group(tp_presentation(3, 6, 6))),
-        ("S5", 120, lambda: symmetric_group(5)),
-        ("2^4:D12", 192, lambda: _coset_group(
-            tp_presentation(4, 6, 6, (4, 3, None, None, None)))),
-        ("S3xS3xS3", 216, lambda: direct_product(S3, S3, S3)),
-        ("2x(3^{1+2}:2^2)", 216, lambda: _coset_group(
-            g11, extra=("(a * c^(bc))^2",), subgroup=("a", "b"))),
-        ("2^4:(S3xS3)", 576, lambda: _coset_group(
-            tp_presentation(6, 6, 6, (4, 6, 6, None, None)),
-            extra=("a * (b * c^(ac))^3",))),
-        ("S3:(3^{1+2}:2^2)", 648, lambda: _coset_group(
-            g11, extra=("(ab * a^(cbc))^2", "(a * b^(cabc))^2"),
-            subgroup=("a", "b"))),
-        ("S6", 720, lambda: symmetric_group(6)),
-        ("2^4:S5", 1920, lambda: obstruction_target("2^4:S5")),
-        ("(3^2:2):(3^{1+2}:2^2)", 1944, lambda: _coset_group(
-            g11, extra=("(a * b^(cabc))^2",), subgroup=("a", "b"))),
-        ("(3^3:2):(3^{1+2}:2^2)", 5832, lambda: _coset_group(
-            g11, extra=("c^(acbcacb) * c^(bcacbca)",),
-            subgroup=("a", "b", X3_WORD))),
-    )
+@cache
+def _references(order: int) -> tuple[tuple[str, PermGroup], ...]:
+    """The named groups of one order, order-validated, in match order.
+
+    Builders come first in table order, then the catalog entries of that
+    order under their claimed types; only the builders' groups are renamed.
+    """
     refs = []
-    for name, order, build in builders:
+    for name, want, build in _REFERENCE_BUILDERS:
+        if want != order:
+            continue
         R = build()
         if R.order != order:
             raise ClassificationError(
@@ -384,9 +386,11 @@ def _references() -> list[tuple[str, PermGroup]]:
         R.name = name
         R.fingerprint()
         refs.append((name, R))
-    refs.extend((e.claimed, e.group) for e in entries)
-    _reference_cache = refs
-    return refs
+    for name, _, _, _, stated, _ in _CATALOG_DATA:
+        if stated == order:
+            e = entry(name)
+            refs.append((e.claimed, e.group))
+    return tuple(refs)
 
 
 def identify(G: PermGroup) -> str:
@@ -394,8 +398,8 @@ def identify(G: PermGroup) -> str:
     if G.order > 20000:
         raise ValueError("identification supports orders up to 20000")
     fp = G.fingerprint()
-    for name, R in _references():
-        if R.order == G.order and R.fingerprint() == fp and isomorphic(G, R):
+    for name, R in _references(G.order):
+        if R.fingerprint() == fp and isomorphic(G, R):
             return name
     inv = ".".join(str(d) for d in fp.abelian_invariants) or "0"
     return f"?order{G.order}/cls{fp.class_count}/ab{inv}"

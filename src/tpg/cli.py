@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import classify
 from .axial import cert_from_dict, cert_to_dict, obstruct, verify_certificate
-from .dihedral import DIHEDRAL_TYPES, _axis_checks, build, check_inclusion, check_m1
+from .dihedral import DIHEDRAL_TYPES, axis_checks, build, check_inclusion, check_m1
 from .fpgrp import parse_presentation, todd_coxeter
 from .permgrp import CapacityError
 
@@ -153,7 +153,7 @@ def _cmd_dihedral(cfg: RunConfig) -> int:
     results = []
     for t in DIHEDRAL_TYPES:
         alg = build(t)
-        fusion, miyamoto = _axis_checks(alg)
+        fusion, miyamoto = axis_checks(alg)
         failures = check_m1(alg) + fusion + miyamoto
         if t in ("4A", "4B", "6A"):
             failures += check_inclusion(alg)

@@ -34,6 +34,7 @@ __all__ = [
     "ConstructionError",
     "DihedralAlgebra",
     "ad_spectrum",
+    "axis_checks",
     "bilinear",
     "build",
     "check_fusion",
@@ -499,7 +500,7 @@ def _in_eigenspaces(alg: DihedralAlgebra, a: Vector, w: Vector, lams) -> bool:
     return w.is_zero()
 
 
-def _axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[str], list[str]]:
+def axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[str], list[str]]:
     """Fusion and Miyamoto violations for one axis (or all axes, in order).
 
     Both checks read the same spectrum and eigenbasis-pair products, so this
@@ -509,7 +510,7 @@ def _axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[st
         fusion: list[str] = []
         miyamoto: list[str] = []
         for ax in alg.axes:
-            f, m = _axis_checks(alg, ax)
+            f, m = axis_checks(alg, ax)
             fusion += f
             miyamoto += m
         return fusion, miyamoto
@@ -542,7 +543,7 @@ def _axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[st
 
 def check_fusion(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
     """Verify the fusion rules for one axis (or all axes); return violations."""
-    return _axis_checks(alg, axis)[0]
+    return axis_checks(alg, axis)[0]
 
 
 def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
@@ -555,7 +556,7 @@ def check_miyamoto(alg: DihedralAlgebra, axis: str | None = None) -> list[str]:
     conditions read: u*v lies in the eigenspaces of the matching sign, and
     (u, v) = 0 when exactly one of u, v is a 1/32-vector.
     """
-    return _axis_checks(alg, axis)[1]
+    return axis_checks(alg, axis)[1]
 
 
 def check_m1(alg: DihedralAlgebra) -> list[str]:

@@ -1,12 +1,15 @@
 """Tests for the group catalog, quotient tables, and the classification run."""
 
 import json
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from tpg.classify import (
+    _REFERENCE_BUILDERS,
     EXCLUDED_TYPE_NAMES,
     G11_ROWS,
     GROUP_NAMES,
@@ -191,6 +194,28 @@ class TestIdentify:
     def test_unmatched_gets_placeholder(self):
         name = identify(symmetric_group(7))
         assert name.startswith("?order5040/")
+
+    def test_builders_identify_as_their_names(self):
+        # a fresh copy of each reference matches itself first, which pins the
+        # match order where two references share an order (8, 24, 72, 216)
+        for name, order, build in _REFERENCE_BUILDERS:
+            R = build()
+            assert R.order == order
+            assert identify(R) == name, name
+
+    def test_identify_builds_only_its_order(self):
+        # in a fresh process: no reference of order 5040, so no catalog entry
+        code = (
+            "from tpg import classify\n"
+            "from tpg.permgrp import symmetric_group\n"
+            "print(classify.identify(symmetric_group(7)))\n"
+            "print(classify.entry.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        name, built = proc.stdout.split()
+        assert name.startswith("?order5040/")
+        assert built == "0"
 
     def test_rejects_large_order(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,8 @@ class TestCatalog:
 @pytest.mark.parametrize("argv, built", [
     (["obstruct", "(2^4:(S3xS3))x2"], "G9"),
     (["catalog", "--only", "G3"], "G3"),
+    (["normals", "G1"], "G1"),
+    (["normals", "G10"], "G10"),
 ])
 def test_command_builds_one_catalog_entry(tmp_path, argv, built):
     # in a fresh process: one cached entry, and it is the named one
