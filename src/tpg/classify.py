@@ -355,16 +355,11 @@ _REFERENCE_BUILDERS: tuple[tuple[str, int, object], ...] = (
     ("2^4:(S3xS3)", 576, lambda: _coset_group(
         tp_presentation(6, 6, 6, (4, 6, 6, None, None)),
         extra=("a * (b * c^(ac))^3",))),
-    ("S3:(3^{1+2}:2^2)", 648, lambda: _coset_group(
-        _TOWER_BASE, extra=("(ab * a^(cbc))^2", "(a * b^(cabc))^2"),
-        subgroup=("a", "b"))),
+    ("S3:(3^{1+2}:2^2)", 648, lambda: obstruction_target("S3:(3^{1+2}:2^2)")),
     ("S6", 720, lambda: symmetric_group(6)),
     ("2^4:S5", 1920, lambda: obstruction_target("2^4:S5")),
-    ("(3^2:2):(3^{1+2}:2^2)", 1944, lambda: _coset_group(
-        _TOWER_BASE, extra=("(a * b^(cabc))^2",), subgroup=("a", "b"))),
-    ("(3^3:2):(3^{1+2}:2^2)", 5832, lambda: _coset_group(
-        _TOWER_BASE, extra=("c^(acbcacb) * c^(bcacbca)",),
-        subgroup=("a", "b", X3_WORD))),
+    ("(3^2:2):(3^{1+2}:2^2)", 1944, lambda: obstruction_target("(3^2:2):(3^{1+2}:2^2)")),
+    ("(3^3:2):(3^{1+2}:2^2)", 5832, lambda: obstruction_target("(3^3:2):(3^{1+2}:2^2)")),
 )
 
 

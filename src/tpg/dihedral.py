@@ -7,15 +7,19 @@ seeded and a derived entry, or any product left undetermined by the closure,
 aborts the construction.  The finished table must satisfy associativity of
 the form (M1) before it is released to callers.
 
-The axiom checks work on tables and eigenvector pairs, never on per-vector
-solves.  M1 compares two n x n tables of Gram-transformed products.  The
-fusion and Miyamoto checks share one pass over the unordered pairs u, v of
-an axis's eigenbasis (mu, nu for their eigenvalues).  The adjoint is
-diagonalizable, so u*v lies in the sum of the eigenspaces for a set L exactly
-when the product of (ad - lam) over L kills it.  tau and sigma are linear and
-act on eigenvectors by signs, and the product and form are bilinear, so
-checking them on eigenbasis pairs is equivalent to checking them on basis
-pairs.
+The axiom checks run on integer copies of the tables: the product table and
+the Gram matrix scaled by their common denominators, and each eigenvector
+scaled to integers.  Positive scalings change no zero test, and they scale
+both sides of every M1 comparison alike.  M1 compares two n x n tables of
+Gram-transformed products.  The fusion and Miyamoto checks share one pass
+over the unordered pairs u, v of an axis's eigenbasis (mu, nu for their
+eigenvalues).  The adjoint is diagonalizable, so w = u*v has one coordinate
+per eigenbasis vector, read off the inverse of the eigenbasis matrix; the
+support of w is the set of eigenvalues with a nonzero coordinate, and each
+check asks whether that support lies in an allowed set.  tau and sigma are
+linear and act on eigenvectors by signs, and the product and form are
+bilinear, so checking them on eigenbasis pairs is equivalent to checking
+them on basis pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .qlin import Matrix, Vector, parse_rat, rat_str, span_contains
 
@@ -420,9 +426,9 @@ def build(t: str) -> DihedralAlgebra:
     return alg
 
 
-def bilinear(mult, u: Vector, v: Vector) -> Vector:
-    """The product sum_ij u_i v_j mult[i][j] of a table of basis products."""
-    acc = [_ZERO] * len(mult)
+def _accumulate(mult, u, v) -> list:
+    """The coordinates of sum_ij u_i v_j mult[i][j], on Fractions or integers alike."""
+    acc = [0] * len(mult)
     right = [(j, c) for j, c in enumerate(v) if c]
     for i, ci in enumerate(u):
         if not ci:
@@ -433,7 +439,12 @@ def bilinear(mult, u: Vector, v: Vector) -> Vector:
             for k, x in enumerate(row[j]):
                 if x:
                     acc[k] += c * x
-    return Vector(acc)
+    return acc
+
+
+def bilinear(mult, u: Vector, v: Vector) -> Vector:
+    """The product sum_ij u_i v_j mult[i][j] of a table of basis products."""
+    return Vector(_accumulate(mult, u, v))
 
 
 def product(alg: DihedralAlgebra, u: Vector, v: Vector) -> Vector:
@@ -481,63 +492,82 @@ def ad_spectrum(alg: DihedralAlgebra, axis: str) -> dict[Fraction, tuple[int, tu
     return spectrum
 
 
-def _eigen_pairs(alg: DihedralAlgebra, spectrum):
-    """(mu, u, nu, v, u*v) for every unordered pair u, v of eigenbasis vectors."""
-    flat = [(lam, u) for lam, (_, eb) in spectrum.items() for u in eb]
-    for i, (mu, u) in enumerate(flat):
-        for nu, v in flat[i:]:
-            yield mu, u, nu, v, product(alg, u, v)
+def _denominator(rows) -> int:
+    """The least common denominator of the Fraction entries of rows."""
+    return lcm(*(x.denominator for row in rows for x in row))
 
 
-def _in_eigenspaces(alg: DihedralAlgebra, a: Vector, w: Vector, lams) -> bool:
-    """Whether w lies in the sum of the eigenspaces of ad(a) for the eigenvalues lams.
+def _times(row, d: int) -> list[int]:
+    """The Fraction entries of row times d, a multiple of their denominators."""
+    return [x.numerator * (d // x.denominator) for x in row]
 
-    ad(a) is diagonalizable (ad_spectrum refuses it otherwise), so this holds
-    exactly when the product of (ad(a) - lam) over lams kills w.
+
+def _integral(row) -> list[int]:
+    """row scaled to integers by a positive factor: same direction, same zeros."""
+    return _times(row, _denominator([row]))
+
+
+def _integer_tables(alg: DihedralAlgebra):
+    """mult and gram scaled to integers by their common denominators dm and dg.
+
+    Returns (mult, dm, gram, dg).  Products and forms computed on these
+    tables are the rational ones times a positive constant, so their zero
+    tests, and their comparisons with each other, are unchanged.
     """
-    for lam in lams:
-        w = product(alg, a, w) - w * lam
-    return w.is_zero()
+    dm = _denominator(vec for row in alg.mult for vec in row)
+    dg = _denominator(alg.gram.rows)
+    mult = [[_times(vec, dm) for vec in row] for row in alg.mult]
+    gram = [_times(row, dg) for row in alg.gram.rows]
+    return mult, dm, gram, dg
+
+
+def _apply(rows, v) -> list:
+    """The matrix with these rows times the column v."""
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[str], list[str]]:
     """Fusion and Miyamoto violations for one axis (or all axes, in order).
 
-    Both checks read the same spectrum and eigenbasis-pair products, so this
-    one pass builds them once per axis; see check_fusion and check_miyamoto.
+    One pass per axis over the unordered pairs u, v of its eigenbasis, on
+    integer copies of the tables and eigenvectors.  The rows of P^-1, for P
+    with the eigenvectors as columns, give the eigen-coordinates of w = u*v;
+    its support is the set of eigenvalues with a nonzero coordinate.  Each
+    check is a subset test on that support; see check_fusion and
+    check_miyamoto.
     """
-    if axis is None:
-        fusion: list[str] = []
-        miyamoto: list[str] = []
-        for ax in alg.axes:
-            f, m = axis_checks(alg, ax)
-            fusion += f
-            miyamoto += m
-        return fusion, miyamoto
-    spectrum = ad_spectrum(alg, axis)
-    a = alg.basis_vector(axis)
-    where = f"{alg.type}/{axis}"
-    fixed = [lam for lam in spectrum if lam != _THIRTY_SECOND]  # the tau-fixed eigenvalues
-    fusion, miyamoto = [], []
-    for mu, u, nu, v, w in _eigen_pairs(alg, spectrum):
-        allowed = fusion_rule(mu, nu)
-        if not _in_eigenspaces(alg, a, w, [lam for lam in spectrum if lam in allowed]):
-            # w has a lam-component exactly when it leaves the other eigenspaces.
-            for lam in spectrum:
-                if lam not in allowed and not _in_eigenspaces(alg, a, w, [k for k in spectrum if k != lam]):
-                    fusion.append(f"{where}: ({mu},{nu}) product has a {lam}-component")
-        # tau(u) tau(v) is -u*v when exactly one of u, v is a 1/32-vector, else u*v.
-        odd = (mu == _THIRTY_SECOND) != (nu == _THIRTY_SECOND)
-        if not _in_eigenspaces(alg, a, w, [_THIRTY_SECOND] if odd else fixed):
-            miyamoto.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
-        elif _THIRTY_SECOND not in (mu, nu):
-            # sigma likewise on a tau-fixed pair, with 1/4 in place of 1/32.
-            flip = (mu == _QUARTER) != (nu == _QUARTER)
-            lams = [_QUARTER] if flip else [lam for lam in fixed if lam != _QUARTER]
-            if not _in_eigenspaces(alg, a, w, lams):
-                miyamoto.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
-        if odd and inner(alg, u, v):
-            miyamoto.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
+    mult, _, gram, _ = _integer_tables(alg)
+    n = alg.dim
+    fusion: list[str] = []
+    miyamoto: list[str] = []
+    for ax in alg.axes if axis is None else (axis,):
+        spectrum = ad_spectrum(alg, ax)
+        where = f"{alg.type}/{ax}"
+        flat = [(lam, _integral(u)) for lam, (_, eb) in spectrum.items() for u in eb]
+        inverse = Matrix(
+            [u[i] for _, u in flat] + [int(i == j) for j in range(n)] for i in range(n)
+        ).rref()[0].rows
+        coordinates = [(lam, _integral(row[n:])) for (lam, _), row in zip(flat, inverse)]
+        fixed = {lam for lam in spectrum if lam != _THIRTY_SECOND}  # the tau-fixed eigenvalues
+        for i, (mu, u) in enumerate(flat):
+            for nu, v in flat[i:]:
+                w = _accumulate(mult, u, v)
+                support = {lam for lam, row in coordinates if sum(map(mul, row, w))}
+                allowed = fusion_rule(mu, nu)
+                for lam in spectrum:
+                    if lam in support and lam not in allowed:
+                        fusion.append(f"{where}: ({mu},{nu}) product has a {lam}-component")
+                # tau(u) tau(v) is -u*v when exactly one of u, v is a 1/32-vector, else u*v.
+                odd = (mu == _THIRTY_SECOND) != (nu == _THIRTY_SECOND)
+                if not support <= ({_THIRTY_SECOND} if odd else fixed):
+                    miyamoto.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
+                elif _THIRTY_SECOND not in (mu, nu):
+                    # sigma likewise on a tau-fixed pair, with 1/4 in place of 1/32.
+                    flip = (mu == _QUARTER) != (nu == _QUARTER)
+                    if not support <= ({_QUARTER} if flip else fixed - {_QUARTER}):
+                        miyamoto.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
+                if odd and sum(map(mul, u, _apply(gram, v))):
+                    miyamoto.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
     return fusion, miyamoto
 
 
@@ -563,18 +593,25 @@ def check_m1(alg: DihedralAlgebra) -> list[str]:
     """Verify (u*v, w) == (u, v*w) on all basis triples; return violations.
 
     (a_i a_j, a_k) is (G^T m_ij)[k] and (a_i, a_j a_k) is (G m_jk)[i], for the
-    Gram matrix G and the table entries m; both tables are built once.
+    Gram matrix G and the table entries m.  Both tables are built once from
+    the integer tables, which scale every entry of both by dm*dg, so they are
+    compared as integers; Fractions are built only for a violation's message.
     """
-    gram_t = alg.gram.transpose()
-    left = [[gram_t.apply(m) for m in row] for row in alg.mult]
-    right = [[alg.gram.apply(m) for m in row] for row in alg.mult]
+    mult, dm, gram, dg = _integer_tables(alg)
+    gram_t = list(zip(*gram))
+    left = [[_apply(gram_t, m) for m in row] for row in mult]
+    right = [[_apply(gram, m) for m in row] for row in mult]
+    scale = dm * dg
     violations = []
     for i, x in enumerate(alg.basis):
         for j, y in enumerate(alg.basis):
             for k, z in enumerate(alg.basis):
                 lhs, rhs = left[i][j][k], right[j][k][i]
                 if lhs != rhs:
-                    violations.append(f"{alg.type}: ({x}*{y}, {z}) = {lhs} but ({x}, {y}*{z}) = {rhs}")
+                    violations.append(
+                        f"{alg.type}: ({x}*{y}, {z}) = {Fraction(lhs, scale)} "
+                        f"but ({x}, {y}*{z}) = {Fraction(rhs, scale)}"
+                    )
     return violations
 
 
@@ -591,32 +628,27 @@ _INCLUSIONS = {
 
 
 def check_inclusion(alg: DihedralAlgebra) -> list[str]:
-    """Verify the forced subalgebras of a 4A, 4B or 6A algebra."""
+    """Verify the forced subalgebras of a 4A, 4B or 6A algebra.
+
+    The product and form of two basis vectors are table entries, so each
+    subalgebra entry is compared with the host entry it maps to.
+    """
     if alg.type not in _INCLUSIONS:
         raise ValueError(f"{alg.type} has no subalgebra requirements")
     violations = []
     for sub_type, label_map in _INCLUSIONS[alg.type]:
         sub = build(sub_type)
-
-        def lift(w: Vector) -> Vector:
-            out = Vector.zero(alg.dim)
-            for k, c in enumerate(w):
-                if c:
-                    out = out + alg.basis_vector(label_map[sub.basis[k]]) * c
-            return out
-
-        for i, x in enumerate(sub.basis):
-            for j, y in enumerate(sub.basis[i:], start=i):
-                ex = alg.basis_vector(label_map[x])
-                ey = alg.basis_vector(label_map[y])
-                if product(alg, ex, ey) != lift(product(sub, sub.basis_vector(x), sub.basis_vector(y))):
-                    violations.append(
-                        f"{alg.type}: ({label_map[x]}, {label_map[y]}) does not match the {sub_type} product"
-                    )
-                if inner(alg, ex, ey) != inner(sub, sub.basis_vector(x), sub.basis_vector(y)):
-                    violations.append(
-                        f"{alg.type}: ({label_map[x]}, {label_map[y]}) does not match the {sub_type} form"
-                    )
+        labels = [label_map[x] for x in sub.basis]
+        host = [alg.index(lab) for lab in labels]
+        for i, x in enumerate(labels):
+            for j, y in enumerate(labels[i:], start=i):
+                lifted = [_ZERO] * alg.dim
+                for k, c in zip(host, sub.mult[i][j]):
+                    lifted[k] = c
+                if alg.mult[host[i]][host[j]] != Vector(lifted):
+                    violations.append(f"{alg.type}: ({x}, {y}) does not match the {sub_type} product")
+                if alg.gram[host[i], host[j]] != sub.gram[i, j]:
+                    violations.append(f"{alg.type}: ({x}, {y}) does not match the {sub_type} form")
     return violations
 
 

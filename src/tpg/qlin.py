@@ -4,7 +4,10 @@ Vectors and dense matrices with fractions.Fraction entries, reduced
 row-echelon form, kernels, eigenspaces and an exact positive
 semidefiniteness test.  Python's Fraction already keeps every value in
 lowest terms with a positive denominator and arbitrary-precision
-integer parts, so it serves directly as the scalar type.
+integer parts, so it serves directly as the scalar type.  The
+constructors keep entries that already are Fractions as they are.
+Row reduction runs fraction-free on integer rows and builds Fractions
+only for its result, since every Fraction operation pays for a gcd.
 
 Rationals serialize as "p/q" with the "/q" omitted when q == 1.
 """
@@ -12,19 +15,13 @@ Rationals serialize as "p/q" with the "/q" omitted when q == 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat(x, den=None) -> Fraction:
-    """Build a Fraction from ints, strings like "3/8" or "-5", or Fractions."""
-    if den is not None:
-        return Fraction(x, den)
-    return Fraction(x)
 
 
 def rat_str(q: Fraction) -> str:
@@ -44,7 +41,7 @@ class Vector:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable):
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     @classmethod
     def zero(cls, n: int) -> "Vector":
@@ -108,7 +105,9 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        self.rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in rows
+        )
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -183,31 +182,45 @@ class Matrix:
         """Reduced row-echelon form and the tuple of pivot columns.
 
         Pivots are chosen as the first nonzero entry scanning columns
-        left to right, so the result is deterministic.
+        left to right, so the result is deterministic.  The elimination
+        is fraction-free (Bareiss 1968): each row is scaled to integers
+        by the lcm of its denominators, a pivot p at (r, c) clears column
+        c of row i by row_i <- p*row_i - row_i[c]*row_r, every new row is
+        divided by the gcd of its entries, and each pivot row is divided
+        by its pivot once, at the end.  The reduced row-echelon form is
+        unique, so this equals Gauss-Jordan over the rationals.
         """
-        rows = [list(r) for r in self.rows]
+        rows = []
+        for row in self.rows:
+            d = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (d // x.denominator) for x in row])
         pivots = []
         r = 0
         for c in range(self.ncols):
             pivot_row = None
             for i in range(r, self.nrows):
-                if rows[i][c] != 0:
+                if rows[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = ONE / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
+            prow = rows[r]
+            p = prow[c]
             for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                f = rows[i][c]
+                if i != r and f:
+                    new = [p * x - f * y for x, y in zip(rows[i], prow)]
+                    g = gcd(*new)
+                    rows[i] = [x // g for x in new] if g > 1 else new
             pivots.append(c)
             r += 1
             if r == self.nrows:
                 break
-        return Matrix(rows), tuple(pivots)
+        out = [[Fraction(x, row[c]) if x else ZERO for x in row]
+               for row, c in zip(rows, pivots)]
+        out += [[ZERO] * self.ncols for _ in range(self.nrows - r)]
+        return Matrix(out), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -253,31 +266,6 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = R.rows[r][self.ncols]
         return Vector(x)
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        d = ONE
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                d = -d
-            d *= rows[c][c]
-            inv = ONE / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return d
 
     def is_psd(self) -> bool:
         """Exact test for x^T M x >= 0 over all rational x.

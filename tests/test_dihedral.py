@@ -264,6 +264,105 @@ def tampered(alg: DihedralAlgebra, x: str, y: str, product_delta: Vector | None 
     )
 
 
+def in_eigenspaces(alg: DihedralAlgebra, a: Vector, w: Vector, lams) -> bool:
+    """Reference: w lies in the eigenspaces of ad(a) for lams iff prod (ad(a) - lam) kills it."""
+    for lam in lams:
+        w = product(alg, a, w) - w * lam
+    return w.is_zero()
+
+
+def reference_axis_checks(alg: DihedralAlgebra) -> tuple[list[str], list[str]]:
+    """Fusion and Miyamoto violations through chains of (ad(a) - lam) on Fractions."""
+    fusion, miyamoto = [], []
+    for axis in alg.axes:
+        spectrum = ad_spectrum(alg, axis)
+        a = unit(alg, axis)
+        where = f"{alg.type}/{axis}"
+        fixed = [lam for lam in spectrum if lam != TINY]
+        flat = [(lam, u) for lam, (_, eb) in spectrum.items() for u in eb]
+        for i, (mu, u) in enumerate(flat):
+            for nu, v in flat[i:]:
+                w = product(alg, u, v)
+                allowed = dihedral.fusion_rule(mu, nu)
+                if not in_eigenspaces(alg, a, w, [lam for lam in spectrum if lam in allowed]):
+                    for lam in spectrum:
+                        if lam not in allowed and not in_eigenspaces(
+                                alg, a, w, [k for k in spectrum if k != lam]):
+                            fusion.append(f"{where}: ({mu},{nu}) product has a {lam}-component")
+                odd = (mu == TINY) != (nu == TINY)
+                if not in_eigenspaces(alg, a, w, [TINY] if odd else fixed):
+                    miyamoto.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
+                elif TINY not in (mu, nu):
+                    flip = (mu == QUARTER) != (nu == QUARTER)
+                    lams = [QUARTER] if flip else [lam for lam in fixed if lam != QUARTER]
+                    if not in_eigenspaces(alg, a, w, lams):
+                        miyamoto.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
+                if odd and inner(alg, u, v):
+                    miyamoto.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
+    return fusion, miyamoto
+
+
+def reference_m1(alg: DihedralAlgebra) -> list[str]:
+    """(a_i a_j, a_k) against (a_i, a_j a_k) on Fractions, triple by triple."""
+    g, m, n = alg.gram, alg.mult, alg.dim
+    violations = []
+    for i, x in enumerate(alg.basis):
+        for j, y in enumerate(alg.basis):
+            for k, z in enumerate(alg.basis):
+                lhs = sum(m[i][j][l] * g[l, k] for l in range(n))
+                rhs = sum(g[i, l] * m[j][k][l] for l in range(n))
+                if lhs != rhs:
+                    violations.append(f"{alg.type}: ({x}*{y}, {z}) = {lhs} but ({x}, {y}*{z}) = {rhs}")
+    return violations
+
+
+def single_entry_tampers(t: str):
+    """(description, algebra) for every one-coordinate shift of a product and every form shift."""
+    alg = build(t)
+    for i, x in enumerate(alg.basis):
+        for y in alg.basis[i:]:
+            for z in alg.basis:
+                yield f"{x}*{y} += {z}/8", tampered(alg, x, y, unit(alg, z) * Fraction(1, 8))
+            yield f"({x}, {y}) += 1/8", tampered(alg, x, y, gram_delta=Fraction(1, 8))
+
+
+def assert_checks_match_reference(alg: DihedralAlgebra, what: str) -> bool:
+    """Both sides agree; False when both raise AxiomError from ad_spectrum."""
+    assert dihedral.check_m1(alg) == reference_m1(alg), what
+    try:
+        want = reference_axis_checks(alg)
+    except AxiomError:
+        with pytest.raises(AxiomError):
+            dihedral.axis_checks(alg)
+        return False
+    assert dihedral.axis_checks(alg) == want, what
+    return True
+
+
+class TestChecksAgainstReference:
+    @pytest.mark.parametrize("t", DIHEDRAL_TYPES)
+    def test_algebras(self, t):
+        assert_checks_match_reference(build(t), t)
+
+    @pytest.mark.parametrize("t", ("3A", "4B"))
+    def test_single_entry_tampers(self, t):
+        checked = {assert_checks_match_reference(alg, what) for what, alg in single_entry_tampers(t)}
+        assert checked == {False, True}
+
+    def test_m1_on_one_sided_tampers(self):
+        # Shift only mult[i][j] or only gram[i][j], so neither table is symmetric.
+        alg = build("3A")
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                mult = [list(row) for row in alg.mult]
+                mult[i][j] = mult[i][j] + Vector.unit(alg.dim, j) * Fraction(1, 8)
+                gram = [list(row) for row in alg.gram.rows]
+                gram[i][j] += Fraction(1, 8)
+                for bad in (DihedralAlgebra(alg.type, alg.basis, tuple(map(tuple, mult)), alg.gram),
+                            DihedralAlgebra(alg.type, alg.basis, alg.mult, Matrix(gram))):
+                    assert dihedral.check_m1(bad) == reference_m1(bad), (i, j)
+
+
 class TestNortonInequality:
     @pytest.mark.parametrize("t", DIHEDRAL_TYPES)
     def test_sampled(self, t):
