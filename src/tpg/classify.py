@@ -574,8 +574,13 @@ def _tower_preconditions(G: PermGroup) -> None:
                 f"{G.name}: o({w}) = {o}, the tower argument needs 6")
 
 
+@cache
 def obstruction_target(name: str) -> PermGroup:
-    """The concrete (G, a, b, c) on which the named type is obstructed."""
+    """The concrete (G, a, b, c) on which the named type is obstructed.
+
+    Built and validated once per process; callers must not change its
+    generators or tracked images.
+    """
     try:
         order, build = _EXCLUDED_BUILDERS[name]
     except KeyError:
@@ -588,7 +593,9 @@ def obstruction_target(name: str) -> PermGroup:
     return G
 
 
+@cache
 def target_config(name: str) -> TConfig:
+    """The target's closed T-set, built once per process (TConfig is frozen)."""
     G = obstruction_target(name)
     return t_closure(G, *(G.tracked[k] for k in "abc"))
 
@@ -719,10 +726,13 @@ def classify_all() -> ClassificationReport:
     # dedup by certified isomorphism, provenance preserved; within a type,
     # sources are filed by configuration (the group with its closed T-set)
     buckets: list[TypeEntry] = []
-    closures: dict[tuple[bytes, ...], TConfig] = {}
+    # the seeds generate G, so they alone determine the configuration; the
+    # excluded types start from the configurations obstruct and verify share
+    closures: dict[tuple[bytes, ...], TConfig] = {
+        tuple(p.key() for p in cfg.seeds): cfg
+        for cfg in map(target_config, EXCLUDED_TYPE_NAMES)}
 
     def closure(G: PermGroup) -> TConfig:
-        # the seeds generate G, so they alone determine the configuration
         seeds = tuple(G.tracked[k] for k in "abc")
         key = tuple(p.key() for p in seeds)
         if key not in closures:
@@ -759,7 +769,7 @@ def classify_all() -> ClassificationReport:
 
     certificates: dict[str, ObstructionCertificate] = {}
     for name in EXCLUDED_TYPE_NAMES:
-        cfg = closure(obstruction_target(name))
+        cfg = target_config(name)
         matches = [t for t in buckets
                    if t.order == cfg.group.order and isomorphic(t.group, cfg.group)]
         if len(matches) != 1:

@@ -10,6 +10,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import classify
@@ -33,7 +34,9 @@ class RunConfig:
     capacity: int
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once per process; each parse_args call fills a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="tpg",
         description="classification toolkit for triangle-point groups")

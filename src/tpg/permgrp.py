@@ -89,17 +89,25 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Perm":
-        """Build from 1-based cycles; non-disjoint cycles compose left to right."""
-        img = np.arange(degree, dtype=DTYPE)
+        """Build from 1-based cycles; non-disjoint cycles compose left to right.
+
+        Takes time linear in the degree plus the total cycle length.
+        """
+        img = list(range(degree))
+        inv = list(range(degree))
         for cyc in cycles:
             if len(cyc) < 2:
                 continue
-            step = np.arange(degree, dtype=DTYPE)
-            for x, y in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-                if not 1 <= x <= degree:
-                    raise ValueError(f"point {x} outside 1..{degree}")
-                step[x - 1] = y - 1
-            img = step[img]
+            if len(set(cyc)) != len(cyc):
+                raise ValueError(f"repeated point in cycle {tuple(cyc)}")
+            if min(cyc) < 1 or max(cyc) > degree:
+                x = next(x for x in cyc if not 1 <= x <= degree)
+                raise ValueError(f"point {x} outside 1..{degree}")
+            # compose on the right: the point sent to x now goes to x's successor
+            pre = [inv[x - 1] for x in cyc]
+            for p, y in zip(pre, (*cyc[1:], cyc[0])):
+                img[p] = y - 1
+                inv[y - 1] = p
         return cls(img)
 
     @classmethod
@@ -110,13 +118,8 @@ class Perm:
             return cls.identity(degree)
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"malformed permutation {s!r}")
-        cycles = []
-        for part in text[1:-1].split(")("):
-            pts = tuple(int(tok) for tok in part.split(","))
-            if len(pts) != len(set(pts)):
-                raise ValueError(f"repeated point in cycle {part!r}")
-            cycles.append(pts)
-        return cls.from_cycles(degree, cycles)
+        return cls.from_cycles(degree, [
+            tuple(map(int, part.split(","))) for part in text[1:-1].split(")(")])
 
     @property
     def degree(self) -> int:

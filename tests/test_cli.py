@@ -264,15 +264,21 @@ class TestObstructAndVerify:
         assert (tmp_path / "S3xS3xS3.cert.json").is_file()
 
     def test_tampered_certificate_rejected(self, capsys, tmp_path):
+        # the good certificate is verified first: the configuration is then
+        # cached, and the tampered one must still be rejected
         code, _, _ = run_cli(capsys, "--out", str(tmp_path), "obstruct", "S6")
         assert code == 0
         path = tmp_path / "S6.cert.json"
-        payload = json.loads(path.read_text())
+        good = path.read_text()
+        assert run_cli(capsys, "verify", str(path))[0] == 0
+        payload = json.loads(good)
         payload["certificate"]["generators"] = ["(1,2)", "(3,4)", "(1,2)(3,4)"]
         path.write_text(json.dumps(payload))
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert "REJECTED" in out
+        path.write_text(good)
+        assert run_cli(capsys, "verify", str(path))[0] == 0
 
     def test_wrong_schema_rejected(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
@@ -343,6 +349,63 @@ class TestObstructAndVerify:
             code, out, _ = run_cli(capsys, "verify", str(path))
             assert code == 1
             assert "REJECTED" in out
+
+
+class TestOneProcess:
+    """Targets and the parser are built once per process; verdicts are not."""
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        assert cli._parser() is cli._parser()
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "--out", str(tmp_path), "obstruct", "S6")
+        assert code == 0
+        assert json.loads(out)["type"] == "S6"
+        code, out, _ = run_cli(capsys, "verify", str(tmp_path / "S6.cert.json"))
+        assert code == 0
+        assert out.startswith("S6: verified (klein witness")
+        assert run_cli(capsys, )[0] == 2
+        assert run_cli(capsys, "normals", "G12")[0] == 2
+        assert run_cli(capsys, "--jobs", "2", "catalog", "--only", "G1")[0] == 2
+        assert run_cli(capsys, "--coset-capacity", "0", "catalog")[0] == 2
+
+    def test_cached_target_is_not_rebuilt(self, capsys, tmp_path, monkeypatch):
+        cfg = classify.target_config("2xS3xS3")
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("a cached target was built again")
+
+        monkeypatch.setattr(classify, "todd_coxeter", no_rebuild)
+        monkeypatch.setattr(classify, "t_closure", no_rebuild)
+        assert classify.target_config("2xS3xS3") is cfg
+        assert classify.obstruction_target("2xS3xS3") is cfg.group
+        code, _, _ = run_cli(capsys, "--out", str(tmp_path), "--verify",
+                             "obstruct", "2xS3xS3")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify",
+                               str(tmp_path / "2xS3xS3.cert.json"))
+        assert code == 0
+        assert "verified" in out
+
+    def test_certificates_match_a_fresh_process(self, capsys, tmp_path,
+                                                classification_report):
+        # classify_all has run in this process (the fixture), and the
+        # 1944 reference group is built before either obstruct call
+        names = ("2^4:S5", "(3^2:2):(3^{1+2}:2^2)")
+        fresh = tmp_path / "fresh"
+        for name in names:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tpg.cli", "--out", str(fresh),
+                 "obstruct", name], capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+        classify._references(1944)
+        for name in names:
+            cert_name = f"{cli._safe_name(name)}.cert.json"
+            assert run_cli(capsys, "--out", str(tmp_path), "obstruct", name)[0] == 0
+            assert run_cli(capsys, "verify", str(tmp_path / cert_name))[0] == 0
+            want = (fresh / cert_name).read_bytes()
+            assert (tmp_path / cert_name).read_bytes() == want, name
+            assert cert_to_dict(classification_report.certificates[name]) \
+                == json.loads(want)["certificate"]
 
 
 @functools.cache

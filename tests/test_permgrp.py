@@ -41,6 +41,45 @@ def test_parse_and_print_roundtrip():
         P("(1,4)", 3)
 
 
+def composed_cycles(degree, cycles):
+    """The quadratic construction: one full image array per cycle."""
+    img = np.arange(degree)
+    for cyc in cycles:
+        step = np.arange(degree)
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            step[x - 1] = y - 1
+        img = step[img]
+    return img
+
+
+@st.composite
+def _cycle_lists(draw):
+    degree = draw(st.integers(1, 12))
+    cycles = draw(st.lists(
+        st.lists(st.integers(1, degree), unique=True, max_size=degree),
+        max_size=6))
+    return degree, cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycle_lists())
+def test_from_cycles_matches_composition(case):
+    degree, cycles = case
+    p = Perm.from_cycles(degree, cycles)
+    assert p.img.tolist() == composed_cycles(degree, cycles).tolist()
+    text = "".join("(" + ",".join(map(str, c)) + ")" for c in cycles if c)
+    assert Perm.parse(text, degree) == p
+
+
+def test_from_cycles_rejects_bad_points():
+    with pytest.raises(ValueError, match="outside"):
+        Perm.from_cycles(3, [(1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="outside"):
+        Perm.from_cycles(3, [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="repeated"):
+        Perm.from_cycles(3, [(1, 2, 1)])
+
+
 def test_composition_is_left_to_right():
     p = P("(1,2)", 3)
     q = P("(2,3)", 3)
