@@ -475,6 +475,12 @@ def _g11_row_quotient(entry: CatalogEntry, row: RowSpec, want: int) -> PermGroup
         f"{entry.name}: no faithful coset action for quotient of order {want}")
 
 
+def _class_set(G: PermGroup, N: PermGroup) -> frozenset[int]:
+    """Class numbers of the classes of G that make up its normal subgroup N."""
+    idx = G.indices_of_base_images(N.element_images[:, G.base()])
+    return frozenset(G.class_labels()[idx].tolist())
+
+
 def quotient_records(
     entry: CatalogEntry, lattice: Optional[list[PermGroup]] = None
 ) -> list[QuotientRecord]:
@@ -484,7 +490,7 @@ def quotient_records(
     images = entry.images()
     if lattice is None:
         lattice = normal_subgroups_index_gt(G, 12)
-    lattice_keys = {G.classes_meeting(N.elements) for N in lattice}
+    lattice_keys = {_class_set(G, N) for N in lattice}
     recs: list[QuotientRecord] = []
     seen: set[frozenset[int]] = set()
     for i, row in enumerate(rows):
@@ -494,7 +500,7 @@ def quotient_records(
             raise ClassificationError(
                 f"{entry.name} row {i}: closure has order {N.order}, "
                 f"row says {row.order}")
-        key = G.classes_meeting(N.elements)
+        key = _class_set(G, N)
         if key not in lattice_keys:
             raise ClassificationError(
                 f"{entry.name} row {i}: closure is not a lattice member")

@@ -5,7 +5,9 @@ Permutations are numpy uint16 image arrays (0-based internally,
 "apply p, then q", so (p*q).img = q.img[p.img].  A group enumerates all its
 elements once, by breadth-first closure of its generators, which is fine at
 this scale (orders up to ~20000); the elements are kept as one array of
-image rows in lexicographic order, so the identity is row 0.
+image rows in lexicographic order, so the identity is row 0.  A quotient
+acts regularly on the cosets, so its rows are built directly, one per
+coset, without that closure.
 
 Each group keys its elements by their images of a short base, picked
 along the stabiliser chain (Sims' base; Seress, Permutation Group
@@ -45,6 +47,7 @@ import numpy as np
 DTYPE = np.uint16
 DEFAULT_CEILING = 2**20
 _LOOKUP_BATCH = 2**20  # base-image entries composed per product batch
+_ROW_BATCH = 2**17  # quotient row entries filled per batch
 
 
 class CapacityError(RuntimeError):
@@ -153,20 +156,19 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, 1-based, each starting at its least point."""
-        seen = np.zeros(self.degree, dtype=bool)
+        img = self.img.tolist()
+        seen = bytearray(len(img))
         out = []
-        for start in range(self.degree):
-            if seen[start] or self.img[start] == start:
-                seen[start] = True
+        for start, x in enumerate(img):
+            if seen[start] or x == start:
                 continue
-            cyc = [start]
-            seen[start] = True
-            x = int(self.img[start])
+            cyc = [start + 1]
+            seen[start] = 1
             while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = int(self.img[x])
-            out.append(tuple(p + 1 for p in cyc))
+                cyc.append(x + 1)
+                seen[x] = 1
+                x = img[x]
+            out.append(tuple(cyc))
         return out
 
     def order(self) -> int:
@@ -267,7 +269,8 @@ class PermGroup:
 
     def _enumerate(self):
         """The first closure of the group from its generators, breadth first
-        and keyed by image bytes; the only closure that builds image rows."""
+        and keyed by image bytes; the only closure that builds image rows
+        (a quotient's rows come from its regular action instead)."""
         if self._E is not None:
             return
         ident = np.arange(self.degree, dtype=DTYPE)
@@ -496,22 +499,13 @@ class PermGroup:
     def class_labels(self) -> np.ndarray:
         """Conjugacy class number of every element, aligned with .elements.
 
-        Classes are numbered by their least member.  Each element starts
-        labelled by its own index; the least label is pulled along every
-        generator's conjugation map, both ways, until nothing changes.
+        Classes are numbered by their least member, the least index in each
+        orbit of the generators' conjugation maps.
         """
         if self._labels is None:
             self._enumerate()
-            maps = [self.conjugation_map(g) for g in self.generators]
-            least = np.arange(len(self._E))
-            while True:
-                before = least
-                for m in maps:
-                    least = np.minimum(least, least[m])
-                    least[m] = np.minimum(least[m], least)
-                least = least[least]
-                if (least == before).all():
-                    break
+            least = _least_in_orbits(
+                len(self._E), [self.conjugation_map(g) for g in self.generators])
             reps, labels = np.unique(least, return_inverse=True)
             labels = labels.reshape(-1)
             labels.setflags(write=False)
@@ -732,42 +726,62 @@ class PermGroup:
     def quotient(self, N: "PermGroup") -> "PermGroup":
         """Action of the group on the cosets of a normal subgroup N.
 
+        Each element is labelled by the least index in its coset N x, an
+        orbit of the left maps x -> n x of N's generators.  Cosets are
+        numbered breadth first from N, a level at a time: a level's new
+        cosets in order of first occurrence over frontier x generators.
+        The action is regular, so the quotient's element with first image j
+        is the one taking coset 0 to j; its rows are filled along the
+        generators' images, row[g(x)] = g(row[x]), and ordered by first
+        image they are already sorted, so the quotient is never closed.
+
         Generator images are tracked: the quotient's .tracked carries the
         images of this group's tracked permutations.
         """
         if not self.is_normal(N):
             raise ValueError("quotient by a non-normal subgroup")
-        N_E = N.element_images
-        coset_of = np.full(self.order, -1, dtype=np.intp)
-        reps: list[int] = []
-
-        def open_coset(r: int) -> None:
-            # the coset N r, found by the products n * r
-            coset_of[self.product_indices(N_E, self._E[r : r + 1])[:, 0]] = len(reps)
-            reps.append(r)
-
-        # cosets are numbered breadth first from N, generators in order
-        open_coset(0)
-        maps = [self._right_map(i) for i in self.indices_of(self.generators)]
-        trans = [[] for _ in maps]
-        i = 0
-        while i < len(reps):
-            for k, m in enumerate(maps):
-                y = int(m[reps[i]])
-                if coset_of[y] < 0:
-                    open_coset(y)
-                trans[k].append(coset_of[y])
-            i += 1
-        count = len(reps)
+        left = self.product_indices(_image_rows(N.generators, self.degree), self._E)
+        label = _least_in_orbits(self.order, list(left))
+        if (np.bincount(label)[label] != N.order).any():
+            raise RuntimeError("a coset of N does not have |N| elements")
+        gens = _image_rows(self.generators, self.degree)
+        number = np.full(self.order, -1, dtype=np.intp)  # coset number by label
+        number[0] = 0
+        frontier = np.zeros(1, dtype=np.intp)
+        reps, steps, tree = [frontier], [], []
+        count = 1
+        while frontier.size:
+            step = label[self.product_indices(self._E[frontier], gens)]
+            flat = step.ravel()
+            fresh = np.flatnonzero(number[flat] < 0)
+            new, first = np.unique(flat[fresh], return_index=True)
+            by_first = np.argsort(first)
+            new, at = new[by_first], fresh[first[by_first]]
+            number[new] = np.arange(count, count + new.size)
+            count += new.size
+            steps.append(number[step])
+            # each new coset is its parent coset moved by one generator
+            tree.append((number[new], number[frontier[at // len(gens)]],
+                         at % len(gens)))
+            reps.append(new)
+            frontier = new
         assert count * N.order == self.order, "coset bookkeeping failed"
-        gen_imgs = [Perm(np.array(t, dtype=DTYPE)) for t in trans]
-        R = self._E[reps]
-        tracked = {
-            label: Perm(coset_of[self.product_indices(R, p.img[None])[:, 0]])
-            for label, p in self.tracked.items()
-        }
-        Q = PermGroup(count, gen_imgs, ceiling=self.ceiling, tracked=tracked)
-        assert Q.order == count, "coset action of a quotient must be regular"
+        images = np.concatenate(steps).T.astype(DTYPE)  # (generator, coset)
+        R = self._E[np.concatenate(reps)]
+        moved = number[label[self.product_indices(
+            R, _image_rows(list(self.tracked.values()), self.degree))]]
+        tracked = dict(zip(self.tracked, (Perm(t) for t in moved.T)))
+        Q = PermGroup(count, (Perm(t) for t in images), ceiling=self.ceiling,
+                      tracked=tracked)
+        rows = np.empty((count, count), dtype=DTYPE)
+        rows[0] = np.arange(count)
+        batch = max(1, _ROW_BATCH // count)
+        for child, parent, k in tree:
+            for s in range(0, child.size, batch):
+                part = slice(s, s + batch)
+                rows[child[part]] = images[k[part, None], rows[parent[part]]]
+        rows.setflags(write=False)
+        Q._E = rows
         return Q
 
     def element_key_set(self) -> frozenset[bytes]:
@@ -806,6 +820,23 @@ def _class_invariants(G: PermGroup) -> list[tuple[int, int]]:
     labels = G.class_labels()
     sizes = np.bincount(labels)[labels]
     return list(zip(G.element_orders().tolist(), sizes.tolist()))
+
+
+def _least_in_orbits(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """The least index in the orbit of each of range(n) under the maps.
+
+    Each index starts labelled by itself; the least label is pulled along
+    every map, both ways, until nothing changes.
+    """
+    least = np.arange(n)
+    while True:
+        before = least
+        for m in maps:
+            least = np.minimum(least, least[m])
+            least[m] = np.minimum(least[m], least)
+        least = least[least]
+        if (least == before).all():
+            return least
 
 
 def _image_rows(perms: Sequence[Perm], degree: int) -> np.ndarray:

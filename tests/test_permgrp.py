@@ -1,11 +1,13 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tpg.classify import normal_subgroups_index_gt
 from tpg.fpgrp import evaluate_word, parse_word
 from tpg.permgrp import (
     CapacityError,
@@ -502,6 +504,70 @@ def test_quotient_images_pinned(degree, gens, words, images):
     assert {k: str(v) for k, v in Q.tracked.items()} == dict(zip("abc", images))
 
 
+def _coset_action(G, N):
+    """The action of G on the cosets N x, one coset at a time from Perms.
+
+    Cosets are numbered breadth first from N, each coset's generators in
+    order.  Returns the quotient's generators, its tracked images as image
+    lists, and its elements from a fresh closure of those generators.
+    """
+    N_rows = N.element_images
+
+    def coset(x):
+        return frozenset(row.tobytes() for row in x.img[N_rows])
+
+    reps = [G.identity()]
+    number = {coset(reps[0]): 0}
+    images = [[] for _ in G.generators]
+    i = 0
+    while i < len(reps):
+        for k, g in enumerate(G.generators):
+            y = reps[i] * g
+            c = coset(y)
+            if c not in number:
+                number[c] = len(reps)
+                reps.append(y)
+            images[k].append(number[c])
+        i += 1
+    tracked = {name: [number[coset(r * p)] for r in reps]
+               for name, p in G.tracked.items()}
+    Q = PermGroup(len(reps), [Perm(np.array(t)) for t in images])
+    return Q.generators, tracked, Q.element_images
+
+
+def _assert_quotient_matches_coset_action(G, N, Q):
+    gens, tracked, elements = _coset_action(G, N)
+    assert Q.generators == gens
+    assert {k: p.img.tolist() for k, p in Q.tracked.items()} == tracked
+    assert np.array_equal(Q.element_images, elements)
+
+
+@pytest.mark.parametrize("build, largest", [(_g6, 192), (_g10, 1920)])
+def test_quotient_matches_coset_action_on_lattice(build, largest):
+    G = build()
+    G.tracked = dict(zip("abc", G.generators))
+    lattice = normal_subgroups_index_gt(G, 1)
+    # G10's largest quotient is by its central 2
+    assert max(G.order // N.order for N in lattice) == largest
+    for N in lattice:
+        _assert_quotient_matches_coset_action(G, N, G.quotient(N))
+
+
+def test_quotient_by_the_centre_of_g10_stays_small():
+    # the quotient's rows are 1920 x 1920 uint16, 7.0 MiB
+    G = _g10()
+    Z = G.center()
+    assert Z.order == 2
+    tracemalloc.start()
+    try:
+        Q = G.quotient(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.order == 1920
+    assert peak <= 12 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 # -- property-based checks ----------------------------------------------------
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -537,13 +603,15 @@ def test_classes_partition_group(G):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_group_strategy(), st.integers(0, 10**6))
-def test_lagrange_and_quotient_product(G, pick):
-    x = G.elements[pick % G.order]
-    N = G.normal_closure([x])
+@given(_group_strategy(), st.lists(st.integers(0, 10**6), max_size=3),
+       st.lists(st.integers(0, 10**6), max_size=3))
+def test_lagrange_and_quotient_product(G, picks, tracked):
+    N = G.normal_closure([G.elements[i % G.order] for i in picks])
     assert G.order % N.order == 0
+    G.tracked = {f"t{i}": G.elements[j % G.order] for i, j in enumerate(tracked)}
     Q = G.quotient(N)
     assert Q.order * N.order == G.order
+    _assert_quotient_matches_coset_action(G, N, Q)
 
 
 @settings(max_examples=25, deadline=None)
