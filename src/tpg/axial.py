@@ -11,10 +11,10 @@ Both produce self-verifying certificates.
 
 The subgroup searches behind them work on element indices of the group: the
 T-set is an index array with a membership mask, a candidate subgroup is the
-closure mask of its generators (PermGroup.index_closure), keyed and ordered
-by its sorted member indices, and a conjugate is one gather through a
-conjugation map.  A PermGroup is built only for an isomorphism test and for
-each subgroup returned.
+closure mask of its generators, grown from its prefix's by permgrp's tuple
+search (the one find_isomorphism runs), keyed and ordered by its sorted
+member indices, and a conjugate is one gather through a conjugation map.  A
+PermGroup is built only for an isomorphism test and each subgroup returned.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .fpgrp import Word, evaluate_word, parse_word
 from .permgrp import (
     Perm,
     PermGroup,
+    _prefix_orders,
+    _tuple_search,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -345,7 +347,7 @@ def t_equivalent(cfg: TConfig, other: TConfig) -> bool:
         return True  # equal seeds close to the same group and T-set
     a, b, c = cfg.seeds
     images = find_isomorphism(cfg.group, other.group, gens=(a, b, a * b, c),
-                              allowed=other.__contains__)
+                              allowed=other.mask)
     return images is not None
 
 
@@ -676,48 +678,30 @@ def klein_identity() -> dict:
 
 
 def find_subgroups_iso(G: PermGroup, ref: PermGroup) -> tuple[PermGroup, ...]:
-    """All subgroups of G isomorphic to ref, via generator-order backtracking.
+    """All subgroups of G isomorphic to ref, by permgrp's tuple search.
 
-    Generators are element indices of G.  A partial subgroup is their closure
-    mask, and its search state is its depth with its sorted member indices.
+    Each contains an image of ref's generating tuple with its element orders
+    and prefix closure orders; prefixes are deduped by depth and members.
     The first generator is anchored at conjugacy class representatives; the
     full list is recovered by closing under conjugation.
     """
     if ref.order > 32:
         raise ValueError("reference group too large for subgroup search")
     _, ref_gens = ref.index_closure(range(ref.order))
-    orders = ref.element_orders()[ref_gens].tolist()
-    target = ref.order
+    orders = ref.element_orders()[ref_gens]
     element_orders = G.element_orders()
-    pools = {o: np.flatnonzero(element_orders == o).tolist() for o in set(orders)}
+    pools = [np.flatnonzero(element_orders == o).tolist() for o in orders]
     # least member of each class, classes ordered by least member
     reps = G.class_representatives()
-    anchors = reps[element_orders[reps] == orders[0]].tolist()
+    pools[0] = reps[element_orders[reps] == orders[0]].tolist()
     found: list[np.ndarray] = []
-    seen_prefix: set[tuple[int, bytes]] = set()
 
-    def extend(gens: list[int], depth: int):
-        closed = G.index_closure(gens, abort_above=target)
-        if closed is None:
-            return
-        members = np.flatnonzero(closed[0])
-        if target % len(members):
-            return
-        state = (depth, members.tobytes())
-        if state in seen_prefix:
-            return
-        seen_prefix.add(state)
-        if depth == len(orders):
-            if (len(members) == target
-                    and isomorphic(G.subgroup_from_indices(gens), ref)):
-                found.append(members)
-            return
-        for g in pools[orders[depth]]:
-            extend(gens + [g], depth + 1)
+    def leaf(gens: list[int], mask: np.ndarray) -> None:
+        if isomorphic(G.subgroup_from_indices(gens), ref):
+            found.append(np.flatnonzero(mask))
 
-    for x in anchors:
-        extend([x], 1)
-    del extend  # the closure refers to itself; free it without the cyclic GC
+    _tuple_search(G, _prefix_orders(ref, ref_gens), lambda k, _: pools[k], leaf,
+                  seen=set())
     return _conjugation_closed(G, found, G.generators)
 
 

@@ -23,10 +23,11 @@ built.
 A subgroup of an enumerated group is a boolean mask over its elements,
 closed from seed element indices by one kernel (index_closure): each
 frontier is one gather through the cached right-multiplication maps
-x -> x*g of the picked generators.  Its elements are the masked rows, and
-its sorted member indices are its key and its sort order in subgroup
-searches; a PermGroup is built from a mask only where one is needed
-(subgroup_from_indices).
+x -> x*g of the picked generators, and a closure resumes from an earlier
+one by adding only the new frontiers.  Isomorphism and subgroup searches
+are one depth-first search over generator tuples (_tuple_search), each
+tuple's closure resumed from its prefix's.  A PermGroup is built from a
+mask only where one is needed (subgroup_from_indices).
 
 Conjugacy classes are one cached label per element (class_labels): each
 generator g gives a conjugation map x -> g^-1 x g on element indices, read
@@ -263,6 +264,7 @@ class PermGroup:
         self._orders: Optional[np.ndarray] = None
         self._center = None
         self._derived = None
+        self._derived_mask: Optional[np.ndarray] = None
         self._fingerprint = None
 
     # -- element enumeration ------------------------------------------------
@@ -598,22 +600,23 @@ class PermGroup:
         return m
 
     def index_closure(
-        self, seeds: Iterable[int], abort_above: Optional[int] = None
+        self, seeds: Iterable[int], abort_above: Optional[int] = None,
+        start: Optional[tuple[np.ndarray, list[int]]] = None,
     ) -> Optional[tuple[np.ndarray, list[int]]]:
         """The subgroup generated by the elements with indices seeds.
 
         Returns a boolean mask over the elements and the seeds picked as
         generators, each one not yet in the closure of those picked before
         it, or None once the subgroup has more than abort_above elements.
-        The mask grows frontier by frontier from the identity, row 0; for g
-        outside a closed H, all of H*g is new and is the first frontier.
+        The mask grows frontier by frontier from the identity, row 0, or from
+        start, an earlier result; for g outside a closed H, all of H*g is new
+        and is the first frontier, so a resumed closure pays only for that.
         """
         n = self.order
-        mask = np.zeros(n, dtype=bool)
-        mask[0] = True
-        count = 1
-        picked: list[int] = []
-        maps: list[np.ndarray] = []
+        mask, picked = ((np.arange(n) == 0, []) if start is None
+                        else (start[0].copy(), list(start[1])))
+        count = int(np.count_nonzero(mask))
+        maps = [self._right_map(i) for i in picked]
         for s in seeds:
             if count == n:
                 break  # the closure is the whole group: nothing is left to pick
@@ -635,12 +638,12 @@ class PermGroup:
     def subgroup_from_indices(
         self, seeds: Iterable[int], abort_above: Optional[int] = None
     ) -> Optional["PermGroup"]:
-        """index_closure of seeds as a group: the masked rows, with the
-        picked seeds as generators, or None once it passes abort_above."""
+        """index_closure of seeds as a group; None once past abort_above."""
         found = self.index_closure(seeds, abort_above)
-        if found is None:
-            return None
-        mask, picked = found
+        return None if found is None else self._closed_subgroup(*found)
+
+    def _closed_subgroup(self, mask: np.ndarray, picked: list[int]) -> "PermGroup":
+        """The masked rows as a group, with the picked seeds as generators."""
         H = PermGroup(self.degree, (Perm._trusted(self._E[i]) for i in picked),
                       ceiling=self.ceiling)
         if mask.all():
@@ -651,31 +654,34 @@ class PermGroup:
         return H
 
     def derived_subgroup(self) -> "PermGroup":
-        if self._derived is None:
-            comms = []
-            for i, g in enumerate(self.generators):
-                for h in self.generators[i + 1 :]:
-                    comms.append(g.inverse() * h.inverse() * g * h)
-            self._derived = self.normal_closure(comms)
+        if self._derived is None:  # its closure mask serves abelian_invariants
+            gens = self.generators
+            comms = [g.inverse() * h.inverse() * g * h
+                     for i, g in enumerate(gens) for h in gens[i + 1 :]]
+            self._derived_mask, picked = self.index_closure(self.class_union(comms))
+            self._derived = self._closed_subgroup(self._derived_mask, picked)
         return self._derived
 
     def abelian_invariants(self) -> tuple[int, ...]:
-        """Primary invariants (prime powers, sorted) of G/G'."""
-        Q = self.quotient(self.derived_subgroup())
-        orders = [int(o) for o in Q.element_orders()]
+        """Primary invariants (prime powers, sorted) of G/G'.
+
+        gG' is killed by q exactly when g**q lies in G', so G/G' has
+        #{g : g**q in G'} / |G'| elements killed by q; no quotient is built.
+        """
+        D = self.derived_subgroup()
         invariants = []
-        for p in _prime_factors(Q.order):
+        for p in _prime_factors(self.order // D.order):
             # m_k = number of cyclic p-power factors of exponent >= k,
-            # read off the counts of elements killed by p**k
-            ms = []
-            s_prev, k = 1, 1
+            # read off the counts s_k of elements killed by p**k
+            ms, s_prev, power = [], 1, np.arange(self.order)
             while True:
-                s_k = sum(1 for o in orders if p**k % o == 0)
+                power = self.power_indices(power, p)  # g**(p**k)
+                s_k = int(np.count_nonzero(self._derived_mask[power])) // D.order
                 m = round(math.log(s_k // s_prev, p)) if s_k > s_prev else 0
                 if m == 0:
                     break
                 ms.append(m)
-                s_prev, k = s_k, k + 1
+                s_prev = s_k
             for i in range(ms[0] if ms else 0):
                 invariants.append(p ** sum(1 for m in ms if m > i))
         return tuple(sorted(invariants))
@@ -815,11 +821,51 @@ def _prime_factors(n: int) -> list[int]:
 # -- isomorphism testing -----------------------------------------------------
 
 
-def _class_invariants(G: PermGroup) -> list[tuple[int, int]]:
-    """(element order, class size) per element index."""
+def _class_invariants(G: PermGroup) -> np.ndarray:
+    """Element order and class size per element index, as one int64 key."""
     labels = G.class_labels()
-    sizes = np.bincount(labels)[labels]
-    return list(zip(G.element_orders().tolist(), sizes.tolist()))
+    return G.element_orders() * (G.order + 1) + np.bincount(labels)[labels]
+
+
+def _prefix_orders(G: PermGroup, idx: Sequence[int]) -> list[int]:
+    """Orders of the closures of the prefixes idx[:1], idx[:2], ..."""
+    return [int(np.count_nonzero(G.index_closure(idx[: k + 1])[0]))
+            for k in range(len(idx))]
+
+
+def _tuple_search(G: PermGroup, orders: Sequence[int], pool: Callable,
+                  leaf: Callable, seen: Optional[set] = None):
+    """Depth-first search over tuples of element indices of G, grown one
+    element at a time as in cyclic extension (Neubueser, Numer. Math. 2,
+    1960).  pool(k, prefix) gives the candidates for position k; a prefix of
+    length k + 1 survives when its closure, resumed from its prefix's, has
+    exactly orders[k] elements, and keeps a candidate that its prefix already
+    generates.  leaf(tuple, mask) returns the result, which ends the search,
+    or None.  With seen, a set, a closure already reached at the same depth
+    is not extended again: sound when pool and leaf depend on a prefix only
+    through its closure."""
+
+    def extend(prefix: list[int], closed):
+        k = len(prefix)
+        if k == len(orders):
+            return leaf(prefix, closed[0])
+        for h in pool(k, prefix):
+            grown = G.index_closure([h], orders[k], closed)
+            if grown is None or np.count_nonzero(grown[0]) != orders[k]:
+                continue
+            if seen is not None:
+                state = (k, np.flatnonzero(grown[0]).tobytes())
+                if state in seen:
+                    continue
+                seen.add(state)
+            found = extend(prefix + [h], grown)
+            if found is not None:
+                return found
+        return None
+
+    result = extend([], G.index_closure(()))
+    del extend  # the closure refers to itself; free it without the cyclic GC
+    return result
 
 
 def _least_in_orbits(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -873,11 +919,7 @@ def _certify_hom(G: PermGroup, gens: Sequence[int], H: PermGroup,
             fresh.append(np.unique(y[new]))
         frontier = np.concatenate([frontier[:0], *fresh])
         reached += frontier.size
-    if reached != n:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[phi] = True
-    return bool(seen.all())
+    return reached == n and np.unique(phi).size == n
 
 
 def isomorphic(G: PermGroup, H: PermGroup) -> bool:
@@ -897,70 +939,44 @@ def find_isomorphism(
     G: PermGroup,
     H: PermGroup,
     gens: Optional[Sequence[Perm]] = None,
-    allowed: Optional[Callable[[Perm], bool]] = None,
+    allowed: Optional[np.ndarray] = None,
 ) -> Optional[tuple[Perm, ...]]:
     """Images in H of gens that extend to a certified isomorphism, or None.
 
-    gens must generate G (default: its generating tuple).  With allowed
-    given, only images h with allowed(h) are tried; the search stays
-    exhaustive as long as the allowed elements form a union of conjugacy
-    classes of H.
+    gens must generate G (default: its generating tuple).  The tuple search
+    tries images with the orders of the partial subgroups <g_0..g_k>.  With
+    allowed, a boolean mask over H's elements, only allowed images are
+    tried; the search stays exhaustive as long as the allowed elements form
+    a union of conjugacy classes of H.
     """
     if G.order != H.order:
         return None
     if gens is None:
         gens = G.generating_tuple()
     gen_idx = G.indices_of(gens).tolist()
-    G_inv = _class_invariants(G)
-    H_inv = _class_invariants(H)
+    G_inv, H_inv = _class_invariants(G), _class_invariants(H)
     H_E = H.element_images
-
-    def ok(i: int) -> bool:
-        return allowed is None or allowed(H.elements[i])
-
-    # orders of the partial subgroups <g_0..g_k> prune the search hard
-    partial_orders = [
-        int(np.count_nonzero(G.index_closure(gen_idx[: k + 1])[0]))
-        for k in range(len(gen_idx))
-    ]
+    ok = np.ones(H.order, dtype=bool) if allowed is None else allowed
     gen_rows = G.element_images[gen_idx]
     pair_orders = G.product_orders(gen_rows, gen_rows)  # [i, k]: o(g_i g_k)
-
+    later = [np.flatnonzero((H_inv == G_inv[g]) & ok) for g in gen_idx]
     # the first image may be fixed to one representative per class
     # (conjugating an isomorphism by an inner automorphism is free)
-    cand0 = [
-        int(i) for i in H.class_representatives()
-        if H_inv[i] == G_inv[gen_idx[0]] and ok(i)
-    ] if gen_idx else []
-    later = [
-        np.array([i for i, inv in enumerate(H_inv)
-                  if inv == G_inv[g] and ok(i)], dtype=np.intp)
-        for g in gen_idx
-    ]
+    reps = H.class_representatives()
 
-    def extend(k: int, imgs: list[int]) -> Optional[tuple[Perm, ...]]:
-        if k == len(gen_idx):
-            if not _certify_hom(G, gen_idx, H, imgs):
-                return None
-            return tuple(Perm._trusted(H_E[i]) for i in imgs)
-        pool = cand0
-        if k:
-            # o(imgs[i] * h) must equal o(gens[i] * gens[k]) for every i < k
-            orders = H.product_orders(H_E[imgs], H_E[later[k]])
-            keep = (orders == pair_orders[:k, k, None]).all(axis=0)
-            pool = later[k][keep].tolist()
-        for h in pool:
-            closed = H.index_closure(imgs + [h], abort_above=partial_orders[k])
-            if closed is None or np.count_nonzero(closed[0]) != partial_orders[k]:
-                continue
-            found = extend(k + 1, imgs + [h])
-            if found is not None:
-                return found
-        return None
+    def pool(k: int, imgs: list[int]) -> list[int]:
+        if not k:
+            return reps[(H_inv[reps] == G_inv[gen_idx[0]]) & ok[reps]].tolist()
+        # o(imgs[i] * h) must equal o(gens[i] * gens[k]) for every i < k
+        orders = H.product_orders(H_E[imgs], H_E[later[k]])
+        return later[k][(orders == pair_orders[:k, k, None]).all(axis=0)].tolist()
 
-    images = extend(0, [])
-    del extend  # the closure refers to itself; free it without the cyclic GC
-    return images
+    def leaf(imgs: list[int], _) -> Optional[tuple[Perm, ...]]:
+        if not _certify_hom(G, gen_idx, H, imgs):
+            return None
+        return tuple(Perm._trusted(H_E[i]) for i in imgs)
+
+    return _tuple_search(H, _prefix_orders(G, gen_idx), pool, leaf)
 
 
 # -- standard constructions ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for T-set closure, pair typing, and the obstruction engines."""
 
 import gc
+import hashlib
 import itertools
 import json
 import re
@@ -487,10 +488,16 @@ class TestFindSubgroups:
         assert all(H.order == 4 and H.is_elementary_abelian_2() for H in found)
 
     def test_2d8_count_in_deg16_group(self, deg16_config):
-        found = find_subgroups_iso(deg16_config.group, two_d8_reference())
+        G = deg16_config.group
+        found = find_subgroups_iso(G, two_d8_reference())
         assert len(found) == 225
         ref = two_d8_reference()
         assert all(isomorphic(H, ref) for H in found[:5])
+        # the same subgroups in the same order as the per-prefix search that
+        # re-closed every prefix from the identity
+        members = json.dumps([G.indices_of(H.elements).tolist() for H in found])
+        assert hashlib.sha256(members.encode()).hexdigest() == (
+            "8d3b068a575cfd47a237c7e28a0b3494a7f00087a1e8d0812640476480c3fab2")
 
     @pytest.mark.parametrize("ref, count", [
         (generate(4, [Perm.parse("(1,2)", 4), Perm.parse("(3,4)", 4)]), 4),

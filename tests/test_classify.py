@@ -1,5 +1,6 @@
 """Tests for the group catalog, quotient tables, and the classification run."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from tpg.classify import (
     _REFERENCE_BUILDERS,
+    _references,
     EXCLUDED_TYPE_NAMES,
     G11_ROWS,
     GROUP_NAMES,
@@ -39,6 +41,7 @@ from tpg.permgrp import (
     dihedral_group,
     direct_product,
     elementary_abelian_2,
+    find_isomorphism,
     generate,
     isomorphic,
     symmetric_group,
@@ -190,6 +193,22 @@ class TestIdentify:
         assert by_parent["G7"][0].type_name == "A5"
         g10 = {r.quotient_order: r.type_name for r in by_parent["G10"]}
         assert g10[1920] == "2^4:S5"
+
+    def test_isomorphism_images_pinned(self, classification_report):
+        # the images find_isomorphism certifies for each G1..G10 row's match,
+        # as the per-prefix search that re-closed every prefix found them
+        lines = []
+        for rec in classification_report.quotients:
+            if rec.parent == "G11":
+                continue
+            R = next(R for name, R in _references(rec.quotient_order)
+                     if name == rec.type_name)
+            images = find_isomorphism(rec.group, R)
+            lines.append(f"{rec.parent} {rec.subgroup_order} {rec.type_name} "
+                         + " ".join(map(str, images)))
+        assert len(lines) == 23
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "feef060b28a1ae2a51ea500332909a1529637a57a048438e4f50e47e13ea7bc9")
 
     def test_unmatched_gets_placeholder(self):
         name = identify(symmetric_group(7))

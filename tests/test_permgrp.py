@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 import weakref
 
@@ -467,6 +468,16 @@ def test_index_closure_matches_fresh_closure(build):
         for bound in (fresh.order - 1, fresh.order, fresh.order + 1):
             within = G.subgroup_from_indices(G.indices_of(gens), bound)
             assert (within is None) == (fresh.order > bound)
+        # resuming from the first seed's closure gives the fresh closure; the
+        # first seed again and the identity are already inside it
+        idx = G.indices_of(gens).tolist()
+        first = G.index_closure(idx[:1])
+        kept = first[0].copy()
+        resumed = G.index_closure(idx[1:] + idx[:1] + [0], start=first)
+        whole = G.index_closure(idx + idx[:1] + [0])
+        assert np.array_equal(resumed[0], whole[0])
+        assert resumed[1] == whole[1]
+        assert np.array_equal(first[0], kept) and first[1] == idx[:1]
 
 
 def test_non_member_sharing_base_images():
@@ -568,6 +579,34 @@ def test_quotient_by_the_centre_of_g10_stays_small():
     assert peak <= 12 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def _abelian_invariants_by_quotient(G):
+    """Primary invariants of G/G', read off the element orders of the
+    regular quotient G/G' (brute force)."""
+    Q = G.quotient(G.derived_subgroup())
+    orders = Q.element_orders().tolist()
+    invariants = []
+    for p in (p for p in range(2, Q.order + 1)
+              if Q.order % p == 0 and all(p % d for d in range(2, p))):
+        # m_k = number of cyclic p-power factors of exponent >= k
+        ms, s_prev, k = [], 1, 1
+        while True:
+            s_k = sum(1 for o in orders if p**k % o == 0)
+            m = round(math.log(s_k // s_prev, p)) if s_k > s_prev else 0
+            if m == 0:
+                break
+            ms.append(m)
+            s_prev, k = s_k, k + 1
+        invariants += [p ** sum(1 for m in ms if m > i) for i in range(ms[0] if ms else 0)]
+    return tuple(sorted(invariants))
+
+
+@pytest.mark.parametrize("build", [_g6, _g10])
+def test_abelian_invariants_match_quotient_on_lattice(build):
+    G = build()
+    for H in [G] + [G.quotient(N) for N in normal_subgroups_index_gt(G, 1)]:
+        assert H.abelian_invariants() == _abelian_invariants_by_quotient(H)
+
+
 # -- property-based checks ----------------------------------------------------
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -622,6 +661,14 @@ def test_normal_closure_conjugation_invariant(G, pick):
     for g in G.generators:
         for n in N.generators:
             assert n.conj(g) in N
+
+
+@settings(max_examples=25, deadline=None)
+@given(_group_strategy(), st.lists(st.integers(0, 10**6), max_size=3))
+def test_abelian_invariants_match_quotient(G, picks):
+    N = G.normal_closure([G.elements[i % G.order] for i in picks])
+    for H in (G, G.quotient(N)):
+        assert H.abelian_invariants() == _abelian_invariants_by_quotient(H)
 
 
 @settings(max_examples=15, deadline=None)
