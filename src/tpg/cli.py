@@ -45,7 +45,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "markdown"),
                    default="markdown", help="stdout rendering")
     p.add_argument("--coset-capacity", type=int, default=10 ** 6, metavar="N",
-                   dest="capacity", help="coset table size ceiling")
+                   dest="capacity",
+                   help="most cosets 'enumerate' may define, live plus "
+                        "collapsed, not the size of the final table (G9 "
+                        "defines 14,735 to reach 1,152; default 1000000)")
     p.add_argument("--verify", action="store_true",
                    help="re-check emitted artifacts where applicable")
     sub = p.add_subparsers(dest="subcommand", required=True)

@@ -8,8 +8,13 @@ every presentation carries the square relators.
 
 Coset enumeration is HLT-style with coincidence handling (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, ch. 5).  The table lives in
-one ``array('i')`` per generator column plus a union-find parent array;
-scans read each relator as a tuple of those column arrays.  After each sweep
+one ``array('i')`` per generator column plus a union-find parent array and
+an unsigned array of relator marks, all grown in fixed chunks of cosets;
+scans read each relator as a tuple of those column arrays.  A scan closes
+the relator's cycle through its coset, and it marks the cosets of that
+cycle from which the relator reads the same cycle, so the sweep skips
+every scan it can prove is a no-op; the definitions, coincidences and
+defined-coset count are those of the plain HLT sweep.  After each sweep
 the live rows are compacted into a numpy table, and one vectorised check
 (columns are involutions of range(n), every relator fixes every coset,
 every subgroup word fixes coset 0) decides whether the table is closed.  The
@@ -323,28 +328,81 @@ class CosetTable:
         return tuple(row[x] for row in self.rows)
 
 
+# Storage grows this many cosets at a time: a fixed step, not doubling, so
+# the slack past the last defined coset never exceeds one chunk.
+_CHUNK = 4096
+_UNDEFINED = array("i", [-1]) * _CHUNK
+
+
+def _closing_positions(row: tuple[int, ...]) -> tuple[bool, ...]:
+    """Where a closed cycle of ``row`` is also the cycle ``row`` reads there.
+
+    Entry k (0 <= k <= len(row)) is for the coset reached after k letters.
+    It is True when ``row`` read from that coset, forward (the rotation by
+    k) or backward (the reversal read from k), is ``row`` itself.
+    Generators are involutions, so reading backward along the cycle reads
+    the same letters.  Entry 0 is never read; entry len(row) is the start.
+    """
+    n = len(row)
+    return (False,) + tuple(
+        row[k:] + row[:k] == row or row[k - 1::-1] + row[:k - 1:-1] == row
+        for k in range(1, n)) + (True,)
+
+
 class _Enumerator:
     """HLT coset enumeration state over involutory columns.
 
     Storage stays compact for enumerations that define many more cosets than
-    survive (R4_5 defines about 10^5 for 12): one ``array('i')`` per column
-    plus the union-find parent array.  Relators and subgroup words are held
+    survive (R4_5 defines about 10^5 for 12): one ``array('i')`` per column,
+    the union-find parent array and one unsigned array of relator marks,
+    all grown ``_CHUNK`` cosets at a time; ``defined`` counts the cosets
+    defined so far, live or collapsed.  Relators and subgroup words are held
     as tuples of those column arrays, so a scan step is ``cword[i][f]``.
+
+    A scan of relator r leaves r's cycle through its start coset closed, and
+    coincidences map a closed cycle onto a closed cycle, so a later scan of
+    r at a live coset of that cycle is a no-op wherever r read from there
+    traces the same cycle (``_closing_positions``).  A scan sets bit k of
+    the marks of the cosets its forward reading reaches at those positions,
+    for the k-th relator, and the sweep skips every marked scan.  The HLT
+    definitions, coincidences and defined count are exactly those of the
+    sweep that scans every relator at every live coset.
     """
 
     def __init__(self, relators, subgroup_rows, capacity):
         self.relators = relators
         self.subgroup_rows = subgroup_rows
         self.capacity = capacity
-        self.cols = (array("i", [-1]), array("i", [-1]), array("i", [-1]))
-        self.parent = array("i", [0])
+        self.cols = (array("i"), array("i"), array("i"))
+        self.parent = array("i")
+        # marks are the narrowest unsigned type with a bit per relator;
+        # relators past the first 64 in sort order get no bit
+        bits = min(len(relators), 64)
+        self.marks = array(next(t for t in "BHIQ"
+                                if 8 * array(t).itemsize >= bits))
+        self._grow()
+        self.defined = 1  # coset 0, the subgroup coset
         self.mutations = 0
-        self.rel_cols = self._columns(relators)
-        self.sub_cols = self._columns(subgroup_rows)
+        # (column word, mark bit, closing positions) per scan; a bit of 0
+        # marks nothing, so those scans always run
+        rel_cols = self._columns(relators)
+        self.rel_scans = tuple(
+            (cword, 1 << k, _closing_positions(row)) if k < bits
+            else (cword, 0, (False,) * (len(row) + 1))
+            for k, (cword, row) in enumerate(zip(rel_cols, relators)))
+        self.sub_scans = tuple((cword, 0, (False,) * (len(cword) + 1))
+                               for cword in self._columns(subgroup_rows))
 
     def _columns(self, rows) -> tuple[tuple[array, ...], ...]:
         """Each letter row as the tuple of the column arrays it reads."""
         return tuple(tuple(self.cols[x] for x in row) for row in rows)
+
+    def _grow(self):
+        m = len(self.parent)
+        for col in self.cols:
+            col.extend(_UNDEFINED)
+        self.parent.extend(range(m, m + _CHUNK))
+        self.marks.frombytes(bytes(_CHUNK * self.marks.itemsize))
 
     def _rep(self, x: int) -> int:
         parent = self.parent
@@ -354,15 +412,15 @@ class _Enumerator:
         return x
 
     def _define(self, f: int, col: array) -> int:
-        m = len(self.parent)  # every coset ever defined, live or collapsed
+        m = self.defined
         if m >= self.capacity:
             raise CapacityError(
                 f"coset table capacity {self.capacity} exhausted; the "
                 "presented group may be infinite or the bound too small"
             )
-        for c in self.cols:
-            c.append(-1)
-        self.parent.append(m)
+        if not m % _CHUNK:  # every slot up to m is in use
+            self._grow()
+        self.defined = m + 1
         col[f] = m
         col[m] = f
         self.mutations += 1
@@ -404,9 +462,13 @@ class _Enumerator:
                     if ev != -1:
                         merge(u, ev)
 
-    def _scan_and_fill(self, start: int, cword: tuple[array, ...]):
+    def _scan_and_fill(self, start: int, cword: tuple[array, ...], bit: int,
+                       closing: tuple[bool, ...]):
         # A live coset is its own parent, so _rep runs only on dead entries.
+        # Once the scan returns, the cycle it read is closed, so each coset
+        # the forward reading reaches at a closing position is marked.
         parent = self.parent
+        marks = self.marks
         f = start
         i = 0
         b = start
@@ -418,6 +480,8 @@ class _Enumerator:
                     break
                 f = nxt if parent[nxt] == nxt else self._rep(nxt)
                 i += 1
+                if closing[i]:
+                    marks[f] |= bit
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
@@ -441,14 +505,21 @@ class _Enumerator:
 
     def _sweep(self):
         parent = self.parent
+        marks = self.marks
         scan = self._scan_and_fill
-        for cword in self.sub_cols:
-            scan(0, cword)
+        for cword, bit, closing in self.sub_scans:
+            scan(0, cword, bit, closing)
         alpha = 0
-        while alpha < len(parent):
+        while alpha < self.defined:
             if parent[alpha] == alpha:
-                for cword in self.rel_cols:
-                    scan(alpha, cword)
+                # marks are only ever set, and only by scans of the marked
+                # relator, so alpha's marks read once hold for the relators
+                # still ahead
+                done = marks[alpha]
+                for cword, bit, closing in self.rel_scans:
+                    if done & bit:
+                        continue
+                    scan(alpha, cword, bit, closing)
                     if parent[alpha] != alpha:
                         break
                 else:
@@ -460,7 +531,8 @@ class _Enumerator:
     def _live_table(self) -> Optional[np.ndarray]:
         """Rep-normalized live rows (3 x live, int32), or None if any entry
         is undefined."""
-        par = np.frombuffer(self.parent, dtype=np.int32).copy()
+        n = self.defined
+        par = np.frombuffer(self.parent, dtype=np.int32)[:n].copy()
         while True:
             nxt = par[par]
             if np.array_equal(nxt, par):
@@ -469,7 +541,7 @@ class _Enumerator:
         live = np.flatnonzero(par == np.arange(len(par), dtype=np.int32))
         mat = np.empty((3, len(live)), dtype=np.int32)
         for x, col in enumerate(self.cols):
-            col = np.frombuffer(col, dtype=np.int32)[live]
+            col = np.frombuffer(col, dtype=np.int32)[:n][live]
             if (col == -1).any():
                 return None
             mat[x] = np.searchsorted(live, par[col])
@@ -539,17 +611,9 @@ def _standardize(mat: np.ndarray) -> np.ndarray:
     return np.array(number, dtype=np.int32)[mat[:, order]]
 
 
-def todd_coxeter(
-    pres: Presentation,
-    subgroup: Sequence[Word] = (),
-    capacity: int = DEFAULT_CAPACITY,
-) -> CosetTable:
-    """Enumerate cosets of the subgroup generated by the given words.
-
-    Returns a complete standardized table; over the empty subgroup list the
-    coset count is the group order.  Raises CapacityError when more than
-    ``capacity`` cosets (live plus collapsed) would be defined.
-    """
+def _letter_rows(pres: Presentation, subgroup: Sequence[Word]):
+    """The enumerator's input: the distinct non-empty relators as column
+    rows sorted by (length, letters), and the non-empty subgroup words."""
     rel_rows = []
     seen = set()
     for w in pres.relator_words():
@@ -566,6 +630,21 @@ def todd_coxeter(
         row = tuple(_COL[ch] for ch in w.letters)
         if row:
             sub_rows.append(row)
+    return rel_rows, sub_rows
+
+
+def todd_coxeter(
+    pres: Presentation,
+    subgroup: Sequence[Word] = (),
+    capacity: int = DEFAULT_CAPACITY,
+) -> CosetTable:
+    """Enumerate cosets of the subgroup generated by the given words.
+
+    Returns a complete standardized table; over the empty subgroup list the
+    coset count is the group order.  Raises CapacityError when more than
+    ``capacity`` cosets (live plus collapsed) would be defined.
+    """
+    rel_rows, sub_rows = _letter_rows(pres, subgroup)
     std = _standardize(_Enumerator(rel_rows, sub_rows, capacity).run())
     _verify(std, rel_rows, sub_rows)
     return CosetTable(rows=tuple(zip(*std.tolist())), complete=True,
@@ -603,21 +682,3 @@ def evaluate_word(w: Word, images: Mapping[str, Perm]) -> Perm:
         out = out * images[ch]
     return out
 
-
-def verify_presentation(
-    pres: Presentation, images: Mapping[str, Perm], H: PermGroup
-) -> bool:
-    """True iff the images satisfy every relator and generate H.
-
-    Combined with a coset count of the presentation over the trivial
-    subgroup equal to |H|, this certifies that H is the presented group.
-    """
-    gens = [images[g] for g in GENERATORS]
-    if any(g.degree != H.degree for g in gens):
-        return False
-    for w in pres.relator_words():
-        if not evaluate_word(w, images).is_identity():
-            return False
-    if any(g not in H for g in gens):
-        return False
-    return H.is_generated_by(gens)

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpg.fpgrp import (
@@ -22,7 +22,9 @@ from tpg.fpgrp import (
     parse_word,
     todd_coxeter,
     tp_presentation,
-    verify_presentation,
+    _Enumerator,
+    _letter_rows,
+    _standardize,
     _verify,
 )
 from tpg.permgrp import (
@@ -35,6 +37,23 @@ from tpg.permgrp import (
     isomorphic,
     symmetric_group,
 )
+
+
+def verify_presentation(pres, images, H):
+    """True iff the images satisfy every relator and generate H.
+
+    Combined with a coset count of the presentation over the trivial
+    subgroup equal to |H|, this certifies that H is the presented group.
+    """
+    gens = [images[g] for g in "abc"]
+    if any(g.degree != H.degree for g in gens):
+        return False
+    for w in pres.relator_words():
+        if not evaluate_word(w, images).is_identity():
+            return False
+    if any(g not in H for g in gens):
+        return False
+    return H.is_generated_by(gens)
 
 
 def perms(degree, *cycle_strs):
@@ -362,6 +381,104 @@ class TestDefinitionOrder:
         with pytest.raises(CapacityError):
             todd_coxeter(g9, capacity=14734)
 
+    @pytest.mark.parametrize("pres,subgroup,defined,count", [
+        (tp_presentation(6, 6, 6, (5, 5, 5, 4, None)), (), 10289, 3840),
+        (G11, ("a", "b", "bacacacbacacacbacacac"), 8415, 2187),
+        (G11.with_relator(parse_word("c^(acbcacb) * c^(bcacbca)")), (),
+         22192, 5832),
+        (tp_presentation(6, 6, 6, (6, 6, 6, 4, None)), (), 26502, 216),
+    ], ids=["G10", "G11-over-2^3", "quotient5832", "R4_4"])
+    def test_capacity_boundary(self, pres, subgroup, defined, count):
+        # the HLT run defines exactly `defined` cosets, live plus collapsed
+        words = [parse_word(w) for w in subgroup]
+        assert todd_coxeter(pres, words, capacity=defined).coset_count == count
+        with pytest.raises(CapacityError):
+            todd_coxeter(pres, words, capacity=defined - 1)
+
+
+class ReferenceEnumerator(_Enumerator):
+    """The sweep without skips: every relator, in sort order, is scanned at
+    every live coset, and no scan sets a mark."""
+
+    def _sweep(self):
+        parent = self.parent
+
+        def scan(alpha, cword):
+            self._scan_and_fill(alpha, cword, 0, (False,) * (len(cword) + 1))
+
+        for cword in self._columns(self.subgroup_rows):
+            scan(0, cword)
+        rel_cols = self._columns(self.relators)
+        alpha = 0
+        while alpha < self.defined:
+            if parent[alpha] == alpha:
+                for cword in rel_cols:
+                    scan(alpha, cword)
+                    if parent[alpha] != alpha:
+                        break
+                else:
+                    for col in self.cols:
+                        if col[alpha] == -1:
+                            self._define(alpha, col)
+            alpha += 1
+
+
+def enumeration_trace(cls, pres, subgroup, capacity):
+    """Standardized rows, defined count and mutation count of one run, or
+    the counts at which it ran out of capacity."""
+    rel_rows, sub_rows = _letter_rows(pres, subgroup)
+    enum = cls(rel_rows, sub_rows, capacity)
+    try:
+        rows = _standardize(enum.run()).tolist()
+    except CapacityError:
+        rows = None
+    return rows, enum.defined, enum.mutations
+
+
+WORDS = st.lists(st.sampled_from("abc"), min_size=1, max_size=8).map(Word)
+# m = 1 puts the relator ac between the squares aa and bb in sort order
+MEMBERS = (st.tuples(*[st.integers(1, 6)] * 3)
+           | st.tuples(st.just(1), st.integers(1, 6), st.integers(1, 6)))
+# 69 distinct relator lines (ab)^2k, all consequences of (ab)^2, so more
+# relators than there are mark bits
+MANY_RELATORS = "".join(f"relator: (ab)^{2 * k}\n" for k in range(1, 70))
+
+
+@settings(max_examples=80, deadline=None)
+@example((1, 6, 6), None, [Word("aab")], [], False)
+@example((1, 5, 6), None, [], [Word("c")], True)
+@given(MEMBERS,
+       st.none() | st.tuples(*[st.none() | st.integers(1, 6)] * 5),
+       st.lists(WORDS, max_size=2),
+       st.lists(WORDS, max_size=2),
+       st.booleans())
+def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
+    # extra relators are not reduced: words such as aab stay as drawn
+    text = "mnp: %d %d %d\n" % mnp
+    if r is not None:
+        text += "r: " + " ".join("-" if x is None else str(x) for x in r) + "\n"
+    text += "".join(f"relator: {w}\n" for w in extra)
+    text += "".join(f"subgroup: {w}\n" for w in subgroup)
+    if many:
+        text += MANY_RELATORS
+    pres, words = parse_presentation(text)
+    if many:
+        assert len(_letter_rows(pres, words)[0]) > 64
+    got = enumeration_trace(_Enumerator, pres, words, 2000)
+    assert got == enumeration_trace(ReferenceEnumerator, pres, words, 2000)
+
+
+
+def test_mark_bits_fit_their_array():
+    # the squares plus (ab)^2k: every relator's bit fits the marks' type,
+    # whichever width its count picks
+    squares = [(0, 0), (1, 1), (2, 2)]
+    for n in range(1, 70):
+        rows = squares + [(0, 1) * (2 * k) for k in range(1, n + 1)]
+        enum = _Enumerator(rows, [], 10)
+        for _, bit, _ in enum.rel_scans:
+            enum.marks[0] |= bit
+        assert sum(bit > 0 for _, bit, _ in enum.rel_scans) == min(n + 3, 64)
 
 def letter_rows(words):
     return [tuple("abc".index(ch) for ch in w.letters) for w in words]
