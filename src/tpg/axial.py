@@ -9,25 +9,27 @@ kinds: an elementary abelian 2^3 subgroup all of whose involutions lie in T
 axis span of a 2xD8 subgroup (contradicting associativity of the form).
 Both produce self-verifying certificates.
 
-The subgroup searches behind them work on element indices of the group: the
-T-set is an index array with a membership mask, a candidate subgroup is the
-closure mask of its generators, grown from its prefix's by permgrp's tuple
-search (the one find_isomorphism runs), keyed and ordered by its sorted
-member indices, and a conjugate is one gather through a conjugation map.  A
-PermGroup is built only for an isomorphism test and each subgroup returned.
+From search to certificate the work is on element indices.  A T-set, or
+the axes of a span over a subgroup K, is an index array with a position
+array over its group; one kernel (_pair_types) types all its ordered pairs
+from one product lookup into a cached table.  A candidate subgroup is the
+closure mask of its generators, grown by permgrp's tuple search and keyed by
+its sorted member indices.  Verification looks up each parsed list in one
+batched call and compares index sets.  Perms are built only to print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .dihedral import FUSION, bilinear
 from .fpgrp import Word, evaluate_word, parse_word
 from .permgrp import (
+    NonMemberError,
     Perm,
     PermGroup,
     _prefix_orders,
@@ -58,7 +60,6 @@ __all__ = [
     "klein_identity",
     "klein_search",
     "klein_witnesses",
-    "m1_audit",
     "obstruct",
     "pair_type",
     "pair_type_counts",
@@ -107,11 +108,12 @@ class PairType:
         return self.forced or "{" + ",".join(sorted(self.options)) + "}"
 
 
-def _forced(name: str) -> PairType:
-    return PairType(frozenset({name}))
-
-
 AMBIGUOUS_3 = PairType(frozenset({"3A", "3C"}))
+
+
+def _pair_type(name: str) -> PairType:
+    """The PairType of an entry of a _pair_types table."""
+    return AMBIGUOUS_3 if name == str(AMBIGUOUS_3) else PairType(frozenset({name}))
 
 
 @dataclass(frozen=True)
@@ -131,31 +133,34 @@ class TConfig:
     tset: tuple[Perm, ...]
     derivations: tuple[Derivation, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {t.key(): i for i, t in enumerate(self.tset)}
-        )
-
     @cached_property
     def members(self) -> np.ndarray:
         """Element indices in the group of the T-set, in T-set order."""
         return self.group.indices_of(self.tset)
 
     @cached_property
+    def position(self) -> np.ndarray:
+        """T-set position of every element of the group, -1 outside the T-set."""
+        return _positions(self.group.order, self.members)
+
+    @cached_property
     def mask(self) -> np.ndarray:
         """T-set membership of every element of the group."""
-        mask = np.zeros(self.group.order, dtype=bool)
-        mask[self.members] = True
-        return mask
+        return self.position >= 0
+
+    @cached_property
+    def pair_types(self) -> np.ndarray:
+        """_pair_types of the T-set, in T-set order."""
+        return _pair_types(self.group, self.members, self.mask)
 
     def __contains__(self, p: Perm) -> bool:
-        return p.key() in self._index
+        return _position_of(self.group, self.position, p) >= 0
 
     def index_of(self, p: Perm) -> int:
-        try:
-            return self._index[p.key()]
-        except KeyError:
-            raise ValueError(f"{p} is not in the T-set") from None
+        i = _position_of(self.group, self.position, p)
+        if i < 0:
+            raise ValueError(f"{p} is not in the T-set")
+        return i
 
     def derivation_of(self, p: Perm) -> Derivation:
         return self.derivations[self.index_of(p)]
@@ -163,6 +168,21 @@ class TConfig:
     def seed_images(self) -> dict[str, Perm]:
         a, b, c = self.seeds
         return {"a": a, "b": b, "c": c}
+
+
+def _positions(n: int, members: np.ndarray) -> np.ndarray:
+    """Position of each of n elements in members, -1 for the others."""
+    position = np.full(n, -1, dtype=np.intp)
+    position[members] = np.arange(len(members))
+    return position
+
+
+def _position_of(G: PermGroup, position: np.ndarray, p: Perm) -> int:
+    """p's entry in position, an array over the elements of G; -1 outside G."""
+    try:
+        return int(position[G.index_of(p)])
+    except NonMemberError:
+        return -1
 
 
 def _first_per_class(G: PermGroup, idx: np.ndarray) -> np.ndarray:
@@ -257,78 +277,51 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
     )
 
 
-def _typed(contains, universe, t: Perm, s: Perm) -> PairType:
-    p = t * s
-    o = p.order()
-    if o == 1:
-        return _forced("1A")
-    if o == 2:
-        return _forced("2A") if contains(p) else _forced("2B")
-    if o == 3:
-        # Forced 3A when ts is the square of an order-6 product sharing an
-        # axis with the pair; otherwise the type cannot be decided here.
-        p_inv = p.inverse()
-        for x in (t, s):
-            for r in universe:
-                q = x * r
-                if q.order() == 6:
-                    q2 = q * q
-                    if q2 == p or q2 == p_inv:
-                        return _forced("3A")
-        return AMBIGUOUS_3
-    if o == 4:
-        return _forced("4B") if contains(p * p) else _forced("4A")
-    if o == 5:
-        return _forced("5A")
-    if o == 6:
-        return _forced("6A")
-    raise NotTrianglePointError(f"product of {t} and {s} has order {o} > 6")
+def _pair_types(G: PermGroup, idx: np.ndarray, designated: np.ndarray) -> np.ndarray:
+    """Type name of every ordered pair of the elements idx of G, as an array.
+
+    designated, a mask over G, splits 2A from 2B and 4B from 4A.  All
+    products t*s are looked up by base image at once; an order-3 product is
+    3A when it is the square or fourth power of an order-6 product through t
+    or s, where the other factor ranges over idx, and "{3A,3C}" otherwise.
+    """
+    n = len(idx)
+    m = G.element_images[idx]
+    prods = G.product_indices(m, m).ravel()
+    orders = G.element_orders()[prods]
+    if (orders > 6).any():
+        t, s = divmod(int(np.argmax(orders > 6)), n)
+        raise NotTrianglePointError(
+            f"product of T-set elements {Perm(m[t], validate=False)} and "
+            f"{Perm(m[s], validate=False)} has order > 6")
+    row, col = np.divmod(np.arange(n * n), n)
+    # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
+    six = np.flatnonzero(orders == 6)
+    squares = np.unique(np.concatenate([
+        row[six] * G.order + G.power_indices(prods[six], 2),
+        row[six] * G.order + G.power_indices(prods[six], 4),
+    ]))
+    names = np.array([f"{k}A" for k in range(7)], dtype=object)[orders]
+    names[(orders == 2) & ~designated[prods]] = "2B"
+    four = np.flatnonzero(orders == 4)
+    names[four[designated[G.power_indices(prods[four], 2)]]] = "4B"
+    three = np.flatnonzero(orders == 3)
+    known = (np.isin(row[three] * G.order + prods[three], squares)
+             | np.isin(col[three] * G.order + prods[three], squares))
+    names[three[~known]] = str(AMBIGUOUS_3)
+    return names.reshape(n, n)
 
 
 def pair_type(cfg: TConfig, t: Perm, s: Perm) -> PairType:
-    if t not in cfg or s not in cfg:
-        raise ValueError("both elements must lie in the T-set")
-    return _typed(cfg.__contains__, cfg.tset, t, s)
+    return _pair_type(cfg.pair_types[cfg.index_of(t), cfg.index_of(s)])
 
 
 def pair_type_counts(cfg: TConfig) -> dict[str, int]:
-    """Number of unordered pairs of distinct T-elements of each pair type.
-
-    Agrees with pair_type on every pair.  All products t*s are looked up by
-    base image in the group at once; an order-3 product is 3A when it is the
-    square or fourth power of an order-6 product through t or s.
-    """
-    G = cfg.group
-    n = len(cfg.tset)
-    m = G.element_images[cfg.members]
-    prods = G.product_indices(m, m)
-    orders = G.element_orders()[prods]
-    if (orders > 6).any():
-        i, j = (int(x) for x in np.argwhere(orders > 6)[0])
-        raise NotTrianglePointError(
-            f"product of T-set elements {cfg.tset[i]} and {cfg.tset[j]} "
-            f"has order > 6")
-    in_t = cfg.mask
-    # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
-    six_t, six_r = np.nonzero(orders == 6)
-    six = prods[six_t, six_r]
-    squares = np.unique(np.concatenate([
-        six_t * G.order + G.power_indices(six, 2),
-        six_t * G.order + G.power_indices(six, 4),
-    ]))
-    iu, ju = np.triu_indices(n, 1)
-    pair = prods[iu, ju]
-    o = orders[iu, ju]
-    names = np.array([f"{k}A" for k in range(7)], dtype=object)[o]
-    names[(o == 2) & ~in_t[pair]] = "2B"
-    four = np.flatnonzero(o == 4)
-    names[four[in_t[G.power_indices(pair[four], 2)]]] = "4B"
-    three = np.flatnonzero(o == 3)
-    known = (np.isin(iu[three] * G.order + pair[three], squares)
-             | np.isin(ju[three] * G.order + pair[three], squares))
-    names[three[~known]] = str(AMBIGUOUS_3)
-    kinds, counts = np.unique(names, return_counts=True)
-    return {str(k): int(c) for k, c in sorted(zip(kinds, counts))}
+    """Number of unordered pairs of distinct T-elements of each pair type,
+    read from the upper triangle of the configuration's pair-type table."""
+    upper = cfg.pair_types[np.triu_indices(len(cfg.tset), 1)]
+    kinds, counts = np.unique(upper, return_counts=True)
+    return {str(k): int(c) for k, c in zip(kinds, counts)}
 
 
 def t_equivalent(cfg: TConfig, other: TConfig) -> bool:
@@ -355,76 +348,96 @@ def t_equivalent(cfg: TConfig, other: TConfig) -> bool:
 class AxisSpanModel:
     """Formal axis span over the designated involutions S of a subgroup K.
 
-    Axes are indexed by the elements of ``axes`` in the given order; pair
+    Axes are the elements of K with indices ``members``, in that order; pair
     types are decided by membership in S itself, which agrees with the
-    ambient T-set whenever S = K intersect T.
+    ambient T-set whenever S = K intersect T.  Products are read from K's
+    multiplication table: every model built has |K| <= 16.
     """
 
     subgroup: PermGroup
-    axes: tuple[Perm, ...]
+    members: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t.key(): i for i, t in enumerate(self.axes)})
+    @cached_property
+    def axes(self) -> tuple[Perm, ...]:
+        E = self.subgroup.element_images
+        return tuple(Perm(E[i], validate=False) for i in self.members)
 
     @property
     def dim(self) -> int:
-        return len(self.axes)
+        return len(self.members)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p.key() in self._index
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Axis position of every element of K, -1 off the axes."""
+        return _positions(self.subgroup.order, self.members)
+
+    @cached_property
+    def pair_types(self) -> np.ndarray:
+        """_pair_types of the axes, in axis order."""
+        return _pair_types(self.subgroup, self.members, self.position >= 0)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Index of x * y for every pair of elements x, y of K."""
+        E = self.subgroup.element_images
+        return self.subgroup.product_indices(E, E)
 
     def axis_index(self, p: Perm) -> int:
-        try:
-            return self._index[p.key()]
-        except KeyError:
-            raise ValueError(f"{p} is not an axis of the model") from None
+        i = _position_of(self.subgroup, self.position, p)
+        if i < 0:
+            raise ValueError(f"{p} is not an axis of the model")
+        return i
 
     def pair_of(self, t: Perm, s: Perm) -> PairType:
-        return _typed(self.__contains__, self.axes, t, s)
+        return _pair_type(self.pair_types[self.axis_index(t), self.axis_index(s)])
 
     def inner_entry(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(1)
-        kind = self.pair_of(self.axes[i], self.axes[j]).forced
-        if kind is None:
+        kind = self.pair_types[i, j]  # "1A" on the diagonal
+        if kind not in PAIR_INNER:
             raise UnsupportedConfigurationError(
                 "inner product of an ambiguous order-3 pair is undetermined"
             )
         return PAIR_INNER[kind]
 
     def product_entry(self, i: int, j: int) -> dict[int, Fraction] | None:
-        """Coefficients of a_i * a_j over the axes, or None if inexpressible."""
+        """Coefficients of a_i * a_j over the axes, or None if inexpressible.
+
+        Only 2A, 2B and 4B pairs have products in the axis span; 4A and
+        order-3 pairs do not.
+        """
         if i == j:
             return {i: Fraction(1)}
-        t, s = self.axes[i], self.axes[j]
-        kind = self.pair_of(t, s).forced
+        kind = self.pair_types[i, j]
         if kind == "2B":
             return {}
-        if kind == "2A":
-            k = self.axis_index(t * s)
-            e = Fraction(1, 8)
-            return {i: e, j: e, k: -e}
-        if kind == "4B":
-            ts = t * s
-            k1 = self.axis_index(t * s * t)
-            k2 = self.axis_index(s * t * s)
-            k3 = self.axis_index(ts * ts)
-            e = Fraction(1, 64)
-            out = {i: e, j: e}
-            for k, delta in ((k1, -e), (k2, -e), (k3, e)):
-                out[k] = out.get(k, Fraction(0)) + delta
-            return {k: v for k, v in out.items() if v}
-        return None
+        if kind not in ("2A", "4B"):
+            return None
+        T = self.table
+        t, s = self.members[i], self.members[j]
+        ts = T[t, s]
+        if kind == "2A":  # (a_t + a_s - a_ts) / 8
+            e, terms = Fraction(1, 8), ((ts, -1),)
+        else:  # (a_t + a_s - a_tst - a_sts + a_(ts)^2) / 64
+            e, terms = Fraction(1, 64), ((T[ts, t], -1), (T[T[s, t], s], -1),
+                                         (T[ts, ts], 1))
+        out = {i: e, j: e}
+        for x, sign in terms:
+            k = int(self.position[x])
+            if k < 0:
+                raise ValueError("a product of axes is not an axis of the model")
+            out[k] = out.get(k, Fraction(0)) + sign * e
+        return {k: v for k, v in out.items() if v}
 
 
 def axis_span_model(
     K: PermGroup, axes, order: list[Perm] | None = None
 ) -> AxisSpanModel:
-    members = sorted(axes, key=lambda p: p.sort_key()) if order is None else list(order)
-    for t in members:
-        if t.order() != 2 or t not in K:
-            raise ValueError(f"{t} is not an involution of the subgroup")
-    return AxisSpanModel(subgroup=K, axes=tuple(members))
+    members = K.indices_of(list(axes if order is None else order))
+    if order is None:
+        members = np.sort(members)
+    if (K.element_orders()[members] != 2).any():
+        raise ValueError("every axis must be an involution of the subgroup")
+    return AxisSpanModel(subgroup=K, members=members)
 
 
 @dataclass(frozen=True)
@@ -435,10 +448,6 @@ class M1Witness:
     indices: tuple[int, int, int]
     lhs: Fraction
     rhs: Fraction
-
-
-# LHS pairs must have axis-span products; 4A and order-3 pairs do not.
-_EXPRESSIBLE = ("2A", "2B", "4B")
 
 
 def _m1_sides(inner, left: dict[int, Fraction], right: dict[int, Fraction],
@@ -455,21 +464,7 @@ def _m1_sides(inner, left: dict[int, Fraction], right: dict[int, Fraction],
 def audit_model(model: AxisSpanModel) -> M1Witness | None:
     """First basis triple (i,j,k) with (a_i a_j, a_k) != (a_i, a_j a_k)."""
     n = model.dim
-    inner_cache: dict[tuple[int, int], Fraction] = {}
-
-    def inner_of(i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in inner_cache:
-            inner_cache[key] = model.inner_entry(*key)
-        return inner_cache[key]
-
-    products: list[list[dict[int, Fraction] | None]] = [
-        [None] * n for _ in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if i == j or model.pair_of(model.axes[i], model.axes[j]).forced in _EXPRESSIBLE:
-                products[i][j] = model.product_entry(i, j)
+    products = [[model.product_entry(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             left = products[i][j]
@@ -479,7 +474,7 @@ def audit_model(model: AxisSpanModel) -> M1Witness | None:
                 right = products[j][k]
                 if right is None:
                     continue
-                lhs, rhs = _m1_sides(inner_of, left, right, i, k)
+                lhs, rhs = _m1_sides(model.inner_entry, left, right, i, k)
                 if lhs != rhs:
                     return M1Witness(
                         triple=(model.axes[i], model.axes[j], model.axes[k]),
@@ -490,69 +485,47 @@ def audit_model(model: AxisSpanModel) -> M1Witness | None:
     return None
 
 
+@cache
 def two_d8_reference() -> PermGroup:
+    """C2 x D8, built once per process so its cached invariants serve every
+    isomorphism test against it."""
     return direct_product(cyclic_group(2), dihedral_group(8), name="2xD8")
 
 
-def _canonical_2d8_basis(K: PermGroup, in_t) -> list[Perm] | None:
+def _canonical_2d8_basis(K: PermGroup, designated: np.ndarray) -> np.ndarray | None:
     """Order the ten designated involutions of a 2xD8 by their structural roles.
 
-    Requires exactly one missing involution, central in K; the roles are fixed
-    by t9 = square of an order-4 element, t10 = t9 * missing, and a noncentral
-    pair y, z with o(yz) = 4.  Any valid choice of y, z differs by an
-    automorphism preserving the designated set, so the audit is unaffected.
+    K is a 2xD8 and designated, a mask over its elements, holds ten of its
+    eleven involutions; the basis comes back as element indices of K.  The
+    missing involution must be central; the roles are fixed by t9 = square
+    of an order-4 element, t10 = t9 * missing, and a noncentral pair y, z
+    with o(yz) = 4.  Any valid choice of y, z differs by an automorphism
+    preserving the designated set, so the audit is unaffected.
     """
-    invs = K.involutions()
-    if len(invs) != 11:
+    E = K.element_images
+    T = K.product_indices(E, E)
+    orders = K.element_orders()
+    invs = np.flatnonzero(orders == 2)
+    t11 = invs[~designated[invs]][0]
+    if (T[t11] != T[:, t11]).any():
         return None
-    missing = [t for t in invs if not in_t(t)]
-    if len(missing) != 1:
-        return None
-    t11 = missing[0]
-    gens = K.generating_tuple()
-    if any(t11 * g != g * t11 for g in gens):
-        return None
-    order4 = next((g for g in K.elements if g.order() == 4), None)
-    if order4 is None:
-        return None
-    t9 = order4 * order4
+    order4 = np.flatnonzero(orders == 4)[0]
+    t9 = T[order4, order4]
     if t9 == t11:
         return None
-    t10 = t9 * t11
-    central_keys = {t9.key(), t10.key(), t11.key()}
-    noncentral = [t for t in invs if t.key() not in central_keys]
-    if len(noncentral) != 8:
-        return None
+    t10 = T[t9, t11]
+    # t9, t10 and t11 are the three central involutions of the 2xD8
+    noncentral = [t for t in invs if t not in (t9, t10, t11)]
     y = noncentral[0]
-    z = next((v for v in noncentral if (y * v).order() == 4), None)
+    z = next((v for v in noncentral if orders[T[y, v]] == 4), None)
     if z is None:
         return None
-    t1 = y.conj(z)
-    basis = [t1, y, t10 * y, t10 * t1, z.conj(y) * t11, z * t11, z.conj(y), z, t9, t10]
-    keys = {t.key() for t in basis}
-    if len(keys) != 10 or t11.key() in keys or not all(in_t(t) for t in basis):
+    t1, zy = T[T[z, y], z], T[T[y, z], y]  # y conjugated by z, and z by y
+    basis = np.array([t1, y, T[t10, y], T[t10, t1], T[zy, t11], T[z, t11], zy, z,
+                      t9, t10])
+    if len(np.unique(basis)) != 10 or t11 in basis or not designated[basis].all():
         return None
     return basis
-
-
-def m1_audit(cfg: TConfig, K: PermGroup, order: list[Perm] | None = None) -> M1Witness | None:
-    """Audit the axis span of K against associativity of the form.
-
-    Supports subgroups with element orders in {1, 2, 4} only: their pair
-    types are 2A/2B/4A/4B, the cases with axis-span products or pinned inner
-    products.
-    """
-    if any(o not in (1, 2, 4) for o in (int(x) for x in K.element_orders())):
-        raise UnsupportedConfigurationError(
-            "audit requires all subgroup element orders in {1, 2, 4}"
-        )
-    axes = [t for t in K.involutions() if t in cfg]
-    if order is None:
-        order = _canonical_2d8_basis(K, cfg.__contains__) or sorted(
-            axes, key=lambda p: p.sort_key()
-        )
-    model = axis_span_model(K, axes, order)
-    return audit_model(model)
 
 
 def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[int, int, int]]:
@@ -644,10 +617,8 @@ def klein_identity() -> dict:
     def axis(p: Perm) -> Vector:
         return Vector.unit(dim, model.axis_index(p))
 
-    for i in range(dim):
-        for j in range(dim):
-            if model.pair_of(model.axes[i], model.axes[j]).forced != ("1A" if i == j else "2A"):
-                raise UnsupportedConfigurationError("expected an all-2A klein span")
+    if (model.pair_types != np.where(np.eye(dim, dtype=bool), "1A", "2A")).any():
+        raise UnsupportedConfigurationError("expected an all-2A klein span")
     entries = [[model.product_entry(i, j) for j in range(dim)] for i in range(dim)]
     mult = [[Vector([e.get(k, 0) for k in range(dim)]) for e in row] for row in entries]
 
@@ -774,29 +745,42 @@ def cert_from_dict(data: dict) -> ObstructionCertificate:
     )
 
 
-def _klein_certificate(cfg: TConfig, K: PermGroup) -> ObstructionCertificate:
-    members = tuple(
-        (str(t), str(cfg.derivation_of(t).word)) for t in K.involutions()
-    )
+def _cycles(G: PermGroup, idx) -> tuple[str, ...]:
+    E = G.element_images
+    return tuple(str(Perm(E[i], validate=False)) for i in idx)
+
+
+def _with_words(cfg: TConfig, idx: np.ndarray) -> tuple[tuple[str, str], ...]:
+    """(cycles, derivation word) of T-elements, given as element indices."""
+    words = (str(cfg.derivations[p].word) for p in cfg.position[idx])
+    return tuple(zip(_cycles(cfg.group, idx), words))
+
+
+def _klein_certificate(cfg: TConfig, members: np.ndarray) -> ObstructionCertificate:
+    """The certificate of the 2^3 with sorted element indices members."""
+    G = cfg.group
+    _, picked = G.index_closure(members)
     return ObstructionCertificate(
         kind="klein",
-        degree=cfg.group.degree,
-        group_order=cfg.group.order,
-        generators=tuple(str(g) for g in K.generating_tuple()),
-        members=members,
+        degree=G.degree,
+        group_order=G.order,
+        generators=_cycles(G, picked),
+        members=_with_words(cfg, members[G.element_orders()[members] == 2]),
     )
 
 
 def _m1_certificate(
-    cfg: TConfig, K: PermGroup, basis: list[Perm], witness: M1Witness
+    cfg: TConfig, K: PermGroup, basis: np.ndarray, witness: M1Witness
 ) -> ObstructionCertificate:
+    """The certificate of an audit of K; basis holds element indices of G."""
+    members = _with_words(cfg, basis)
     return ObstructionCertificate(
         kind="m1-audit",
         degree=cfg.group.degree,
         group_order=cfg.group.order,
         generators=tuple(str(g) for g in K.generating_tuple()),
-        members=tuple((str(t), str(cfg.derivation_of(t).word)) for t in basis),
-        basis=tuple(str(t) for t in basis),
+        members=members,
+        basis=tuple(p for p, _ in members),
         triple=tuple(str(t) for t in witness.triple),
         lhs=rat_str(witness.lhs),
         rhs=rat_str(witness.rhs),
@@ -814,20 +798,22 @@ def obstruct(cfg: TConfig) -> ObstructionCertificate | None:
     every 2^3 inside T has a conjugate through the first T-element of a
     class, where the search anchors).
     """
-    K = klein_search(cfg)
-    if K is not None:
-        cert = _klein_certificate(cfg, K)
+    G = cfg.group
+    triples = _klein_triples(cfg, stop_early=True)
+    if triples:
+        cert = _klein_certificate(cfg, _klein_members(G, triples[0]))
     else:
         cert = None
-        for K in find_subgroups_iso(cfg.group, two_d8_reference()):
-            designated = [t for t in K.involutions() if t in cfg]
-            if len(designated) == 10:
-                basis = _canonical_2d8_basis(K, cfg.__contains__)
+        for K in find_subgroups_iso(G, two_d8_reference()):
+            in_g = G.indices_of_base_images(K.element_images[:, G.base()])
+            designated = cfg.mask[in_g]
+            if np.count_nonzero(designated) == 10:
+                basis = _canonical_2d8_basis(K, designated)
                 if basis is None:
-                    basis = designated
-                witness = audit_model(axis_span_model(K, designated, basis))
+                    basis = np.flatnonzero(designated)
+                witness = audit_model(AxisSpanModel(K, basis))
                 if witness is not None:
-                    cert = _m1_certificate(cfg, K, basis, witness)
+                    cert = _m1_certificate(cfg, K, in_g[basis], witness)
                     break
         if cert is None:
             return None
@@ -837,52 +823,57 @@ def obstruct(cfg: TConfig) -> ObstructionCertificate | None:
 
 
 def verify_certificate(cfg: TConfig, cert: ObstructionCertificate) -> bool:
-    """Re-check a certificate from scratch against the configuration."""
-    deg = cfg.group.degree
-    if cert.degree != deg or cert.group_order != cfg.group.order:
+    """Re-check a certificate from scratch against the configuration.
+
+    Each parsed list (generators, members, basis, triple) is looked up in
+    the group with one batched call, and the checks compare index sets.
+    """
+    G = cfg.group
+    deg = G.degree
+    if cert.degree != deg or cert.group_order != G.order:
         return False
     images = cfg.seed_images()
-    try:
-        gens = [Perm.parse(s, deg) for s in cert.generators]
-        members = [(Perm.parse(s, deg), parse_word(w)) for s, w in cert.members]
-    except ValueError:
-        return False
-    for p, w in members:
-        if evaluate_word(w, images) != p or p not in cfg:
-            return False
     # a hostile certificate may name generators outside the group, or
     # members of it that generate a large subgroup: the first are rejected
-    # before any closure, the second once the closure passes 16 elements
-    if any(g not in cfg.group for g in gens):
-        return False
-    K = cfg.group.subgroup_from_indices(cfg.group.indices_of(gens),
-                                        abort_above=16)
-    if K is None:
-        return False
-    if cert.kind == "klein":
-        if K.order != 8 or not K.is_elementary_abelian_2():
+    # before any closure (NonMemberError is a ValueError), the second once
+    # the closure passes 16 elements
+    try:
+        gen_idx = G.indices_of([Perm.parse(s, deg) for s in cert.generators])
+        members = [Perm.parse(s, deg) for s, _ in cert.members]
+        words = [parse_word(w) for _, w in cert.members]
+        if any(evaluate_word(w, images) != p for p, w in zip(members, words)):
             return False
-        claimed = {p.key() for p, _ in members}
-        return len(members) == 7 and {t.key() for t in K.involutions()} == claimed
-    if K.order != 16 or not isomorphic(K, two_d8_reference()):
+        member_idx = G.indices_of(members)
+    except ValueError:
         return False
-    member_keys = {p.key() for p, _ in members}
-    designated = {t.key() for t in K.involutions() if t in cfg}
-    if len(members) != 10 or member_keys != designated:
+    if not cfg.mask[member_idx].all():
+        return False
+    closed = G.index_closure(gen_idx, abort_above=16)
+    if closed is None:
+        return False
+    k_idx = np.flatnonzero(closed[0])
+    invs = k_idx[G.element_orders()[k_idx] == 2]
+    member_idx = np.sort(member_idx)
+    if cert.kind == "klein":
+        return len(k_idx) == 8 and len(invs) == 7 and np.array_equal(member_idx, invs)
+    K = G._closed_subgroup(*closed)
+    if len(k_idx) != 16 or not isomorphic(K, two_d8_reference()):
+        return False
+    designated = invs[cfg.mask[invs]]
+    if len(designated) != 10 or not np.array_equal(member_idx, designated):
         return False
     try:
-        basis = [Perm.parse(s, deg) for s in cert.basis]
-        triple = tuple(Perm.parse(s, deg) for s in cert.triple)
+        basis_idx = G.indices_of([Perm.parse(s, deg) for s in cert.basis])
+        triple_idx = G.indices_of([Perm.parse(s, deg) for s in cert.triple])
         lhs, rhs = parse_rat(cert.lhs), parse_rat(cert.rhs)
     except (TypeError, ValueError):
         return False
-    if {t.key() for t in basis} != member_keys:
+    if (not np.array_equal(np.sort(basis_idx), designated)
+            or not np.isin(triple_idx, designated).all()):
         return False
-    if any(t.key() not in member_keys for t in triple):
-        return False
-    model = axis_span_model(K, basis, basis)
-    idx = tuple(model.axis_index(t) for t in triple)
-    i, j, k = idx
+    # K's elements are G's rows k_idx, in order
+    model = AxisSpanModel(K, np.searchsorted(k_idx, basis_idx))
+    i, j, k = model.position[np.searchsorted(k_idx, triple_idx)].tolist()
     left = model.product_entry(i, j)
     right = model.product_entry(j, k)
     if left is None or right is None:

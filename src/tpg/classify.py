@@ -639,9 +639,10 @@ class Configuration:
         Every T-preserving isomorphism preserves them, so configurations that
         differ here are inequivalent without a search.
         """
-        G, tset = self.tconfig.group, self.tconfig.tset
-        D, Z = G.derived_subgroup(), G.center()
-        return (len(tset), sum(t in D for t in tset), sum(t in Z for t in tset))
+        G, in_t = self.tconfig.group, self.tconfig.mask
+        meets = (in_t[G.indices_of_base_images(H.element_images[:, G.base()])].sum()
+                 for H in (G.derived_subgroup(), G.center()))
+        return (len(self.tconfig.tset), *(int(n) for n in meets))
 
 
 @dataclass

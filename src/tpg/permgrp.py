@@ -573,13 +573,6 @@ class PermGroup:
             )
         return self._classes
 
-    def is_abelian(self) -> bool:
-        return all(
-            g * h == h * g
-            for i, g in enumerate(self.generators)
-            for h in self.generators[i + 1 :]
-        )
-
     def is_elementary_abelian_2(self) -> bool:
         return all(o <= 2 for o, _ in self.order_histogram())
 

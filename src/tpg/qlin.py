@@ -14,6 +14,7 @@ Rationals serialize as "p/q" with the "/q" omitted when q == 1.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_str(q: Fraction) -> str:
@@ -32,7 +34,13 @@ def rat_str(q: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse rat_str's form, -?digits(/digits)? with a nonzero denominator;
+    anything else, exponents and nan among them, is a ValueError."""
+    match = isinstance(s, str) and _RATIONAL.fullmatch(s)
+    den = int(match[2] or 1) if match else 0
+    if not den:
+        raise ValueError(f"malformed rational {s!r}")
+    return Fraction(int(match[1]), den)
 
 
 class Vector:

@@ -1,5 +1,6 @@
 """Tests for T-set closure, pair typing, and the obstruction engines."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ from tpg.axial import (
     AMBIGUOUS_3,
     PAIR_INNER,
     NotTrianglePointError,
+    PairType,
     TConfig,
     UnsupportedConfigurationError,
     audit_model,
@@ -28,7 +30,6 @@ from tpg.axial import (
     klein_identity,
     klein_search,
     klein_witnesses,
-    m1_audit,
     obstruct,
     pair_type,
     pair_type_counts,
@@ -66,6 +67,56 @@ def d8x2():
     K = generate(6, [_t(10), _t(2), _t(8)], name="2xD8")
     assert K.order == 16
     return K
+
+
+def _forced(name: str) -> PairType:
+    return PairType(frozenset({name}))
+
+
+def _typed(contains, universe, t: Perm, s: Perm) -> PairType:
+    """Brute-force pair type of t and s, one Perm product at a time: the
+    reference for the vectorised kernel.  contains tells designated
+    elements; universe is the set whose order-6 products force 3A."""
+    p = t * s
+    o = p.order()
+    if o == 1:
+        return _forced("1A")
+    if o == 2:
+        return _forced("2A") if contains(p) else _forced("2B")
+    if o == 3:
+        # Forced 3A when ts is the square of an order-6 product sharing an
+        # axis with the pair; otherwise the type cannot be decided here.
+        p_inv = p.inverse()
+        for x in (t, s):
+            for r in universe:
+                q = x * r
+                if q.order() == 6:
+                    q2 = q * q
+                    if q2 == p or q2 == p_inv:
+                        return _forced("3A")
+        return AMBIGUOUS_3
+    if o == 4:
+        return _forced("4B") if contains(p * p) else _forced("4A")
+    if o == 5:
+        return _forced("5A")
+    if o == 6:
+        return _forced("6A")
+    raise NotTrianglePointError(f"product of {t} and {s} has order {o} > 6")
+
+
+@functools.cache
+def _reference_types(cfg: TConfig) -> list[list[str]]:
+    """_typed of every ordered pair of the T-set, in T-set order."""
+    keys = {t.key() for t in cfg.tset}
+    return [[str(_typed(lambda p: p.key() in keys, cfg.tset, t, s))
+             for s in cfg.tset] for t in cfg.tset]
+
+
+@pytest.fixture(scope="module")
+def s4_config():
+    # S4 has no order-6 elements, so its order-3 pairs stay ambiguous
+    a, b, c = (Perm.parse(x, 4) for x in ("(1,2)", "(3,4)", "(2,3)"))
+    return t_closure(generate(4, [a, b, c]), a, b, c)
 
 
 @pytest.fixture(scope="module")
@@ -246,11 +297,18 @@ class TestPairTypeCounts:
     @pytest.mark.parametrize("name", ["s6_config", "deg9_config", "deg16_config"])
     def test_matches_pair_type_on_every_pair(self, request, name):
         cfg = request.getfixturevalue(name)
-        want = Counter(
-            str(pair_type(cfg, t, s))
-            for i, t in enumerate(cfg.tset) for s in cfg.tset[i + 1:]
-        )
+        ref = _reference_types(cfg)
+        want = Counter(ref[i][j] for i in range(len(ref))
+                       for j in range(i + 1, len(ref)))
         assert pair_type_counts(cfg) == dict(sorted(want.items()))
+
+    @pytest.mark.parametrize("name", [
+        "s6_config", "deg9_config", "deg16_config", "s4_config"])
+    def test_kernel_matches_reference_on_every_ordered_pair(self, request, name):
+        cfg = request.getfixturevalue(name)
+        assert cfg.pair_types.tolist() == _reference_types(cfg)
+        if name == "s4_config":
+            assert str(AMBIGUOUS_3) in cfg.pair_types
 
     def test_ambiguous_order_three(self):
         # S4 has no order-6 elements, so no order-3 pair is forced to 3A
@@ -305,6 +363,12 @@ class TestAxisSpanModel:
         assert model.pair_of(_t(1), _t(5)).forced == "4B"
         # every order-4 product in this group squares to t9, so 4B throughout
         assert model.pair_of(_t(1), _t(7)).forced == "4B"
+
+    def test_kernel_matches_reference_on_every_ordered_pair(self):
+        model = self._reference_model()
+        want = [[str(_typed(model.axes.__contains__, model.axes, t, s))
+                 for s in model.axes] for t in model.axes]
+        assert model.pair_types.tolist() == want
 
     def test_4a_when_square_not_designated(self):
         K = generate(6, [_t(2), _t(7)])
@@ -380,28 +444,6 @@ class TestAxisSpanModel:
         K = generate(3, [Perm.parse("(1,2)", 3), Perm.parse("(2,3)", 3)])
         with pytest.raises(ValueError):
             axis_span_model(K, [Perm.parse("(1,2,3)", 3)])
-
-
-class TestM1Audit:
-    def test_canonical_basis_recovers_reference_values(self, deg16_config):
-        cfg = deg16_config
-        for K in find_subgroups_iso(cfg.group, two_d8_reference()):
-            if sum(1 for t in K.involutions() if t in cfg) == 10:
-                witness = m1_audit(cfg, K)
-                assert witness is not None
-                assert witness.lhs == Fraction(-3, 256)
-                assert witness.rhs == Fraction(1, 256)
-                return
-        raise AssertionError("no 2xD8 with ten designated involutions")
-
-    def test_rejects_odd_order_subgroup(self, s6_config):
-        K = generate(6, [Perm.parse("(1,2)", 6), Perm.parse("(2,3)", 6)])
-        with pytest.raises(UnsupportedConfigurationError, match="orders"):
-            m1_audit(s6_config, K)
-
-    def test_klein_subgroup_audit_passes(self, s6_config):
-        K = generate(6, [Perm.parse("(1,2)", 6), Perm.parse("(3,4)", 6)])
-        assert m1_audit(s6_config, K) is None
 
 
 class TestKleinSearch:

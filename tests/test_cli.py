@@ -18,6 +18,7 @@ from tpg.axial import cert_to_dict, obstruct
 from tpg.classify import EXCLUDED_TYPE_NAMES
 from tpg.fpgrp import Word
 from tpg.permgrp import Perm, generate
+from tpg.qlin import rat_str
 
 
 def run_cli(capsys, *args):
@@ -315,7 +316,7 @@ class TestObstructAndVerify:
         assert "malformed certificate" in err
 
     def test_non_integer_degree_rejected(self, capsys, tmp_path):
-        payload = json.loads(_s6_payload())
+        payload = json.loads(_payload("S6"))
         path = tmp_path / "S6.cert.json"
         for degree in (float("inf"), 6.0, True):
             payload["certificate"]["degree"] = degree
@@ -349,6 +350,29 @@ class TestObstructAndVerify:
             code, out, _ = run_cli(capsys, "verify", str(path))
             assert code == 1
             assert "REJECTED" in out
+
+    @pytest.mark.parametrize("field", ["lhs", "rhs"])
+    @pytest.mark.parametrize("value", ["1/0", "1e999999999", "nan", "inf"])
+    def test_hostile_rational_rejected(self, capsys, tmp_path, field, value):
+        # Fraction("1/0") raises ZeroDivisionError; Fraction("1e999999999")
+        # builds 10**999999999
+        payload = json.loads(_payload("2^4:S5"))
+        payload["certificate"][field] = value
+        path = tmp_path / "2_4_S5.cert.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert "REJECTED" in out
+
+    @pytest.mark.parametrize("field", ["lhs", "rhs"])
+    def test_missing_rational_rejected(self, capsys, tmp_path, field):
+        payload = json.loads(_payload("2^4:S5"))
+        del payload["certificate"][field]
+        path = tmp_path / "2_4_S5.cert.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert "REJECTED" in out
 
 
 class TestOneProcess:
@@ -409,9 +433,9 @@ class TestOneProcess:
 
 
 @functools.cache
-def _s6_payload() -> str:
-    cert = obstruct(classify.target_config("S6"))
-    return json.dumps({"schema": cli.CERT_SCHEMA, "type": "S6",
+def _payload(name: str) -> str:
+    cert = obstruct(classify.target_config(name))
+    return json.dumps({"schema": cli.CERT_SCHEMA, "type": name,
                        "certificate": cert_to_dict(cert)})
 
 
@@ -436,11 +460,44 @@ _mutations = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_mutations, max_size=3), st.data())
 def test_fuzzed_certificate_ends_in_an_exit_code(mutations, data):
-    payload = json.loads(_s6_payload())
+    payload = json.loads(_payload("S6"))
     cert = payload["certificate"]
     if data.draw(st.booleans()):  # a reordered or partial set of real members
         cert["members"] = data.draw(st.lists(st.sampled_from(cert["members"]),
                                              max_size=8))
+    for field, value in mutations:
+        cert[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(payload))
+        assert cli.run(["verify", str(path)]) in (0, 1, 2)
+
+
+_m1_perm_texts = st.one_of(
+    st.permutations(range(16)).map(lambda img: str(Perm(img))),
+    st.text(alphabet="(),0123456789- ", max_size=16))
+_rat_texts = st.one_of(
+    st.fractions().map(rat_str),
+    st.sampled_from(["1/0", "1e999999999", "nan", "inf", "-0", " 1/256"]),
+    st.text(alphabet="0123456789/-+.eEnaif ", max_size=12))
+_m1_mutations = st.one_of(
+    st.tuples(st.just("basis"),
+              st.one_of(_json_scalars, st.lists(_m1_perm_texts, max_size=12))),
+    st.tuples(st.just("triple"),
+              st.one_of(_json_scalars, st.lists(_m1_perm_texts, max_size=4))),
+    st.tuples(st.sampled_from(["lhs", "rhs"]), st.one_of(_json_scalars, _rat_texts)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_m1_mutations, max_size=3), st.data())
+def test_fuzzed_m1_certificate_ends_in_an_exit_code(mutations, data):
+    payload = json.loads(_payload("2^4:S5"))
+    cert = payload["certificate"]
+    members = st.sampled_from(cert["basis"])
+    for field, size in (("basis", 12), ("triple", 4)):
+        if data.draw(st.booleans()):  # real members, reordered or repeated
+            cert[field] = data.draw(st.lists(members, max_size=size))
     for field, value in mutations:
         cert[field] = value
     with tempfile.TemporaryDirectory() as tmp:

@@ -160,11 +160,11 @@ def test_standard_constructions():
 def test_quaternion_and_dicyclic():
     Q8 = quaternion_group()
     assert Q8.order == 8
-    assert not Q8.is_abelian()
+    assert Q8.center().order < Q8.order  # not abelian
     assert dict(Q8.order_histogram())[2] == 1
     dic = dicyclic_group_12()
     assert dic.order == 12
-    assert not dic.is_abelian()
+    assert dic.center().order < dic.order  # not abelian
     assert dict(dic.order_histogram())[2] == 1
 
 

@@ -17,6 +17,14 @@ def test_rat_str_roundtrip():
     assert parse_rat("-5") == F(-5)
 
 
+@pytest.mark.parametrize("text", [
+    "1/0", "-3/0", "1e999999999", "1e5", "nan", "inf", "-inf", " 1", "1/-2",
+    "--1", "1.5", "", None])
+def test_parse_rat_accepts_only_integer_ratios(text):
+    with pytest.raises(ValueError):
+        parse_rat(text)
+
+
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
 )
