@@ -126,17 +126,19 @@ class Derivation:
 
 @dataclass(frozen=True, eq=False)
 class TConfig:
-    """A group with its seed involutions and the closed T-set."""
+    """A group with its seed involutions and the closed T-set, held as sorted
+    element indices of the group (T-set order); derivations align with it."""
 
     group: PermGroup
     seeds: tuple[Perm, Perm, Perm]
-    tset: tuple[Perm, ...]
+    members: np.ndarray
     derivations: tuple[Derivation, ...]
 
     @cached_property
-    def members(self) -> np.ndarray:
-        """Element indices in the group of the T-set, in T-set order."""
-        return self.group.indices_of(self.tset)
+    def tset(self) -> tuple[Perm, ...]:
+        """The T-set elements as Perms, in T-set order."""
+        return tuple(Perm(e, validate=False)
+                     for e in self.group.element_images[self.members])
 
     @cached_property
     def position(self) -> np.ndarray:
@@ -268,11 +270,10 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
             break
         conj_close(fresh)
     idx = sorted(derivations)  # element order is lexicographic image order
-    E = G.element_images
     return TConfig(
         group=G,
         seeds=(a, b, c),
-        tset=tuple(Perm(E[i], validate=False) for i in idx),
+        members=np.array(idx, dtype=np.intp),
         derivations=tuple(derivations[i] for i in idx),
     )
 
@@ -319,7 +320,7 @@ def pair_type(cfg: TConfig, t: Perm, s: Perm) -> PairType:
 def pair_type_counts(cfg: TConfig) -> dict[str, int]:
     """Number of unordered pairs of distinct T-elements of each pair type,
     read from the upper triangle of the configuration's pair-type table."""
-    upper = cfg.pair_types[np.triu_indices(len(cfg.tset), 1)]
+    upper = cfg.pair_types[np.triu_indices(len(cfg.members), 1)]
     kinds, counts = np.unique(upper, return_counts=True)
     return {str(k): int(c) for k, c in zip(kinds, counts)}
 
@@ -333,7 +334,7 @@ def t_equivalent(cfg: TConfig, other: TConfig) -> bool:
     sizes then make the image the whole T-set.  The search tries every such
     image tuple up to inner automorphisms, which preserve T-sets.
     """
-    if (len(cfg.tset) != len(other.tset)
+    if (len(cfg.members) != len(other.members)
             or cfg.group.fingerprint() != other.group.fingerprint()):
         return False
     if [p.key() for p in cfg.seeds] == [p.key() for p in other.seeds]:

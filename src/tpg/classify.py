@@ -147,6 +147,12 @@ def _coset_group(
     return G
 
 
+def _explicit(deg: int, sa: str, sb: str, sc: str, name: str) -> PermGroup:
+    a, b, c = (Perm.parse(s, deg) for s in (sa, sb, sc))
+    return PermGroup(deg, [a, b, c], name=name,
+                     tracked={"a": a, "b": b, "c": c})
+
+
 @cache
 def entry(name: str) -> CatalogEntry:
     """One of the eleven maximal groups, cross-validated when first built."""
@@ -157,10 +163,7 @@ def entry(name: str) -> CatalogEntry:
         raise KeyError(name) from None
     pres = tp_presentation(*mnp, r)
     if gens is not None:
-        deg, sa, sb, sc = gens
-        a, b, c = (Perm.parse(s, deg) for s in (sa, sb, sc))
-        G = PermGroup(deg, [a, b, c], name=name,
-                      tracked={"a": a, "b": b, "c": c})
+        G = _explicit(*gens, name)
         source = "table-generators"
     else:
         subgroup = ("a", "b", X3_WORD) if name == "G11" else ()
@@ -369,6 +372,7 @@ def _references(order: int) -> tuple[tuple[str, PermGroup], ...]:
 
     Builders come first in table order, then the catalog entries of that
     order under their claimed types; only the builders' groups are renamed.
+    No two may share a fingerprint: then distinct names are distinct types.
     """
     refs = []
     for name, want, build in _REFERENCE_BUILDERS:
@@ -379,12 +383,16 @@ def _references(order: int) -> tuple[tuple[str, PermGroup], ...]:
             raise ClassificationError(
                 f"reference {name}: order {R.order}, expected {order}")
         R.name = name
-        R.fingerprint()
         refs.append((name, R))
     for name, _, _, _, stated, _ in _CATALOG_DATA:
         if stated == order:
             e = entry(name)
             refs.append((e.claimed, e.group))
+    fps = [R.fingerprint() for _, R in refs]
+    clash = [name for (name, _), fp in zip(refs, fps) if fps.count(fp) > 1]
+    if clash:
+        raise ClassificationError(f"references {' and '.join(clash)} of order "
+                                  f"{order} share a fingerprint")
     return tuple(refs)
 
 
@@ -527,12 +535,6 @@ def quotient_records(
 # -- the ten excluded types -------------------------------------------------------
 
 
-def _explicit(deg: int, sa: str, sb: str, sc: str, name: str) -> PermGroup:
-    a, b, c = (Perm.parse(s, deg) for s in (sa, sb, sc))
-    return PermGroup(deg, [a, b, c], name=name,
-                     tracked={"a": a, "b": b, "c": c})
-
-
 # The tower types are quotients of the G11 presentation.
 _TOWER_BASE = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
 
@@ -626,7 +628,7 @@ class Configuration:
 
     @property
     def tset_size(self) -> int:
-        return len(self.tconfig.tset)
+        return len(self.tconfig.members)
 
     @cached_property
     def pair_types(self) -> dict[str, int]:
@@ -642,11 +644,13 @@ class Configuration:
         G, in_t = self.tconfig.group, self.tconfig.mask
         meets = (in_t[G.indices_of_base_images(H.element_images[:, G.base()])].sum()
                  for H in (G.derived_subgroup(), G.center()))
-        return (len(self.tconfig.tset), *(int(n) for n in meets))
+        return (len(self.tconfig.members), *(int(n) for n in meets))
 
 
 @dataclass
 class TypeEntry:
+    """An isomorphism type: the name identify certifies, with its sources."""
+
     name: str
     order: int
     sources: tuple[str, ...]
@@ -700,6 +704,8 @@ def _count_discrepancy(label: str, type_count: int, config_count: int,
 def classify_all() -> ClassificationReport:
     """Run the whole pipeline and reconcile the counts.
 
+    Each source (small group, catalog entry, quotient) is filed under the
+    name identify certifies for it; an excluded type, under its target's.
     Counts are reported twice: by isomorphism type, and by configuration
     (a type's group together with one closed T-set), which is what the
     stated totals count.
@@ -730,9 +736,9 @@ def classify_all() -> ClassificationReport:
                     f"identified as {rec.type_name}, table says {rec.claimed}")
         quotients.extend(recs)
 
-    # dedup by certified isomorphism, provenance preserved; within a type,
-    # sources are filed by configuration (the group with its closed T-set)
-    buckets: list[TypeEntry] = []
+    # sources are filed by certified name, provenance preserved; within a
+    # type, by configuration (the group with its closed T-set)
+    by_name: dict[str, TypeEntry] = {}
     # the seeds generate G, so they alone determine the configuration; the
     # excluded types start from the configurations obstruct and verify share
     closures: dict[tuple[bytes, ...], TConfig] = {
@@ -746,55 +752,51 @@ def classify_all() -> ClassificationReport:
             closures[key] = t_closure(G, *seeds)
         return closures[key]
 
-    def add(G: PermGroup, tp: bool, source: str, name: str | None = None):
-        fp = G.fingerprint()
-        for t in buckets:
-            if (t.order == G.order and t.group.fingerprint() == fp
-                    and isomorphic(t.group, G)):
-                t.sources = t.sources + (source,)
-                t.triangle_point = t.triangle_point or tp
-                break
-        else:
-            t = TypeEntry(
-                name=name if name is not None else identify(G),
-                order=G.order, sources=(source,), triangle_point=tp,
-                excluded=False, group=G)
-            buckets.append(t)
+    def add(G: PermGroup, tp: bool, source: str, name: str) -> None:
+        if name.startswith("?"):
+            raise ClassificationError(
+                f"{source}: no reference group matches ({name})")
+        t = by_name.setdefault(name, TypeEntry(name, G.order, (), tp, False, G))
+        if t.order != G.order:
+            raise ClassificationError(
+                f"{source}: type {name} named at orders {t.order} and {G.order}")
+        t.sources = t.sources + (source,)
+        t.triangle_point = t.triangle_point or tp
         if tp:  # the T-closure of a failing triple need not exist
             t.file_configuration(closure(G), source)
 
     for G in small:
-        add(G, True, f"small:{G.name}", name=G.name)
+        add(G, True, f"small:{G.name}", G.name)
     for entry in entries:
         tp = is_triangle_point(entry.group, *(entry.images()[k] for k in "abc"))
-        add(entry.group, tp, f"catalog:{entry.name}", name=entry.claimed)
+        add(entry.group, tp, f"catalog:{entry.name}", identify(entry.group))
     for rec in quotients:
         add(rec.group, rec.triangle_point,
             f"{rec.parent}/N{rec.subgroup_order}:{rec.claimed}"
             f"[{', '.join(rec.words)}]",
-            name=rec.type_name)
+            rec.type_name)
 
     certificates: dict[str, ObstructionCertificate] = {}
     for name in EXCLUDED_TYPE_NAMES:
         cfg = target_config(name)
-        matches = [t for t in buckets
-                   if t.order == cfg.group.order and isomorphic(t.group, cfg.group)]
-        if len(matches) != 1:
+        t = by_name.get(name)
+        if identify(cfg.group) != name or t is None:
             raise ClassificationError(
-                f"excluded type {name} matches {len(matches)} computed types")
-        found = matches[0].configurations
-        if len(found) != 1 or not t_equivalent(cfg, found[0].tconfig):
+                f"excluded type {name}: its target does not identify as a "
+                f"computed type of that name")
+        if (len(t.configurations) != 1
+                or not t_equivalent(cfg, t.configurations[0].tconfig)):
             raise ClassificationError(
                 f"excluded type {name}: the obstructed configuration is not "
-                f"the type's only configuration ({len(found)} found)")
+                f"the type's only configuration ({len(t.configurations)} found)")
         cert = obstruct(cfg)
         if cert is None:
             raise ClassificationError(
                 f"no obstruction found for {name}: the exclusion is unverified")
         certificates[name] = cert
-        matches[0].excluded = True
+        t.excluded = True
 
-    types = sorted(buckets, key=lambda t: (t.order, t.name))
+    types = sorted(by_name.values(), key=lambda t: (t.order, t.name))
     tp_types = [t for t in types if t.triangle_point]
     admissible_types = [t for t in tp_types if not t.excluded]
     admissible = [c for t in admissible_types for c in t.configurations]

@@ -262,7 +262,6 @@ class PermGroup:
         self._base_keys: Optional[np.ndarray] = None
         self._base_elements: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
-        self._center = None
         self._derived = None
         self._derived_mask: Optional[np.ndarray] = None
         self._fingerprint = None
@@ -578,11 +577,9 @@ class PermGroup:
 
     def center(self) -> "PermGroup":
         """The union of the conjugacy classes of size 1."""
-        if self._center is None:
-            labels = self.class_labels()
-            self._center = self.subgroup_from_indices(
-                np.flatnonzero(np.bincount(labels)[labels] == 1))
-        return self._center
+        labels = self.class_labels()
+        return self.subgroup_from_indices(
+            np.flatnonzero(np.bincount(labels)[labels] == 1))
 
     def _right_map(self, i: int) -> np.ndarray:
         """Index of x * g for every element x, where g is element i; cached."""
@@ -685,7 +682,7 @@ class PermGroup:
                 order=self.order,
                 order_histogram=self.order_histogram(),
                 abelian_invariants=self.abelian_invariants(),
-                center_order=self.center().order,
+                center_order=int((np.bincount(self.class_labels()) == 1).sum()),
                 derived_order=self.derived_subgroup().order,
                 class_count=len(self.class_representatives()),
             )

@@ -321,9 +321,11 @@ class TestPairTypeCounts:
         a = Perm.parse("(1,2)", 7)
         b = Perm.parse("(3,4)", 7)
         c = Perm.parse("(2,3)(4,5)(6,7)", 7)
-        tset = tuple(sorted((a, b, c, a * b), key=Perm.sort_key))
-        cfg = TConfig(group=generate(7, [a, b, c]), seeds=(a, b, c),
-                      tset=tset, derivations=())
+        G = generate(7, [a, b, c])
+        cfg = TConfig(group=G, seeds=(a, b, c),
+                      members=G.indices_of(
+                          sorted((a, b, c, a * b), key=Perm.sort_key)),
+                      derivations=())
         with pytest.raises(NotTrianglePointError, match=re.escape(
                 "product of T-set elements (2,3)(4,5)(6,7) and (1,2)(3,4) "
                 "has order > 6")):

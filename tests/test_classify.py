@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from tpg import classify
 from tpg.classify import (
     _REFERENCE_BUILDERS,
     _references,
@@ -240,6 +241,15 @@ class TestIdentify:
         with pytest.raises(ValueError):
             identify(symmetric_group(8))
 
+    def test_same_order_references_must_differ_in_fingerprint(self, monkeypatch):
+        # two copies of S3 at order 6, an order no reference uses
+        monkeypatch.setattr(classify, "_REFERENCE_BUILDERS", _REFERENCE_BUILDERS + (
+            ("S3", 6, lambda: symmetric_group(3)),
+            ("D6", 6, lambda: dihedral_group(6))))
+        _references.cache_clear()
+        with pytest.raises(ClassificationError, match="S3 and D6 of order 6"):
+            identify(symmetric_group(3))
+
 
 class TestTrianglePointVerdict:
     def test_elementary_abelian(self):
@@ -371,6 +381,10 @@ class TestObstructions:
         with pytest.raises(KeyError):
             obstruction_target("S4")
 
+    def test_targets_identify_as_their_names(self):
+        for name in EXCLUDED_TYPE_NAMES:
+            assert identify(obstruction_target(name)) == name, name
+
     def test_target_orders(self):
         orders = [
             obstruction_target(name).order for name in EXCLUDED_TYPE_NAMES
@@ -399,6 +413,17 @@ class TestReport:
         for t in classification_report.types:
             assert t.sources
             assert not t.name.startswith("?")
+
+    def test_placeholder_source_stops_the_run(self, monkeypatch):
+        # a pipeline of one small group that no reference matches
+        G = cyclic_group(3)
+        G.name = identify(G)
+        monkeypatch.setattr(classify, "catalog", lambda: [])
+        monkeypatch.setattr(classify, "small_tp_groups", lambda: [G])
+        monkeypatch.setattr(classify, "EXCLUDED_TYPE_NAMES", ())
+        with pytest.raises(ClassificationError,
+                           match=r"small:\?order3/.*no reference group matches"):
+            classify.classify_all()
 
     def test_source_count(self, classification_report):
         total = sum(len(t.sources) for t in classification_report.types)
