@@ -20,6 +20,7 @@ from .axial import (
     t_equivalent,
 )
 from .fpgrp import (
+    DEFAULT_CAPACITY,
     Presentation,
     coset_action,
     evaluate_word,
@@ -138,10 +139,12 @@ def _coset_group(
     extra: Iterable[str] = (),
     subgroup: Iterable[str] = (),
     name: str = "",
+    capacity: int = DEFAULT_CAPACITY,
 ) -> PermGroup:
     for w in extra:
         pres = pres.with_relator(parse_word(w), 1)
-    table = todd_coxeter(pres, subgroup=tuple(parse_word(w) for w in subgroup))
+    table = todd_coxeter(pres, subgroup=tuple(parse_word(w) for w in subgroup),
+                         capacity=capacity)
     G = coset_action(table)
     G.name = name
     return G
@@ -153,9 +156,18 @@ def _explicit(deg: int, sa: str, sb: str, sc: str, name: str) -> PermGroup:
                      tracked={"a": a, "b": b, "c": c})
 
 
+def entry(name: str, capacity: int = DEFAULT_CAPACITY) -> CatalogEntry:
+    """One of the eleven maximal groups, cross-validated when first built.
+
+    Each of its enumerations may define at most ``capacity`` cosets, or it
+    raises CapacityError.  Built once per (name, capacity), however the call
+    spells its arguments.
+    """
+    return _entry(name, capacity)
+
+
 @cache
-def entry(name: str) -> CatalogEntry:
-    """One of the eleven maximal groups, cross-validated when first built."""
+def _entry(name: str, capacity: int) -> CatalogEntry:
     try:
         _, claimed, mnp, r, order, gens = next(
             row for row in _CATALOG_DATA if row[0] == name)
@@ -167,7 +179,8 @@ def entry(name: str) -> CatalogEntry:
         source = "table-generators"
     else:
         subgroup = ("a", "b", X3_WORD) if name == "G11" else ()
-        G = _coset_group(pres, subgroup=subgroup, name=name)
+        G = _coset_group(pres, subgroup=subgroup, name=name,
+                         capacity=capacity)
         source = "coset-action"
     if G.order != order:
         raise ClassificationError(
@@ -180,16 +193,19 @@ def entry(name: str) -> CatalogEntry:
     # tracked triple in both construction routes
     if [p.key() for p in G.generators] != [images[k].key() for k in "abc"]:
         raise ClassificationError(f"{name}: generators drifted from a,b,c")
-    count = todd_coxeter(pres).coset_count
+    count = todd_coxeter(pres, capacity=capacity).coset_count
     if count != order:
         raise ClassificationError(
             f"{name}: enumeration gives {count} cosets, expected {order}")
     return CatalogEntry(name, claimed, mnp, tuple(r), order, source, G)
 
 
-def catalog() -> list[CatalogEntry]:
+entry.cache_info = _entry.cache_info
+
+
+def catalog(capacity: int = DEFAULT_CAPACITY) -> list[CatalogEntry]:
     """The eleven maximal groups, each one cross-validated before return."""
-    return [entry(name) for name in GROUP_NAMES]
+    return [entry(name, capacity) for name in GROUP_NAMES]
 
 
 # -- normal subgroup lattice ----------------------------------------------------
@@ -701,16 +717,17 @@ def _count_discrepancy(label: str, type_count: int, config_count: int,
     return f"{line}, because {cause}" if cause else line
 
 
-def classify_all() -> ClassificationReport:
+def classify_all(capacity: int = DEFAULT_CAPACITY) -> ClassificationReport:
     """Run the whole pipeline and reconcile the counts.
 
     Each source (small group, catalog entry, quotient) is filed under the
     name identify certifies for it; an excluded type, under its target's.
     Counts are reported twice: by isomorphism type, and by configuration
     (a type's group together with one closed T-set), which is what the
-    stated totals count.
+    stated totals count.  ``capacity`` bounds the catalog entries'
+    enumerations (see entry).
     """
-    entries = catalog()
+    entries = catalog(capacity)
     small = small_tp_groups()
     discrepancies: list[str] = []
     repairs: list[str] = []

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import classify
 from .axial import cert_from_dict, cert_to_dict, obstruct, verify_certificate
 from .dihedral import DIHEDRAL_TYPES, axis_checks, build, check_inclusion, check_m1
-from .fpgrp import parse_presentation, todd_coxeter
+from .fpgrp import DEFAULT_CAPACITY, parse_presentation, todd_coxeter
 from .permgrp import CapacityError
 
 __all__ = ["RunConfig", "main", "run"]
@@ -44,11 +44,13 @@ def _parser() -> argparse.ArgumentParser:
                    help="directory for emitted artifacts (default: out)")
     p.add_argument("--format", choices=("json", "markdown"),
                    default="markdown", help="stdout rendering")
-    p.add_argument("--coset-capacity", type=int, default=10 ** 6, metavar="N",
-                   dest="capacity",
-                   help="most cosets 'enumerate' may define, live plus "
-                        "collapsed, not the size of the final table (G9 "
-                        "defines 14,735 to reach 1,152; default 1000000)")
+    p.add_argument("--coset-capacity", type=int, default=DEFAULT_CAPACITY,
+                   metavar="N", dest="capacity",
+                   help="most cosets one coset enumeration may define, live "
+                        "plus collapsed, not the size of the final table "
+                        "(G9 defines 14,735 to reach 1,152); bounds "
+                        "'enumerate' and the catalog entries that 'catalog', "
+                        "'normals' and 'classify' build (default 1000000)")
     p.add_argument("--verify", action="store_true",
                    help="'catalog' only: re-check each entry's quotient rows "
                         "against its normal-subgroup lattice (obstruct "
@@ -111,7 +113,8 @@ def _cmd_catalog(cfg: RunConfig) -> int:
     if only is not None and only not in classify.GROUP_NAMES:
         return _usage_error(f"unknown group {only!r}; "
                             f"expected one of {', '.join(classify.GROUP_NAMES)}")
-    entries = classify.catalog() if only is None else [classify.entry(only)]
+    entries = (classify.catalog(cfg.capacity) if only is None
+               else [classify.entry(only, cfg.capacity)])
     if cfg.verify:
         for e in entries:
             lattice = classify.normal_subgroups_index_gt(e.group, 12)
@@ -139,7 +142,7 @@ def _cmd_normals(cfg: RunConfig) -> int:
     if name not in classify.GROUP_NAMES:
         return _usage_error(f"unknown group {name!r}; "
                             f"expected one of {', '.join(classify.GROUP_NAMES)}")
-    recs = classify.quotient_records(classify.entry(name))
+    recs = classify.quotient_records(classify.entry(name, cfg.capacity))
     if cfg.format == "json":
         print(json.dumps([
             {"subgroup_order": r.subgroup_order, "words": list(r.words),
@@ -189,11 +192,7 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
         pres, subgroup = parse_presentation(path.read_text())
     except ValueError as exc:
         return _usage_error(f"{path}: {exc}")
-    try:
-        table = todd_coxeter(pres, subgroup=subgroup, capacity=cfg.capacity)
-    except CapacityError as exc:
-        print(f"tpg: enumeration aborted: {exc}", file=sys.stderr)
-        return 1
+    table = todd_coxeter(pres, subgroup=subgroup, capacity=cfg.capacity)
     if cfg.format == "json":
         print(json.dumps({"cosets": table.coset_count}))
     else:
@@ -268,7 +267,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
-    report = classify.classify_all()
+    report = classify.classify_all(cfg.capacity)
     paths = classify.write_outputs(report, cfg.out)
     rec = report.reconciliation
     if cfg.format == "json":
@@ -316,6 +315,9 @@ def run(argv: list[str] | None = None) -> int:
         return handler(cfg)
     except classify.ClassificationError as exc:
         print(f"tpg: verified discrepancy: {exc}", file=sys.stderr)
+        return 1
+    except CapacityError as exc:
+        print(f"tpg: enumeration aborted: {exc}", file=sys.stderr)
         return 1
 
 

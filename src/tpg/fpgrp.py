@@ -14,10 +14,14 @@ scans read each relator as a tuple of those column arrays.  A scan closes
 the relator's cycle through its coset, and it marks the cosets of that
 cycle from which the relator reads the same cycle, so the sweep skips
 every scan it can prove is a no-op; the definitions, coincidences and
-defined-coset count are those of the plain HLT sweep.  After each sweep
-the live rows are compacted into a numpy table, and one vectorised check
-(columns are involutions of range(n), every relator fixes every coset,
-every subgroup word fixes coset 0) decides whether the table is closed.  The
+defined-coset count are those of the plain HLT sweep.  The live rows are
+compacted into a numpy table, and one vectorised check (columns are
+involutions of range(n), every relator fixes every coset, every subgroup
+word fixes coset 0) decides whether the table is closed.  The check runs
+after each sweep, and once within it: the sweep tracks the first live
+coset with an undefined entry, and once no live row has one, it checks
+the table.  A table that passes is complete and closed, which is where HLT
+ends, so every scan left would be a no-op and the sweep stops there.  The
 closed table is renumbered breadth-first from the subgroup coset (a
 canonical standardization) and checked again, so a returned table is always
 complete, closed and deterministic.
@@ -26,7 +30,6 @@ complete, closed and deterministic.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -364,9 +367,11 @@ class _Enumerator:
     r at a live coset of that cycle is a no-op wherever r read from there
     traces the same cycle (``_closing_positions``).  A scan sets bit k of
     the marks of the cosets its forward reading reaches at those positions,
-    for the k-th relator, and the sweep skips every marked scan.  The HLT
-    definitions, coincidences and defined count are exactly those of the
-    sweep that scans every relator at every live coset.
+    for the k-th relator, and the sweep skips every marked scan.  A sweep
+    also ends early, returning the live table, once every live row is full
+    and the table passes the check (``_sweep``).  The HLT definitions,
+    coincidences and defined count are exactly those of the sweep that
+    scans every relator at every live coset to the end.
     """
 
     def __init__(self, relators, subgroup_rows, capacity):
@@ -427,40 +432,70 @@ class _Enumerator:
         return m
 
     def _coincidence(self, k: int, l: int):
+        # Merge k and l, then every pair their rows force, the larger coset
+        # into the smaller.  Union-find lookups halve their paths inline; the
+        # queue of merged cosets is a list walked while it grows (FIFO).
         parent = self.parent
-        rep = self._rep
-        queue: deque[int] = deque()
-
-        def merge(u: int, v: int):
-            u, v = rep(u), rep(v)
-            if u == v:
-                return
-            if u > v:
-                u, v = v, u
-            parent[v] = u
-            self.mutations += 1
-            queue.append(v)
-
-        merge(k, l)
-        while queue:
-            g = queue.popleft()
-            for col in self.cols:
+        cols = self.cols
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        while parent[l] != l:
+            parent[l] = parent[parent[l]]
+            l = parent[l]
+        if k == l:
+            return
+        if k > l:
+            k, l = l, k
+        parent[l] = k
+        mutations = self.mutations + 1
+        queue = [l]
+        for g in queue:
+            for col in cols:
                 d = col[g]
                 if d == -1:
                     continue
                 if col[d] == g:
                     col[d] = -1
-                u, v = rep(g), rep(d)
+                u = g
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                v = d
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
                 eu, ev = col[u], col[v]
                 if eu == -1 and ev == -1:
                     col[u] = v
                     col[v] = u
-                    self.mutations += 1
-                else:
-                    if eu != -1:
-                        merge(v, eu)
-                    if ev != -1:
-                        merge(u, ev)
+                    mutations += 1
+                    continue
+                if eu != -1:  # merge v (a root) with eu
+                    while parent[eu] != eu:
+                        parent[eu] = parent[parent[eu]]
+                        eu = parent[eu]
+                    if v != eu:
+                        if v > eu:
+                            v, eu = eu, v
+                        parent[eu] = v
+                        mutations += 1
+                        queue.append(eu)
+                if ev != -1:  # merge u with ev; the merge above may have
+                    # moved u's root
+                    while parent[u] != u:
+                        parent[u] = parent[parent[u]]
+                        u = parent[u]
+                    while parent[ev] != ev:
+                        parent[ev] = parent[parent[ev]]
+                        ev = parent[ev]
+                    if u != ev:
+                        if u > ev:
+                            u, ev = ev, u
+                        parent[ev] = u
+                        mutations += 1
+                        queue.append(ev)
+        self.mutations = mutations
 
     def _scan_and_fill(self, start: int, cword: tuple[array, ...], bit: int,
                        closing: tuple[bool, ...]):
@@ -503,14 +538,39 @@ class _Enumerator:
                 return
             self._define(f, cword[i])
 
-    def _sweep(self):
+    def _sweep(self) -> Optional[np.ndarray]:
+        """One HLT pass over the live cosets.
+
+        Returns the live table as soon as it is complete and closed, or None
+        if the pass ends without finding it so.  ``full`` is the first live
+        coset, at or after ``alpha``, with an undefined entry; it only moves
+        forward.  When it reaches ``defined``, every live row may be full,
+        and the vectorised check runs, once per pass.  If it passes, every
+        scan left would read a full cycle back to its start: no definition,
+        coincidence or mutation, so the pass may stop there.
+        """
         parent = self.parent
         marks = self.marks
+        c0, c1, c2 = self.cols
         scan = self._scan_and_fill
         for cword, bit, closing in self.sub_scans:
             scan(0, cword, bit, closing)
-        alpha = 0
+        alpha = full = 0
+        checked = False
         while alpha < self.defined:
+            if not checked:
+                if full < alpha:
+                    full = alpha
+                while full < self.defined and (
+                        parent[full] != full or (c0[full] != -1 and
+                                                 c1[full] != -1 and
+                                                 c2[full] != -1)):
+                    full += 1
+                if full == self.defined:
+                    checked = True
+                    mat = self._closed_table()
+                    if mat is not None:
+                        return mat
             if parent[alpha] == alpha:
                 # marks are only ever set, and only by scans of the marked
                 # relator, so alpha's marks read once hold for the relators
@@ -527,6 +587,7 @@ class _Enumerator:
                         if col[alpha] == -1:
                             self._define(alpha, col)
             alpha += 1
+        return None
 
     def _live_table(self) -> Optional[np.ndarray]:
         """Rep-normalized live rows (3 x live, int32), or None if any entry
@@ -547,13 +608,21 @@ class _Enumerator:
             mat[x] = np.searchsorted(live, par[col])
         return mat
 
+    def _closed_table(self) -> Optional[np.ndarray]:
+        """The live table if it is complete and closed, else None."""
+        mat = self._live_table()
+        if mat is None or _table_fault(
+                mat, self.relators, self.subgroup_rows) is not None:
+            return None
+        return mat
+
     def run(self) -> np.ndarray:
         while True:
             before = self.mutations
-            self._sweep()
-            mat = self._live_table()
-            if mat is not None and _table_fault(
-                    mat, self.relators, self.subgroup_rows) is None:
+            mat = self._sweep()
+            if mat is None:
+                mat = self._closed_table()
+            if mat is not None:
                 return mat
             if self.mutations == before:
                 raise RuntimeError("coset enumeration stalled without closing")

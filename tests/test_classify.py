@@ -418,7 +418,7 @@ class TestReport:
         # a pipeline of one small group that no reference matches
         G = cyclic_group(3)
         G.name = identify(G)
-        monkeypatch.setattr(classify, "catalog", lambda: [])
+        monkeypatch.setattr(classify, "catalog", lambda capacity: [])
         monkeypatch.setattr(classify, "small_tp_groups", lambda: [G])
         monkeypatch.setattr(classify, "EXCLUDED_TYPE_NAMES", ())
         with pytest.raises(ClassificationError,

@@ -220,6 +220,46 @@ class TestEnumerate:
         assert code == 2
         assert f"exponent {exponent} exceeds" in err
 
+    def test_python_m_tpg(self, tmp_path):
+        # the package runs as a module, like the tpg script
+        src = tmp_path / "G1.txt"
+        src.write_text("mnp: 4 4 4\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpg", "--format", "json", "enumerate",
+             str(src)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"cosets": 64}
+
+
+class TestCapacity:
+    """--coset-capacity bounds the catalog entries' enumerations too: G1's
+    cross-check enumeration defines 81 cosets."""
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--only", "G1"], ["normals", "G1"], ["classify"]])
+    def test_too_small_aborts(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, "--out", str(tmp_path),
+                                 "--coset-capacity", "80", *argv)
+        assert code == 1
+        assert err == ("tpg: enumeration aborted: coset table capacity 80 "
+                       "exhausted; the presented group may be infinite or "
+                       "the bound too small\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--only", "G1"], ["normals", "G1"]])
+    def test_boundary_passes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--coset-capacity", "81", *argv)
+        assert code == 0
+        assert out == run_cli(capsys, *argv)[1]
+
+    def test_entry_cache_key_is_normalised(self):
+        # one build per (name, capacity), however the call is spelled
+        e = classify.entry("G1", 81)
+        assert classify.entry("G1", capacity=81) is e
+        assert classify.entry(name="G1", capacity=81) is e
+        assert classify.entry("G1") is classify.entry("G1", 10**6)
+
 
 class TestObstructAndVerify:
     def test_s6_round_trip_in_fresh_processes(self, tmp_path):

@@ -1,6 +1,7 @@
 """Words, presentations and coset enumeration."""
 
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -387,7 +388,9 @@ class TestDefinitionOrder:
         (G11.with_relator(parse_word("c^(acbcacb) * c^(bcacbca)")), (),
          22192, 5832),
         (tp_presentation(6, 6, 6, (6, 6, 6, 4, None)), (), 26502, 216),
-    ], ids=["G10", "G11-over-2^3", "quotient5832", "R4_4"])
+        (G11, (), 65159, 17496),
+        (tp_presentation(6, 6, 6, (6, 6, 6, 5, None)), (), 100563, 12),
+    ], ids=["G10", "G11-over-2^3", "quotient5832", "R4_4", "G11", "R4_5"])
     def test_capacity_boundary(self, pres, subgroup, defined, count):
         # the HLT run defines exactly `defined` cosets, live plus collapsed
         words = [parse_word(w) for w in subgroup]
@@ -397,8 +400,46 @@ class TestDefinitionOrder:
 
 
 class ReferenceEnumerator(_Enumerator):
-    """The sweep without skips: every relator, in sort order, is scanned at
-    every live coset, and no scan sets a mark."""
+    """The plain HLT sweep: every relator, in sort order, is scanned at every
+    live coset to the end of the sweep, and no scan sets a mark.  Its
+    coincidence pass is the plain one too: a merge function, representative
+    lookups through _rep, and a FIFO deque of merged cosets."""
+
+    def _coincidence(self, k, l):
+        parent = self.parent
+        rep = self._rep
+        queue = deque()
+
+        def merge(u, v):
+            u, v = rep(u), rep(v)
+            if u == v:
+                return
+            if u > v:
+                u, v = v, u
+            parent[v] = u
+            self.mutations += 1
+            queue.append(v)
+
+        merge(k, l)
+        while queue:
+            g = queue.popleft()
+            for col in self.cols:
+                d = col[g]
+                if d == -1:
+                    continue
+                if col[d] == g:
+                    col[d] = -1
+                u, v = rep(g), rep(d)
+                eu, ev = col[u], col[v]
+                if eu == -1 and ev == -1:
+                    col[u] = v
+                    col[v] = u
+                    self.mutations += 1
+                else:
+                    if eu != -1:
+                        merge(v, eu)
+                    if ev != -1:
+                        merge(u, ev)
 
     def _sweep(self):
         parent = self.parent
@@ -447,6 +488,9 @@ MANY_RELATORS = "".join(f"relator: (ab)^{2 * k}\n" for k in range(1, 70))
 @settings(max_examples=80, deadline=None)
 @example((1, 6, 6), None, [Word("aab")], [], False)
 @example((1, 5, 6), None, [], [Word("c")], True)
+# complete at 20 live of 22 defined cosets, fails the relator check there,
+# and collapses to 1 later in the same sweep
+@example((3, 3, 3), None, [], [], False)
 @given(MEMBERS,
        st.none() | st.tuples(*[st.none() | st.integers(1, 6)] * 5),
        st.lists(WORDS, max_size=2),
@@ -467,6 +511,24 @@ def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
     got = enumeration_trace(_Enumerator, pres, words, 2000)
     assert got == enumeration_trace(ReferenceEnumerator, pres, words, 2000)
 
+
+@pytest.mark.parametrize("pres,closed", [
+    (tp_presentation(6, 6, 6, (5, 5, 5, 4, None)), True),
+    (tp_presentation(3, 3, 3), False),
+], ids=["G10", "3-3-3"])
+def test_sweep_returns_only_a_closed_table(pres, closed):
+    # G10's first sweep finds its table complete and closed and returns it;
+    # (3, 3, 3)'s is complete only at a point where a relator fails, so the
+    # sweep runs to its end, and the check after it finds the collapse
+    enum = _Enumerator(*_letter_rows(pres, ()), 10**6)
+    mat = enum._sweep()
+    if closed:
+        assert mat is not None and mat.shape == (3, 3840)
+        _verify(mat, enum.relators, enum.subgroup_rows)
+        assert enum.defined == 10289
+    else:
+        assert mat is None
+        assert enum._closed_table().shape == (3, 1)
 
 
 def test_mark_bits_fit_their_array():
