@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .permgrp import (
     isomorphic,
     quaternion_group,
     symmetric_group,
-    trivial_group,
 )
 
 __all__ = [
@@ -52,6 +52,8 @@ __all__ = [
     "TypeEntry",
     "EXCLUDED_TYPE_NAMES",
     "GROUP_NAMES",
+    "GroupSpec",
+    "build",
     "catalog",
     "classify_all",
     "entry",
@@ -78,42 +80,198 @@ class ClassificationError(RuntimeError):
 # b, the 2^3 used as the enumeration subgroup (index 2187).
 X3_WORD = "bacacacbacacacbacacac"
 
-# name -> (claimed type, (m, n, p), (r1..r5), order, generators)
-# G3, G5 and G7 carry no usable generator triple and are built from their
-# presentations instead (generators = None).
-_CATALOG_DATA: tuple[
-    tuple[str, str, tuple[int, int, int], tuple[Optional[int], ...], int,
-          Optional[tuple[int, str, str, str]]], ...
-] = (
-    ("G1", "2wr2^2", (4, 4, 4), (None, None, None, None, None), 64,
-     (8, "(1,2)(3,4)", "(1,3)(2,4)(5,6)(7,8)", "(1,5)(2,7)")),
-    ("G2", "(S3xS3):2^2", (4, 4, 6), (None, None, None, None, None), 144,
-     (10, "(1,2)(3,4)", "(5,6)(7,8)", "(1,2)(3,9)(4,5)(6,10)")),
-    ("G3", "2^4:D10", (4, 5, 5), (None, None, None, None, None), 160, None),
-    ("G4", "2xS5", (4, 5, 6), (None, None, None, None, None), 240,
-     (9, "(1,2)(3,4)", "(1,2)(3,4)(5,6)(7,8)", "(1,9)(2,5)(3,4)(7,8)")),
-    ("G5", "L2(11)", (5, 5, 5), (None, None, None, None, None), 660, None),
-    ("G6", "(2^4:D12)x2", (4, 6, 6), (4, None, None, None, None), 384,
-     (12, "(1,2)(3,4)", "(1,3)(2,4)(5,6)(7,8)(9,10)(11,12)",
-      "(1,2)(3,5)(4,7)(6,9)(8,11)(10,12)")),
-    ("G7", "2^4:A5", (5, 5, 6), (None, 5, None, None, None), 960, None),
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """A named group as data: its role, name and stated order, and how
+    ``build`` makes it, by the first field set: the group of the row of
+    role ``shares`` with this row's name (for a catalog row, as its claimed
+    type); the closure of explicit ``generators`` a, b, c (degree first);
+    the direct product of the ``factors``; or the coset action of the
+    presentation (m, n, p, the R1..R5 exponents r, and the ``extra``
+    relator words) on the subgroup the ``action`` words span.
+    """
+
+    role: str  # catalog, reference, target, or the lemma a row illustrates
+    name: str
+    order: int
+    mnp: tuple[int, ...] = ()
+    r: tuple[Optional[int], ...] = ()  # trailing None exponents may be left out
+    extra: tuple[str, ...] = ()
+    action: tuple[str, ...] = ()
+    generators: tuple = ()
+    factors: tuple[tuple[str, int], ...] = ()
+    claimed: str = ""  # a catalog row's stated type
+    shares: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", self.r + (None,) * (5 - len(self.r)))
+
+    @property
+    def presentation(self) -> Presentation:
+        pres = tp_presentation(*self.mnp, self.r)
+        for w in self.extra:
+            pres = pres.with_relator(parse_word(w), 1)
+        return pres
+
+
+# the standard groups a row names as factors ("C", n), ("D", n), ("S", n), ("A", n), ("2^", k)
+_FACTORS = {"C": cyclic_group, "D": dihedral_group, "S": symmetric_group,
+            "A": alternating_group, "2^": elementary_abelian_2}
+
+_SPECS: tuple[GroupSpec, ...] = (
+    # the eleven maximal groups; G3, G5 and G7 carry no usable generator
+    # triple and act on the cosets of the trivial subgroup instead
+    GroupSpec("catalog", "G1", 64, (4, 4, 4), claimed="2wr2^2", generators=(
+        8, "(1,2)(3,4)", "(1,3)(2,4)(5,6)(7,8)", "(1,5)(2,7)")),
+    GroupSpec("catalog", "G2", 144, (4, 4, 6), claimed="(S3xS3):2^2", generators=(
+        10, "(1,2)(3,4)", "(5,6)(7,8)", "(1,2)(3,9)(4,5)(6,10)")),
+    GroupSpec("catalog", "G3", 160, (4, 5, 5), claimed="2^4:D10"),
+    GroupSpec("catalog", "G4", 240, (4, 5, 6), claimed="2xS5", generators=(
+        9, "(1,2)(3,4)", "(1,2)(3,4)(5,6)(7,8)", "(1,9)(2,5)(3,4)(7,8)")),
+    GroupSpec("catalog", "G5", 660, (5, 5, 5), claimed="L2(11)"),
+    GroupSpec("catalog", "G6", 384, (4, 6, 6), (4,), claimed="(2^4:D12)x2", generators=(
+        12, "(1,2)(3,4)", "(1,3)(2,4)(5,6)(7,8)(9,10)(11,12)", "(1,2)(3,5)(4,7)(6,9)(8,11)(10,12)")),
+    GroupSpec("catalog", "G7", 960, (5, 5, 6), (None, 5), claimed="2^4:A5"),
     # the G8 triple as printed realizes orders (6, 6, 5); swapping a for ab
     # (which permutes m, n, p) realizes (5, 6, 6) and satisfies R2^4
-    ("G8", "2xS6", (5, 6, 6), (None, 4, None, None, None), 1440,
-     (10, "(3,4)(5,6)(7,8)(9,10)", "(1,2)(3,4)(5,6)(9,10)",
-      "(1,3)(4,5)(7,8)(9,10)")),
-    ("G9", "(2^4:(S3xS3))x2", (6, 6, 6), (4, 6, 6, None, None), 1152,
-     (12, "(1,2)(3,4)(5,6)(7,8)", "(1,8)(2,7)(3,4)(5,6)",
-      "(2,5)(3,6)(9,10)(11,12)")),
-    ("G10", "2^5:S5", (6, 6, 6), (5, 5, 5, 4, None), 3840,
-     (12, "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)",
-      "(1,3)(2,4)(5,8)(6,7)(9,12)(10,11)",
-      "(1,7)(2,6)(3,9)(4,11)(5,10)(8,12)")),
-    ("G11", "(3^4:2):(3^{1+2}:2^2)", (6, 6, 6), (6, 6, 6, None, 3), 17496,
-     None),
+    GroupSpec("catalog", "G8", 1440, (5, 6, 6), (None, 4), claimed="2xS6", generators=(
+        10, "(3,4)(5,6)(7,8)(9,10)", "(1,2)(3,4)(5,6)(9,10)", "(1,3)(4,5)(7,8)(9,10)")),
+    GroupSpec("catalog", "G9", 1152, (6, 6, 6), (4, 6, 6), claimed="(2^4:(S3xS3))x2", generators=(
+        12, "(1,2)(3,4)(5,6)(7,8)", "(1,8)(2,7)(3,4)(5,6)", "(2,5)(3,6)(9,10)(11,12)")),
+    GroupSpec("catalog", "G10", 3840, (6, 6, 6), (5, 5, 5, 4), claimed="2^5:S5", generators=(
+        12, "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)", "(1,3)(2,4)(5,8)(6,7)(9,12)(10,11)",
+        "(1,7)(2,6)(3,9)(4,11)(5,10)(8,12)")),
+    GroupSpec("catalog", "G11", 17496, (6, 6, 6), (6, 6, 6, None, 3),
+              claimed="(3^4:2):(3^{1+2}:2^2)", action=("a", "b", X3_WORD)),
+    # identify's references, in match order within each order
+    GroupSpec("reference", "1", 1, factors=(("C", 1),)),
+    GroupSpec("reference", "2", 2, factors=(("C", 2),)),
+    GroupSpec("reference", "2^2", 4, factors=(("2^", 2),)),
+    GroupSpec("reference", "D8", 8, factors=(("D", 8),)),
+    GroupSpec("reference", "2^3", 8, factors=(("2^", 3),)),
+    GroupSpec("reference", "D12", 12, factors=(("D", 12),)),
+    GroupSpec("reference", "2xD8", 16, factors=(("C", 2), ("D", 8))),
+    GroupSpec("reference", "S4", 24, factors=(("S", 4),)),
+    GroupSpec("reference", "2^2xS3", 24, factors=(("2^", 2), ("S", 3))),
+    GroupSpec("reference", "2^4:2", 32, (4, 4, 4), (2,)),
+    GroupSpec("reference", "S3xS3", 36, factors=(("S", 3), ("S", 3))),
+    GroupSpec("reference", "2xS4", 48, factors=(("C", 2), ("S", 4))),
+    GroupSpec("reference", "A5", 60, factors=(("A", 5),)),
+    GroupSpec("reference", "(S3xS3):2", 72, (4, 4, 6), (3,)),
+    GroupSpec("reference", "2xS3xS3", 72, factors=(("C", 2), ("S", 3), ("S", 3))),
+    GroupSpec("reference", "2^2xS4", 96, factors=(("2^", 2), ("S", 4))),
+    GroupSpec("reference", "3^{1+2}:2^2", 108, (3, 6, 6)),
+    GroupSpec("reference", "S5", 120, factors=(("S", 5),)),
+    GroupSpec("reference", "2^4:D12", 192, (4, 6, 6), (4, 3)),
+    GroupSpec("reference", "S3xS3xS3", 216, factors=(("S", 3), ("S", 3), ("S", 3))),
+    GroupSpec("reference", "2x(3^{1+2}:2^2)", 216, (6, 6, 6), (6, 6, 6, None, 3),
+              ("(a * c^(bc))^2",), ("a", "b")),
+    GroupSpec("reference", "2^4:(S3xS3)", 576, (6, 6, 6), (4, 6, 6), ("a * (b * c^(ac))^3",)),
+    GroupSpec("reference", "S3:(3^{1+2}:2^2)", 648, shares="target"),
+    GroupSpec("reference", "S6", 720, factors=(("S", 6),)),
+    GroupSpec("reference", "2^4:S5", 1920, shares="target"),
+    GroupSpec("reference", "(3^2:2):(3^{1+2}:2^2)", 1944, shares="target"),
+    GroupSpec("reference", "(3^3:2):(3^{1+2}:2^2)", 5832, shares="target"),
+    # the excluded types' obstruction targets: explicit triples where the
+    # non-existence arguments supply them, else presentation quotients
+    GroupSpec("target", "2xS3xS3", 72, (6, 6, 6), (2, 6, 6), action=("a", "b")),
+    GroupSpec("target", "S6", 720, generators=(6, "(1,2)(3,4)(5,6)", "(5,6)", "(2,3)(4,5)")),
+    GroupSpec("target", "(2^4:(S3xS3))x2", 1152, shares="catalog"),
+    GroupSpec("target", "2^4:S5", 1920, generators=(
+        16, "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)", "(1,3)(2,4)(5,6)(7,8)(13,14)(15,16)",
+        "(1,12)(3,14)(4,6)(5,16)(7,11)(9,13)")),
+    GroupSpec("target", "S3xS3xS3", 216, generators=(9, "(1,2)(4,5)", "(4,5)(7,8)", "(1,3)(4,6)(7,9)")),
+    GroupSpec("target", "2x(3^{1+2}:2^2)", 216, generators=(
+        11, "(1,4)(2,6)(3,5)(8,9)", "(1,4)(2,8)(6,9)(10,11)", "(2,7)(3,4)(5,9)")),
+    GroupSpec("target", "S3:(3^{1+2}:2^2)", 648, (6, 6, 6), (6, 6, 6, None, 3),
+              ("(ab * a^(cbc))^2", "(a * b^(cabc))^2"), ("a", "b")),
+    GroupSpec("target", "(3^2:2):(3^{1+2}:2^2)", 1944, (6, 6, 6), (6, 6, 6, None, 3),
+              ("(a * b^(cabc))^2",), ("a", "b")),
+    GroupSpec("target", "(3^3:2):(3^{1+2}:2^2)", 5832, (6, 6, 6), (6, 6, 6, None, 3),
+              ("c^(acbcacb) * c^(bcacbca)",), ("a", "b", X3_WORD)),
+    GroupSpec("target", "(3^4:2):(3^{1+2}:2^2)", 17496, shares="catalog"),
+    # the presentation collapses, in the order their lookups return them;
+    # y1, y2 and y3 each add one squared y-word
+    GroupSpec("lemma-r4", "R4^1", 12, (6, 6, 6), (6, 6, 6, 1)),
+    GroupSpec("lemma-r4", "R4^2", 216, (6, 6, 6), (6, 6, 6, 2)),
+    GroupSpec("lemma-r4", "R4^3", 108, (6, 6, 6), (6, 6, 6, 3)),
+    GroupSpec("lemma-r4", "R4^4", 216, (6, 6, 6), (6, 6, 6, 4)),
+    GroupSpec("lemma-r4", "R4^5", 12, (6, 6, 6), (6, 6, 6, 5)),
+    GroupSpec("lemma-m66", "G^(1,6,6)", 4, (1, 6, 6)),
+    GroupSpec("lemma-m66", "G^(2,6,6)", 24, (2, 6, 6)),
+    GroupSpec("lemma-m66", "G^(3,6,6)", 108, (3, 6, 6)),
+    GroupSpec("variant-72", "R1^2", 72, (6, 6, 6), (2, 6, 6)),
+    GroupSpec("variant-72", "R2^2", 72, (6, 6, 6), (6, 2, 6)),
+    GroupSpec("variant-72", "R3^2", 72, (6, 6, 6), (6, 6, 2)),
+    GroupSpec("variant-216", "y1", 216, (6, 6, 6), (6, 6, 6, None, 3), ("(a * c^(bc))^2",), ("a", "b")),
+    GroupSpec("variant-216", "y2", 216, (6, 6, 6), (6, 6, 6, None, 3), ("(b * c^(ac))^2",), ("a", "b")),
+    GroupSpec("variant-216", "y3", 216, (6, 6, 6), (6, 6, 6, None, 3), ("(ab * c^(ac))^2",), ("a", "b")),
 )
 
-GROUP_NAMES: tuple[str, ...] = tuple(row[0] for row in _CATALOG_DATA)
+
+def _rows(role: str) -> tuple[GroupSpec, ...]:
+    return tuple(s for s in _SPECS if s.role == role)
+
+
+def _row(role: str, name: str) -> GroupSpec:
+    return {(s.role, s.name): s for s in _SPECS}[role, name]
+
+
+GROUP_NAMES: tuple[str, ...] = tuple(s.name for s in _rows("catalog"))
+EXCLUDED_TYPE_NAMES: tuple[str, ...] = tuple(s.name for s in _rows("target"))
+
+
+def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
+    """The group of one row, checked against all that the row states.
+
+    Enumerations define at most ``capacity`` cosets (else CapacityError).
+    Raises ClassificationError, naming the row, on a wrong order; for a
+    catalog row, on a failing relator, drifted generators or an order the
+    regular enumeration does not prove; for a target on G11's presentation,
+    on a, b, c that fail the tower argument's orders.
+    """
+    src = spec if not spec.shares else next(
+        s for s in _rows(spec.shares) if spec.name in (s.name, s.claimed))
+    if src is not spec:
+        G = entry(src.name, capacity).group if src.role == "catalog" else _group(src)
+    elif spec.generators:
+        degree, *cycles = spec.generators
+        images = dict(zip("abc", (Perm.parse(s, degree) for s in cycles)))
+        G = PermGroup(degree, images.values(), name=spec.name, tracked=images)
+    elif spec.factors:
+        G = direct_product(*(_FACTORS[f](n) for f, n in spec.factors), name=spec.name)
+    else:
+        words = tuple(map(parse_word, spec.action))
+        G = coset_action(todd_coxeter(spec.presentation, words, capacity))
+        G.name = spec.name
+    if G.order != spec.order:
+        raise ClassificationError(f"{spec.name}: generated order {G.order}, "
+                                  f"{spec.role} says {spec.order}")
+    if spec.role == "catalog":
+        pres = spec.presentation
+        for w in pres.relator_words():
+            if not evaluate_word(w, G.tracked).is_identity():
+                raise ClassificationError(f"{spec.name}: relator {w} fails")
+        # generation is structural: the group is built as the closure of the
+        # tracked triple in both construction routes
+        if [p.key() for p in G.generators] != [G.tracked[k].key() for k in "abc"]:
+            raise ClassificationError(f"{spec.name}: generators drifted from a,b,c")
+        count = todd_coxeter(pres, capacity=capacity).coset_count
+        if count != spec.order:
+            raise ClassificationError(f"{spec.name}: enumeration gives {count} "
+                                      f"cosets, expected {spec.order}")
+    g11 = _row("catalog", "G11")
+    if spec.role == "target" and (src.mnp, src.r) == (g11.mnp, g11.r):
+        for w in ("ac", "bc", "abc", "b * (ac)^3"):
+            o = evaluate_word(parse_word(w), G.tracked).order()
+            if o != 6:
+                raise ClassificationError(f"{spec.name}: o({w}) = {o}, the tower argument needs 6")
+    return G
+
+
+# a reference's or target's group, built once per process
+_group = cache(build)
 
 
 @dataclass(frozen=True)
@@ -134,70 +292,30 @@ class CatalogEntry:
         return {k: self.group.tracked[k] for k in ("a", "b", "c")}
 
 
-def _coset_group(
-    pres: Presentation,
-    extra: Iterable[str] = (),
-    subgroup: Iterable[str] = (),
-    name: str = "",
-    capacity: int = DEFAULT_CAPACITY,
-) -> PermGroup:
-    for w in extra:
-        pres = pres.with_relator(parse_word(w), 1)
-    table = todd_coxeter(pres, subgroup=tuple(parse_word(w) for w in subgroup),
-                         capacity=capacity)
-    G = coset_action(table)
-    G.name = name
-    return G
-
-
-def _explicit(deg: int, sa: str, sb: str, sc: str, name: str) -> PermGroup:
-    a, b, c = (Perm.parse(s, deg) for s in (sa, sb, sc))
-    return PermGroup(deg, [a, b, c], name=name,
-                     tracked={"a": a, "b": b, "c": c})
+# name -> the least capacity at which that entry has been built
+_least_capacity: dict[str, int] = {}
 
 
 def entry(name: str, capacity: int = DEFAULT_CAPACITY) -> CatalogEntry:
     """One of the eleven maximal groups, cross-validated when first built.
 
     Each of its enumerations may define at most ``capacity`` cosets, or it
-    raises CapacityError.  Built once per (name, capacity), however the call
-    spells its arguments.
+    raises CapacityError.  A build that succeeds at one capacity succeeds
+    at every larger one alike, so this returns the entry built at the least
+    capacity up to ``capacity``, and builds only when there is none.
     """
-    return _entry(name, capacity)
+    least = min(_least_capacity.get(name, capacity), capacity)
+    e = _entry(name, least)
+    _least_capacity[name] = least
+    return e
 
 
 @cache
 def _entry(name: str, capacity: int) -> CatalogEntry:
-    try:
-        _, claimed, mnp, r, order, gens = next(
-            row for row in _CATALOG_DATA if row[0] == name)
-    except StopIteration:
-        raise KeyError(name) from None
-    pres = tp_presentation(*mnp, r)
-    if gens is not None:
-        G = _explicit(*gens, name)
-        source = "table-generators"
-    else:
-        subgroup = ("a", "b", X3_WORD) if name == "G11" else ()
-        G = _coset_group(pres, subgroup=subgroup, name=name,
-                         capacity=capacity)
-        source = "coset-action"
-    if G.order != order:
-        raise ClassificationError(
-            f"{name}: generated order {G.order}, catalog says {order}")
-    images = {k: G.tracked[k] for k in ("a", "b", "c")}
-    for w in pres.relator_words():
-        if not evaluate_word(w, images).is_identity():
-            raise ClassificationError(f"{name}: relator {w} fails")
-    # generation is structural: the group is built as the closure of the
-    # tracked triple in both construction routes
-    if [p.key() for p in G.generators] != [images[k].key() for k in "abc"]:
-        raise ClassificationError(f"{name}: generators drifted from a,b,c")
-    count = todd_coxeter(pres, capacity=capacity).coset_count
-    if count != order:
-        raise ClassificationError(
-            f"{name}: enumeration gives {count} cosets, expected {order}")
-    return CatalogEntry(name, claimed, mnp, tuple(r), order, source, G)
+    spec = _row("catalog", name)
+    source = "table-generators" if spec.generators else "coset-action"
+    return CatalogEntry(name, spec.claimed, spec.mnp, spec.r, spec.order,
+                        source, build(spec, capacity))
 
 
 entry.cache_info = _entry.cache_info
@@ -340,70 +458,14 @@ def table_rows(parent: str) -> tuple[RowSpec, ...]:
 # -- reference catalog and identification ----------------------------------------
 
 
-# name, order and builder of each named construction identify compares with;
-# a builder runs only when identify meets a group of its order
-_REFERENCE_BUILDERS: tuple[tuple[str, int, object], ...] = (
-    ("1", 1, trivial_group),
-    ("2", 2, lambda: cyclic_group(2)),
-    ("2^2", 4, lambda: elementary_abelian_2(2)),
-    ("D8", 8, lambda: dihedral_group(8)),
-    ("2^3", 8, lambda: elementary_abelian_2(3)),
-    ("D12", 12, lambda: dihedral_group(12)),
-    ("2xD8", 16, lambda: direct_product(cyclic_group(2), dihedral_group(8))),
-    ("S4", 24, lambda: symmetric_group(4)),
-    ("2^2xS3", 24, lambda: direct_product(elementary_abelian_2(2), symmetric_group(3))),
-    ("2^4:2", 32, lambda: _coset_group(
-        tp_presentation(4, 4, 4, (2, None, None, None, None)))),
-    ("S3xS3", 36, lambda: direct_product(symmetric_group(3), symmetric_group(3))),
-    ("2xS4", 48, lambda: direct_product(cyclic_group(2), symmetric_group(4))),
-    ("A5", 60, lambda: alternating_group(5)),
-    ("(S3xS3):2", 72, lambda: _coset_group(
-        tp_presentation(4, 4, 6, (3, None, None, None, None)))),
-    ("2xS3xS3", 72, lambda: direct_product(
-        cyclic_group(2), symmetric_group(3), symmetric_group(3))),
-    ("2^2xS4", 96, lambda: direct_product(elementary_abelian_2(2),
-                                          symmetric_group(4))),
-    ("3^{1+2}:2^2", 108, lambda: _coset_group(tp_presentation(3, 6, 6))),
-    ("S5", 120, lambda: symmetric_group(5)),
-    ("2^4:D12", 192, lambda: _coset_group(
-        tp_presentation(4, 6, 6, (4, 3, None, None, None)))),
-    ("S3xS3xS3", 216, lambda: direct_product(
-        symmetric_group(3), symmetric_group(3), symmetric_group(3))),
-    ("2x(3^{1+2}:2^2)", 216, lambda: _coset_group(
-        _TOWER_BASE, extra=("(a * c^(bc))^2",), subgroup=("a", "b"))),
-    ("2^4:(S3xS3)", 576, lambda: _coset_group(
-        tp_presentation(6, 6, 6, (4, 6, 6, None, None)),
-        extra=("a * (b * c^(ac))^3",))),
-    ("S3:(3^{1+2}:2^2)", 648, lambda: obstruction_target("S3:(3^{1+2}:2^2)")),
-    ("S6", 720, lambda: symmetric_group(6)),
-    ("2^4:S5", 1920, lambda: obstruction_target("2^4:S5")),
-    ("(3^2:2):(3^{1+2}:2^2)", 1944, lambda: obstruction_target("(3^2:2):(3^{1+2}:2^2)")),
-    ("(3^3:2):(3^{1+2}:2^2)", 5832, lambda: obstruction_target("(3^3:2):(3^{1+2}:2^2)")),
-)
-
-
 @cache
 def _references(order: int) -> tuple[tuple[str, PermGroup], ...]:
-    """The named groups of one order, order-validated, in match order.
-
-    Builders come first in table order, then the catalog entries of that
-    order under their claimed types; only the builders' groups are renamed.
-    No two may share a fingerprint: then distinct names are distinct types.
+    """The named groups of one order in match order: the reference rows in
+    table order, then the catalog entries under their claimed types.  No
+    two may share a fingerprint: then distinct names are distinct types.
     """
-    refs = []
-    for name, want, build in _REFERENCE_BUILDERS:
-        if want != order:
-            continue
-        R = build()
-        if R.order != order:
-            raise ClassificationError(
-                f"reference {name}: order {R.order}, expected {order}")
-        R.name = name
-        refs.append((name, R))
-    for name, _, _, _, stated, _ in _CATALOG_DATA:
-        if stated == order:
-            e = entry(name)
-            refs.append((e.claimed, e.group))
+    refs = [(s.name, _group(s)) for s in _rows("reference") if s.order == order]
+    refs += [(s.claimed, entry(s.name).group) for s in _rows("catalog") if s.order == order]
     fps = [R.fingerprint() for _, R in refs]
     clash = [name for (name, _), fp in zip(refs, fps) if fps.count(fp) > 1]
     if clash:
@@ -489,12 +551,13 @@ class QuotientRecord:
 
 
 def _g11_row_quotient(entry: CatalogEntry, row: RowSpec, want: int) -> PermGroup:
-    # quotients of G11 come from its presentation plus the row's relators;
-    # the smallest subgroup giving a faithful coset action wins
-    for sub in (("a", "b", X3_WORD), ("a", "b"), ()):
-        Q = _coset_group(entry.presentation, extra=row.words, subgroup=sub)
-        if Q.order == want:
-            return Q
+    # G11's presentation plus the row's relators, on the smallest subgroup
+    # whose coset action is faithful; build refuses the others by order
+    for action in (_row("catalog", entry.name).action, ("a", "b"), ()):
+        with suppress(ClassificationError):
+            return build(GroupSpec(
+                "quotient", f"{entry.name}/N{entry.order // want}", want,
+                entry.mnp, entry.r, extra=row.words, action=action))
     raise ClassificationError(
         f"{entry.name}: no faithful coset action for quotient of order {want}")
 
@@ -533,10 +596,7 @@ def quotient_records(
                 f"{entry.name} row {i}: duplicates an earlier row's subgroup")
         seen.add(key)
         want = G.order // N.order
-        if entry.name == "G11":
-            Q = _g11_row_quotient(entry, row, want)
-        else:
-            Q = G.quotient(N)
+        Q = _g11_row_quotient(entry, row, want) if entry.name == "G11" else G.quotient(N)
         if Q.order != want:
             raise ClassificationError(f"{entry.name} row {i}: quotient order")
         tp = is_triangle_point(Q, *(Q.tracked[k] for k in "abc"))
@@ -551,70 +611,13 @@ def quotient_records(
 # -- the ten excluded types -------------------------------------------------------
 
 
-# The tower types are quotients of the G11 presentation.
-_TOWER_BASE = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
-
-# Excluded types: name -> (order, builder). Explicit generator triples are used
-# where the non-existence arguments supply them; the rest are presentation
-# quotients carrying tracked images of a, b, c.
-_EXCLUDED_BUILDERS: dict[str, tuple[int, object]] = {
-    "2xS3xS3": (72, lambda: _coset_group(
-        tp_presentation(6, 6, 6, (2, 6, 6, None, None)), subgroup=("a", "b"))),
-    "S6": (720, lambda: _explicit(
-        6, "(1,2)(3,4)(5,6)", "(5,6)", "(2,3)(4,5)", "S6")),
-    "(2^4:(S3xS3))x2": (1152, lambda: entry("G9").group),
-    "2^4:S5": (1920, lambda: _explicit(
-        16, "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)",
-        "(1,3)(2,4)(5,6)(7,8)(13,14)(15,16)",
-        "(1,12)(3,14)(4,6)(5,16)(7,11)(9,13)", "2^4:S5")),
-    "S3xS3xS3": (216, lambda: _explicit(
-        9, "(1,2)(4,5)", "(4,5)(7,8)", "(1,3)(4,6)(7,9)", "S3xS3xS3")),
-    "2x(3^{1+2}:2^2)": (216, lambda: _explicit(
-        11, "(1,4)(2,6)(3,5)(8,9)", "(1,4)(2,8)(6,9)(10,11)",
-        "(2,7)(3,4)(5,9)", "2x(3^{1+2}:2^2)")),
-    "S3:(3^{1+2}:2^2)": (648, lambda: _coset_group(
-        _TOWER_BASE, extra=("(ab * a^(cbc))^2", "(a * b^(cabc))^2"), subgroup=("a", "b"))),
-    "(3^2:2):(3^{1+2}:2^2)": (1944, lambda: _coset_group(
-        _TOWER_BASE, extra=("(a * b^(cabc))^2",), subgroup=("a", "b"))),
-    "(3^3:2):(3^{1+2}:2^2)": (5832, lambda: _coset_group(
-        _TOWER_BASE, extra=("c^(acbcacb) * c^(bcacbca)",), subgroup=("a", "b", X3_WORD))),
-    "(3^4:2):(3^{1+2}:2^2)": (17496, lambda: entry("G11").group),
-}
-
-EXCLUDED_TYPE_NAMES: tuple[str, ...] = tuple(_EXCLUDED_BUILDERS)
-
-_TOWER_NAMES = (
-    "S3:(3^{1+2}:2^2)", "(3^2:2):(3^{1+2}:2^2)",
-    "(3^3:2):(3^{1+2}:2^2)", "(3^4:2):(3^{1+2}:2^2)",
-)
-
-
-def _tower_preconditions(G: PermGroup) -> None:
-    images = {k: G.tracked[k] for k in ("a", "b", "c")}
-    for w in ("ac", "bc", "abc", "b * (ac)^3"):
-        o = evaluate_word(parse_word(w), images).order()
-        if o != 6:
-            raise ClassificationError(
-                f"{G.name}: o({w}) = {o}, the tower argument needs 6")
-
-
-@cache
 def obstruction_target(name: str) -> PermGroup:
     """The concrete (G, a, b, c) on which the named type is obstructed.
 
     Built and validated once per process; callers must not change its
     generators or tracked images.
     """
-    try:
-        order, build = _EXCLUDED_BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"not an excluded type: {name!r}") from None
-    G = build()
-    if G.order != order:
-        raise ClassificationError(f"{name}: target order {G.order} != {order}")
-    if name in _TOWER_NAMES:
-        _tower_preconditions(G)
-    return G
+    return _group(_row("target", name))
 
 
 @cache
@@ -957,23 +960,19 @@ def write_outputs(report: ClassificationReport, outdir: Path) -> list[Path]:
 
 def lemma_r4_groups() -> dict[int, PermGroup]:
     """The (6,6,6) groups with R1^6 R2^6 R3^6 and R4^r4 added, for r4 = 1..5."""
-    return {r4: _coset_group(tp_presentation(6, 6, 6, (6, 6, 6, r4, None)))
-            for r4 in (1, 2, 3, 4, 5)}
+    return {s.r[3]: build(s) for s in _rows("lemma-r4")}
 
 
 def lemma_m66_groups() -> dict[int, PermGroup]:
     """G^(m,6,6) for m = 1, 2, 3."""
-    return {m: _coset_group(tp_presentation(m, 6, 6)) for m in (1, 2, 3)}
+    return {s.mnp[0]: build(s) for s in _rows("lemma-m66")}
 
 
 def variant_groups_72() -> list[PermGroup]:
     """The three order-72 presentations; permuting a, b, ab links them."""
-    return [_coset_group(tp_presentation(6, 6, 6, (r1, r2, r3, None, None)))
-            for (r1, r2, r3) in ((2, 6, 6), (6, 2, 6), (6, 6, 2))]
+    return [build(s) for s in _rows("variant-72")]
 
 
 def variant_groups_216() -> list[PermGroup]:
     """The three order-216 presentations with a squared y-word added."""
-    base = tp_presentation(6, 6, 6, (6, 6, 6, None, 3))
-    return [_coset_group(base, extra=(y,), subgroup=("a", "b"))
-            for y in ("(a * c^(bc))^2", "(b * c^(ac))^2", "(ab * c^(ac))^2")]
+    return [build(s) for s in _rows("variant-216")]

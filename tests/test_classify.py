@@ -1,5 +1,6 @@
 """Tests for the group catalog, quotient tables, and the classification run."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 
 from tpg import classify
 from tpg.classify import (
-    _REFERENCE_BUILDERS,
     _references,
+    _rows,
     EXCLUDED_TYPE_NAMES,
     G11_ROWS,
     GROUP_NAMES,
@@ -218,10 +219,10 @@ class TestIdentify:
     def test_builders_identify_as_their_names(self):
         # a fresh copy of each reference matches itself first, which pins the
         # match order where two references share an order (8, 24, 72, 216)
-        for name, order, build in _REFERENCE_BUILDERS:
-            R = build()
-            assert R.order == order
-            assert identify(R) == name, name
+        for spec in _rows("reference"):
+            R = classify.build(spec)
+            assert R.order == spec.order
+            assert identify(R) == spec.name, spec.name
 
     def test_identify_builds_only_its_order(self):
         # in a fresh process: no reference of order 5040, so no catalog entry
@@ -243,9 +244,9 @@ class TestIdentify:
 
     def test_same_order_references_must_differ_in_fingerprint(self, monkeypatch):
         # two copies of S3 at order 6, an order no reference uses
-        monkeypatch.setattr(classify, "_REFERENCE_BUILDERS", _REFERENCE_BUILDERS + (
-            ("S3", 6, lambda: symmetric_group(3)),
-            ("D6", 6, lambda: dihedral_group(6))))
+        monkeypatch.setattr(classify, "_SPECS", classify._SPECS + (
+            classify.GroupSpec("reference", "S3", 6, factors=(("S", 3),)),
+            classify.GroupSpec("reference", "D6", 6, factors=(("D", 6),))))
         _references.cache_clear()
         with pytest.raises(ClassificationError, match="S3 and D6 of order 6"):
             identify(symmetric_group(3))
@@ -366,6 +367,27 @@ class TestPresentationCollapses:
         assert isomorphic(variants[1], variants[2])
 
 
+class TestBuildRefusals:
+    """build refuses a row whose group contradicts what the row states."""
+
+    @pytest.mark.parametrize("role, name, changes, message", [
+        ("catalog", "G1", {"order": 65}, "G1: generated order 64, catalog says 65"),
+        ("catalog", "G1", {"extra": ("ac",)}, "G1: relator ac fails"),
+        ("target", "S6", {"order": 360}, "S6: generated order 720, target says 360"),
+        ("reference", "2^4:2", {"order": 64},
+         "2^4:2: generated order 32, reference says 64"),
+        # G11's presentation with (ac)^3 added: a target the tower argument
+        # cannot use
+        ("target", "S3:(3^{1+2}:2^2)", {"order": 108, "extra": ("(ac)^3",)},
+         "S3:(3^{1+2}:2^2): o(ac) = 3, the tower argument needs 6"),
+    ])
+    def test_refusal_names_the_row(self, role, name, changes, message):
+        spec = dataclasses.replace(classify._row(role, name), **changes)
+        with pytest.raises(ClassificationError) as exc:
+            classify.build(spec)
+        assert str(exc.value) == message
+
+
 class TestObstructions:
     def test_every_excluded_type_certifies(self, classification_report):
         assert set(classification_report.certificates) == set(EXCLUDED_TYPE_NAMES)
@@ -382,13 +404,11 @@ class TestObstructions:
             obstruction_target("S4")
 
     def test_targets_identify_as_their_names(self):
-        for name in EXCLUDED_TYPE_NAMES:
-            assert identify(obstruction_target(name)) == name, name
+        for spec in _rows("target"):
+            assert identify(obstruction_target(spec.name)) == spec.name, spec.name
 
     def test_target_orders(self):
-        orders = [
-            obstruction_target(name).order for name in EXCLUDED_TYPE_NAMES
-        ]
+        orders = [obstruction_target(spec.name).order for spec in _rows("target")]
         assert orders == [72, 720, 1152, 1920, 216, 216, 648, 1944, 5832, 17496]
 
 

@@ -260,6 +260,46 @@ class TestCapacity:
         assert classify.entry(name="G1", capacity=81) is e
         assert classify.entry("G1") is classify.entry("G1", 10**6)
 
+    def test_entry_reuses_the_least_capacity_build(self, capsys):
+        e = classify.entry("G1", 81)
+        assert classify.entry("G1", 500) is e
+        assert classify.entry("G1") is e
+        # a smaller capacity than any build still enumerates, and fails
+        assert run_cli(capsys, "--coset-capacity", "80", "catalog",
+                       "--only", "G1")[0] == 1
+
+    def test_target_reuses_a_smaller_capacity_entry(self):
+        # in a fresh process: the G9 target is the entry built at 20,000,
+        # not a second build at the default capacity
+        code = (
+            "from tpg import classify\n"
+            "e = classify.entry('G9', 20000)\n"
+            "G = classify.obstruction_target('(2^4:(S3xS3))x2')\n"
+            "print(G is e.group, classify.entry.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "1"]
+
+    @pytest.mark.parametrize("change, message", [
+        ("order=65", "G1: generated order 64, catalog says 65"),
+        ("extra=('ac',)", "G1: relator ac fails"),
+    ])
+    def test_refused_row_is_a_verified_discrepancy(self, change, message):
+        # in a fresh process, with the G1 row patched before anything is built
+        code = (
+            "import dataclasses, sys\n"
+            "from tpg import classify, cli\n"
+            "classify._SPECS = tuple(\n"
+            f"    dataclasses.replace(s, {change}) if s.name == 'G1' else s\n"
+            "    for s in classify._SPECS)\n"
+            "sys.exit(cli.run(['catalog', '--only', 'G1']))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == f"tpg: verified discrepancy: {message}\n"
+        assert proc.stdout == ""
+
 
 class TestObstructAndVerify:
     def test_s6_round_trip_in_fresh_processes(self, tmp_path):
