@@ -233,6 +233,7 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
     """
     src = spec if not spec.shares else next(
         s for s in _rows(spec.shares) if spec.name in (s.name, s.claimed))
+    defined = 0  # the most cosets one of the row's enumerations defined
     if src is not spec:
         G = entry(src.name, capacity).group if src.role == "catalog" else _group(src)
     elif spec.generators:
@@ -243,7 +244,9 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
         G = direct_product(*(_FACTORS[f](n) for f, n in spec.factors), name=spec.name)
     else:
         words = tuple(map(parse_word, spec.action))
-        G = coset_action(todd_coxeter(spec.presentation, words, capacity))
+        table = todd_coxeter(spec.presentation, words, capacity)
+        defined = table.defined
+        G = coset_action(table)
         G.name = spec.name
     if G.order != spec.order:
         raise ClassificationError(f"{spec.name}: generated order {G.order}, "
@@ -257,10 +260,11 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
         # tracked triple in both construction routes
         if [p.key() for p in G.generators] != [G.tracked[k].key() for k in "abc"]:
             raise ClassificationError(f"{spec.name}: generators drifted from a,b,c")
-        count = todd_coxeter(pres, capacity=capacity).coset_count
-        if count != spec.order:
-            raise ClassificationError(f"{spec.name}: enumeration gives {count} "
+        regular = todd_coxeter(pres, capacity=capacity)
+        if regular.coset_count != spec.order:
+            raise ClassificationError(f"{spec.name}: enumeration gives {regular.coset_count} "
                                       f"cosets, expected {spec.order}")
+        _cosets_defined[spec.name] = max(defined, regular.defined)
     g11 = _row("catalog", "G11")
     if spec.role == "target" and (src.mnp, src.r) == (g11.mnp, g11.r):
         for w in ("ac", "bc", "abc", "b * (ac)^3"):
@@ -292,21 +296,26 @@ class CatalogEntry:
         return {k: self.group.tracked[k] for k in ("a", "b", "c")}
 
 
-# name -> the least capacity at which that entry has been built
-_least_capacity: dict[str, int] = {}
+# catalog name -> the most cosets one enumeration of its build defined, and
+# the capacity its one successful build was made at
+_cosets_defined: dict[str, int] = {}
+_built_at: dict[str, int] = {}
 
 
 def entry(name: str, capacity: int = DEFAULT_CAPACITY) -> CatalogEntry:
     """One of the eleven maximal groups, cross-validated when first built.
 
     Each of its enumerations may define at most ``capacity`` cosets, or it
-    raises CapacityError.  A build that succeeds at one capacity succeeds
-    at every larger one alike, so this returns the entry built at the least
-    capacity up to ``capacity``, and builds only when there is none.
+    raises CapacityError.  The capacity bounds the enumerations and changes
+    nothing else, so a build whose enumerations defined at most
+    ``capacity`` cosets serves the request; only when there is none does
+    this build at ``capacity``.
     """
-    least = min(_least_capacity.get(name, capacity), capacity)
-    e = _entry(name, least)
-    _least_capacity[name] = least
+    built = _built_at.get(name)
+    if built is None or _cosets_defined[name] > capacity:
+        built = capacity
+    e = _entry(name, built)
+    _built_at.setdefault(name, built)
     return e
 
 

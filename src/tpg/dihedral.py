@@ -8,18 +8,19 @@ aborts the construction.  The finished table must satisfy associativity of
 the form (M1) before it is released to callers.
 
 The axiom checks run on integer copies of the tables: the product table and
-the Gram matrix scaled by their common denominators, and each eigenvector
-scaled to integers.  Positive scalings change no zero test, and they scale
-both sides of every M1 comparison alike.  M1 compares two n x n tables of
-Gram-transformed products.  The fusion and Miyamoto checks share one pass
-over the unordered pairs u, v of an axis's eigenbasis (mu, nu for their
-eigenvalues).  The adjoint is diagonalizable, so w = u*v has one coordinate
-per eigenbasis vector, read off the inverse of the eigenbasis matrix; the
-support of w is the set of eigenvalues with a nonzero coordinate, and each
-check asks whether that support lies in an allowed set.  tau and sigma are
-linear and act on eigenvectors by signs, and the product and form are
-bilinear, so checking them on eigenbasis pairs is equivalent to checking
-them on basis pairs.
+the Gram matrix scaled by their common denominators.  Each eigenspace is the
+kernel of an integer matrix, reduced fraction-free by qlin.null_basis, so its
+eigenvectors come out as integer vectors.  Positive scalings change no zero
+test, and they scale both sides of every M1 comparison alike.  M1 compares
+two n x n tables of Gram-transformed products.  The fusion and Miyamoto
+checks share one pass over the unordered pairs u, v of an axis's eigenbasis
+(mu, nu for their eigenvalues).  The adjoint is diagonalizable, so w = u*v
+has one coordinate per eigenbasis vector, read off the inverse of the
+eigenbasis matrix; the support of w is the set of eigenvalues with a nonzero
+coordinate, held as a 4-bit mask, and each check asks whether that support
+lies in an allowed set.  tau and sigma are linear and act on eigenvectors by
+signs, and the product and form are bilinear, so checking them on eigenbasis
+pairs is equivalent to checking them on basis pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .qlin import Matrix, Vector, parse_rat, rat_str, span_contains
+from .qlin import Matrix, Vector, echelon, null_basis, parse_rat, rat_str
 
 __all__ = [
     "DIHEDRAL_TYPES",
@@ -77,6 +78,15 @@ FUSION = {
     (_QUARTER, _THIRTY_SECOND): frozenset([_THIRTY_SECOND]),
     (_THIRTY_SECOND, _THIRTY_SECOND): frozenset([_ONE, _ZERO, _QUARTER]),
 }
+
+
+# Eigenvalue sets as 4-bit masks, bit k for EIGENVALUES[k].  An unordered
+# pair of eigenvalues is the union of their bits, one bit for a pair mu, mu.
+_BIT = {lam: 1 << k for k, lam in enumerate(EIGENVALUES)}
+_FUSION_MASK = {_BIT[mu] | _BIT[nu]: sum(map(_BIT.get, lams)) for (mu, nu), lams in FUSION.items()}
+_TINY_BIT = _BIT[_THIRTY_SECOND]
+_QUARTER_BIT = _BIT[_QUARTER]
+_VALUE = {bit: lam for lam, bit in _BIT.items()}  # in EIGENVALUES order
 
 
 def fusion_rule(mu: Fraction, nu: Fraction) -> frozenset:
@@ -459,37 +469,47 @@ def inner(alg: DihedralAlgebra, u: Vector, v: Vector) -> Fraction:
     return u.dot(alg.gram.apply(v))
 
 
-def ad_matrix(alg: DihedralAlgebra, axis: str) -> Matrix:
-    """Matrix of left multiplication by the named axis."""
+def _eigenbases(alg: DihedralAlgebra, axis: str, mult, dm: int) -> list:
+    """(eigenvalue, null_basis of q*dm*ad - p*dm*I) per eigenvalue p/q of ad(axis).
+
+    mult is alg.mult times dm, as _integer_tables gives it.  Eigenvalues
+    with no eigenvector are left out.  Raises AxiomError as ad_spectrum does.
+    """
+    if not is_axis(axis):
+        raise ValueError(f"{axis!r} is not an axis label")
     i = alg.index(axis)
-    return Matrix.from_columns(list(alg.mult[i]))
+    n = alg.dim
+    cols = mult[i]  # column j of dm * ad is the integer product axis * e_j
+    spectrum = []
+    for lam in EIGENVALUES:
+        p, q = lam.numerator * dm, lam.denominator
+        basis = null_basis(
+            [[q * cols[j][r] - (p if j == r else 0) for j in range(n)] for r in range(n)], n)
+        if basis:
+            spectrum.append((lam, basis))
+    if sum(len(basis) for _, basis in spectrum) != n:
+        raise AxiomError(
+            f"{alg.type}: adjoint of {axis} is not diagonalizable over eigenvalues 1, 0, 1/4, 1/32"
+        )
+    one = spectrum[0][1] if spectrum[0][0] == _ONE else []
+    if len(one) != 1 or any(x for k, x in enumerate(one[0][1]) if k != i):
+        raise AxiomError(f"{alg.type}: 1-eigenspace of {axis} is not spanned by the axis")
+    return spectrum
 
 
 def ad_spectrum(alg: DihedralAlgebra, axis: str) -> dict[Fraction, tuple[int, tuple[Vector, ...]]]:
     """Eigenvalue -> (multiplicity, eigenbasis) for the adjoint of an axis.
 
-    Raises AxiomError if the adjoint is not diagonalizable with spectrum
-    inside {1, 0, 1/4, 1/32}, or if the 1-eigenspace is not spanned by the
-    axis itself.
+    Each eigenbasis is the one Matrix.eigenspace gives: ordered by free
+    column, with a 1 there.  Raises AxiomError if the adjoint is not
+    diagonalizable with spectrum inside {1, 0, 1/4, 1/32}, or if the
+    1-eigenspace is not spanned by the axis itself.
     """
-    if not is_axis(axis):
-        raise ValueError(f"{axis!r} is not an axis label")
-    m = ad_matrix(alg, axis)
-    spectrum: dict[Fraction, tuple[int, tuple[Vector, ...]]] = {}
-    total = 0
-    for lam in EIGENVALUES:
-        eb = m.eigenspace(lam)
-        if eb:
-            spectrum[lam] = (len(eb), tuple(eb))
-            total += len(eb)
-    if total != alg.dim:
-        raise AxiomError(
-            f"{alg.type}: adjoint of {axis} is not diagonalizable over eigenvalues 1, 0, 1/4, 1/32"
-        )
-    mult_one, basis_one = spectrum.get(_ONE, (0, ()))
-    if mult_one != 1 or not span_contains(list(basis_one), alg.basis_vector(axis)):
-        raise AxiomError(f"{alg.type}: 1-eigenspace of {axis} is not spanned by the axis")
-    return spectrum
+    mult, dm, _, _ = _integer_tables(alg)
+    return {
+        lam: (len(basis), tuple(Vector(Fraction(x, v[fc]) for x in v) for fc, v in basis))
+        for lam, basis in _eigenbases(alg, axis, mult, dm)
+    }
 
 
 def _denominator(rows) -> int:
@@ -500,11 +520,6 @@ def _denominator(rows) -> int:
 def _times(row, d: int) -> list[int]:
     """The Fraction entries of row times d, a multiple of their denominators."""
     return [x.numerator * (d // x.denominator) for x in row]
-
-
-def _integral(row) -> list[int]:
-    """row scaled to integers by a positive factor: same direction, same zeros."""
-    return _times(row, _denominator([row]))
 
 
 def _integer_tables(alg: DihedralAlgebra):
@@ -532,42 +547,46 @@ def axis_checks(alg: DihedralAlgebra, axis: str | None = None) -> tuple[list[str
     One pass per axis over the unordered pairs u, v of its eigenbasis, on
     integer copies of the tables and eigenvectors.  The rows of P^-1, for P
     with the eigenvectors as columns, give the eigen-coordinates of w = u*v;
-    its support is the set of eigenvalues with a nonzero coordinate.  Each
-    check is a subset test on that support; see check_fusion and
+    its support is the mask of eigenvalues with a nonzero coordinate.  Each
+    check is a subset test on that mask; see check_fusion and
     check_miyamoto.
     """
-    mult, _, gram, _ = _integer_tables(alg)
+    mult, dm, gram, _ = _integer_tables(alg)
     n = alg.dim
     fusion: list[str] = []
     miyamoto: list[str] = []
     for ax in alg.axes if axis is None else (axis,):
-        spectrum = ad_spectrum(alg, ax)
         where = f"{alg.type}/{ax}"
-        flat = [(lam, _integral(u)) for lam, (_, eb) in spectrum.items() for u in eb]
-        inverse = Matrix(
-            [u[i] for _, u in flat] + [int(i == j) for j in range(n)] for i in range(n)
-        ).rref()[0].rows
-        coordinates = [(lam, _integral(row[n:])) for (lam, _), row in zip(flat, inverse)]
-        fixed = {lam for lam in spectrum if lam != _THIRTY_SECOND}  # the tau-fixed eigenvalues
+        spectrum = _eigenbases(alg, ax, mult, dm)
+        flat = [(_BIT[lam], v) for lam, basis in spectrum for _, v in basis]
+        # [P | I] reduces to rows that are multiples of [e_r | row r of P^-1]
+        rows = [[v[r] for _, v in flat] + [int(r == j) for j in range(n)] for r in range(n)]
+        echelon(rows)
+        coordinates = [(bit, row[n:]) for (bit, _), row in zip(flat, rows)]
+        fixed = sum(_BIT[lam] for lam, _ in spectrum) & ~_TINY_BIT  # the tau-fixed eigenvalues
         for i, (mu, u) in enumerate(flat):
             for nu, v in flat[i:]:
                 w = _accumulate(mult, u, v)
-                support = {lam for lam, row in coordinates if sum(map(mul, row, w))}
-                allowed = fusion_rule(mu, nu)
-                for lam in spectrum:
-                    if lam in support and lam not in allowed:
-                        fusion.append(f"{where}: ({mu},{nu}) product has a {lam}-component")
+                support = 0
+                for bit, row in coordinates:
+                    if not support & bit and sum(map(mul, row, w)):
+                        support |= bit
+                pair = f"({_VALUE[mu]},{_VALUE[nu]})"
+                outside = support & ~_FUSION_MASK[mu | nu]
+                for bit in _VALUE:
+                    if outside & bit:
+                        fusion.append(f"{where}: {pair} product has a {_VALUE[bit]}-component")
                 # tau(u) tau(v) is -u*v when exactly one of u, v is a 1/32-vector, else u*v.
-                odd = (mu == _THIRTY_SECOND) != (nu == _THIRTY_SECOND)
-                if not support <= ({_THIRTY_SECOND} if odd else fixed):
-                    miyamoto.append(f"{where}: tau is not multiplicative on a ({mu},{nu}) pair")
-                elif _THIRTY_SECOND not in (mu, nu):
+                odd = (mu == _TINY_BIT) != (nu == _TINY_BIT)
+                if support & ~(_TINY_BIT if odd else fixed):
+                    miyamoto.append(f"{where}: tau is not multiplicative on a {pair} pair")
+                elif not (mu | nu) & _TINY_BIT:
                     # sigma likewise on a tau-fixed pair, with 1/4 in place of 1/32.
-                    flip = (mu == _QUARTER) != (nu == _QUARTER)
-                    if not support <= ({_QUARTER} if flip else fixed - {_QUARTER}):
-                        miyamoto.append(f"{where}: sigma is not multiplicative on a ({mu},{nu}) pair")
+                    flip = (mu == _QUARTER_BIT) != (nu == _QUARTER_BIT)
+                    if support & ~(_QUARTER_BIT if flip else fixed & ~_QUARTER_BIT):
+                        miyamoto.append(f"{where}: sigma is not multiplicative on a {pair} pair")
                 if odd and sum(map(mul, u, _apply(gram, v))):
-                    miyamoto.append(f"{where}: tau does not preserve the form on a ({mu},{nu}) pair")
+                    miyamoto.append(f"{where}: tau does not preserve the form on a {pair} pair")
     return fusion, miyamoto
 
 

@@ -30,7 +30,7 @@ complete, closed and deterministic.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -321,6 +321,9 @@ class CosetTable:
     rows: tuple[tuple[int, int, int], ...]
     complete: bool
     subgroup: tuple[Word, ...] = ()
+    # cosets the enumeration defined, live or collapsed: it ends alike at
+    # every capacity from this one up, and raises CapacityError below it
+    defined: int = field(default=0, compare=False)
 
     @property
     def coset_count(self) -> int:
@@ -714,10 +717,11 @@ def todd_coxeter(
     ``capacity`` cosets (live plus collapsed) would be defined.
     """
     rel_rows, sub_rows = _letter_rows(pres, subgroup)
-    std = _standardize(_Enumerator(rel_rows, sub_rows, capacity).run())
+    enumerator = _Enumerator(rel_rows, sub_rows, capacity)
+    std = _standardize(enumerator.run())
     _verify(std, rel_rows, sub_rows)
     return CosetTable(rows=tuple(zip(*std.tolist())), complete=True,
-                      subgroup=tuple(subgroup))
+                      subgroup=tuple(subgroup), defined=enumerator.defined)
 
 
 def coset_action(table: CosetTable) -> PermGroup:

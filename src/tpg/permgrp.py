@@ -59,6 +59,14 @@ class NonMemberError(KeyError, ValueError):
     """A permutation or base image looked up in a group is not a member."""
 
 
+def _check_degree(degree: int) -> None:
+    """Refuse a degree that uint16 images cannot hold, before allocating."""
+    if degree > 65535:
+        raise ValueError("degree too large for uint16 images")
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
+
+
 class Perm:
     """A permutation of {1..degree}, stored as a 0-based image array."""
 
@@ -97,6 +105,7 @@ class Perm:
 
         Takes time linear in the degree plus the total cycle length.
         """
+        _check_degree(degree)
         img = list(range(degree))
         inv = list(range(degree))
         for cyc in cycles:
@@ -116,14 +125,32 @@ class Perm:
 
     @classmethod
     def parse(cls, s: str, degree: int) -> "Perm":
-        """Parse disjoint-cycle notation, e.g. "(1,2)(3,4)"; "()" is the identity."""
+        """Parse cycle notation, e.g. "(1,2)(3,4)"; "()" is the identity.
+
+        Disjoint cycles, as str() prints them, are placed by one scatter;
+        anything else goes through from_cycles, which composes or raises.
+        """
+        _check_degree(degree)
         text = s.replace(" ", "")
         if text in ("()", ""):
             return cls.identity(degree)
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"malformed permutation {s!r}")
-        return cls.from_cycles(degree, [
-            tuple(map(int, part.split(","))) for part in text[1:-1].split(")(")])
+        body = text[1:-1]
+        parts = body.split(")(")
+        points = list(map(int, body.replace(")(", ",").split(",")))
+        lengths = [part.count(",") + 1 for part in parts]
+        if min(lengths) > 1 and min(points) > 0 and max(points) <= degree:
+            pts = np.array(points, dtype=np.intp) - 1
+            if np.bincount(pts, minlength=degree).max() == 1:
+                # each point goes to the next one in its cycle, the last to the first
+                ends = np.cumsum(lengths) - 1
+                succ = np.arange(1, len(pts) + 1)
+                succ[ends] = ends - np.array(lengths) + 1
+                img = np.arange(degree, dtype=DTYPE)
+                img[pts] = pts[succ]
+                return cls._trusted(img)
+        return cls.from_cycles(degree, [tuple(map(int, part.split(","))) for part in parts])
 
     @property
     def degree(self) -> int:

@@ -7,7 +7,9 @@ lowest terms with a positive denominator and arbitrary-precision
 integer parts, so it serves directly as the scalar type.  The
 constructors keep entries that already are Fractions as they are.
 Row reduction runs fraction-free on integer rows and builds Fractions
-only for its result, since every Fraction operation pays for a gcd.
+only for its result, since every Fraction operation pays for a gcd.  That
+one elimination (echelon) and the integer kernel basis read from it
+(null_basis) are public, for callers whose rows are integers already.
 
 Rationals serialize as "p/q" with the "/q" omitted when q == 1.
 """
@@ -41,6 +43,70 @@ def parse_rat(s: str) -> Fraction:
     if not den:
         raise ValueError(f"malformed rational {s!r}")
     return Fraction(int(match[1]), den)
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Each row of Fractions times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def echelon(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on integer rows, in place.
+
+    Returns the pivot columns, chosen left to right.  A pivot p at (r, c)
+    clears column c of every other row i by row_i <- p*row_i - row_i[c]*row_r,
+    and each new row is divided by the gcd of its entries.  Afterwards row r
+    is a nonzero multiple of row r of the reduced row-echelon form, for r
+    below the rank, and the rows below the rank are zero.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def null_basis(rows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """(free column, primitive integer vector) for each free column, in order.
+
+    Each vector spans the same line as the Fraction kernel vector with a 1
+    in its free column, and is positive there.  Reduces rows in place.
+    """
+    pivots = echelon(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        entries = [(pc, row[pc], row[fc]) for row, pc in zip(rows, pivots) if row[fc]]
+        scale = lcm(*(p for _, p, _ in entries))  # positive, 1 for none
+        v = [0] * ncols
+        v[fc] = scale
+        for pc, p, f in entries:
+            v[pc] = -f * (scale // p)
+        g = gcd(*v)
+        basis.append((fc, [x // g for x in v] if g > 1 else v))
+    return basis
 
 
 class Vector:
@@ -190,44 +256,17 @@ class Matrix:
         """Reduced row-echelon form and the tuple of pivot columns.
 
         Pivots are chosen as the first nonzero entry scanning columns
-        left to right, so the result is deterministic.  The elimination
-        is fraction-free (Bareiss 1968): each row is scaled to integers
-        by the lcm of its denominators, a pivot p at (r, c) clears column
-        c of row i by row_i <- p*row_i - row_i[c]*row_r, every new row is
-        divided by the gcd of its entries, and each pivot row is divided
-        by its pivot once, at the end.  The reduced row-echelon form is
-        unique, so this equals Gauss-Jordan over the rationals.
+        left to right, so the result is deterministic.  Each row is scaled
+        to integers by the lcm of its denominators and reduced by echelon;
+        each pivot row is divided by its pivot once, at the end.  The
+        reduced row-echelon form is unique, so this equals Gauss-Jordan
+        over the rationals.
         """
-        rows = []
-        for row in self.rows:
-            d = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (d // x.denominator) for x in row])
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            prow = rows[r]
-            p = prow[c]
-            for i in range(self.nrows):
-                f = rows[i][c]
-                if i != r and f:
-                    new = [p * x - f * y for x, y in zip(rows[i], prow)]
-                    g = gcd(*new)
-                    rows[i] = [x // g for x in new] if g > 1 else new
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
+        rows = integer_rows(self.rows)
+        pivots = echelon(rows)
         out = [[Fraction(x, row[c]) if x else ZERO for x in row]
                for row, c in zip(rows, pivots)]
-        out += [[ZERO] * self.ncols for _ in range(self.nrows - r)]
+        out += [[ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
         return Matrix(out), tuple(pivots)
 
     def rank(self) -> int:
@@ -239,17 +278,8 @@ class Matrix:
         Basis vectors are ordered by their free column and have a 1 in
         that coordinate, so the basis is canonical for a given matrix.
         """
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.ncols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][fc]
-            basis.append(Vector(v))
-        return basis
+        return [Vector(Fraction(x, v[fc]) for x in v)
+                for fc, v in null_basis(integer_rows(self.rows), self.ncols)]
 
     def eigenspace(self, lam) -> list[Vector]:
         """Kernel basis of (M - lam*I); empty list when lam is not an eigenvalue."""

@@ -281,6 +281,20 @@ class TestCapacity:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "1"]
 
+    def test_target_reuses_a_larger_capacity_entry(self):
+        # in a fresh process: the G9 target, which asks for the default
+        # capacity, is the entry built at 2,000,000, whose enumerations
+        # defined fewer cosets than the default allows
+        code = (
+            "from tpg import classify\n"
+            "e = classify.entry('G9', 2_000_000)\n"
+            "G = classify.obstruction_target('(2^4:(S3xS3))x2')\n"
+            "print(G is e.group, classify.entry.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "1"]
+
     @pytest.mark.parametrize("change, message", [
         ("order=65", "G1: generated order 64, catalog says 65"),
         ("extra=('ac',)", "G1: relator ac fails"),
@@ -336,6 +350,40 @@ class TestObstructAndVerify:
             assert proc.returncode == 0, proc.stderr
             outputs.append((proc.stdout, (out / cert_name).read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_verify_identical_across_hash_seeds(self, tmp_path):
+        path = tmp_path / "S6.cert.json"
+        path.write_text(_payload("S6"))
+        for argv in (["dihedral", "verify"], ["verify", str(path)]):
+            outputs = []
+            for seed in ("1", "12345"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "tpg.cli", "--format", "json", *argv],
+                    capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], argv
+
+    @pytest.mark.parametrize("field, value", [
+        ("member", "(1,99999999999999999999)"),
+        ("member", "(1,2)()"),
+        ("member", "(1,x)"),
+        ("member", "(1,7)"),
+        ("degree", 65536),
+    ])
+    def test_hostile_member_rejected_in_a_fresh_process(self, tmp_path, field, value):
+        payload = json.loads(_payload("S6"))
+        if field == "member":
+            payload["certificate"]["members"][0][0] = value
+        else:
+            payload["certificate"]["degree"] = value
+        path = tmp_path / "S6.cert.json"
+        path.write_text(json.dumps(payload))
+        proc = subprocess.run([sys.executable, "-m", "tpg.cli", "verify", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "REJECTED" in proc.stdout
 
     def test_verify_flag_rechecks_before_writing(self, capsys, tmp_path):
         code, out, _ = run_cli(

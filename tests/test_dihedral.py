@@ -172,6 +172,24 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             ad_spectrum(build("3A"), "u_rho")
 
+    def test_matches_matrix_eigenspaces(self):
+        # the same eigenvalues, in the same order, with the same Fraction
+        # eigenbases as Matrix.eigenspace of the adjoint, on all 33 axes
+        axes = 0
+        for alg in map(build, DIHEDRAL_TYPES):
+            for ax in alg.axes:
+                ad = Matrix.from_columns(list(alg.mult[alg.index(ax)]))
+                want = {}
+                for lam in dihedral.EIGENVALUES:
+                    eb = ad.eigenspace(lam)
+                    if eb:
+                        want[lam] = (len(eb), tuple(eb))
+                got = ad_spectrum(alg, ax)
+                assert list(got.items()) == list(want.items()), (alg.type, ax)
+                assert all(type(x) is Fraction for _, eb in got.values() for u in eb for x in u)
+                axes += 1
+        assert axes == 33
+
 
 class TestChecks:
     @pytest.mark.parametrize("t", DIHEDRAL_TYPES)

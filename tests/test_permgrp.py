@@ -74,6 +74,37 @@ def test_from_cycles_matches_composition(case):
     assert Perm.parse(text, degree) == p
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400).flatmap(lambda n: st.permutations(range(n))))
+def test_parse_inverts_str(img):
+    # printed cycles are disjoint, the form parse places by one scatter
+    p = Perm(img)
+    assert Perm.parse(str(p), len(img)) == p
+
+
+@pytest.mark.parametrize("text, degree, message", [
+    ("(1,99999999999999999999)", 10, "point 99999999999999999999 outside 1..10"),
+    ("(99999999999999999999,1)(2,3)", 10, "point 99999999999999999999 outside 1..10"),
+    ("(1,2)", 65536, "degree too large for uint16 images"),
+    ("()", 65536, "degree too large for uint16 images"),
+    ("(1,2)", 10**30, "degree too large for uint16 images"),
+    ("(1,2)", -1, "negative degree -1"),
+    ("(1,2)()", 5, "invalid literal"),
+    ("()(1,2)", 5, "invalid literal"),
+    ("(1,2,)", 5, "invalid literal"),
+    ("(1,x)", 5, "invalid literal"),
+    ("(1,2.5)", 5, "invalid literal"),
+    ("(1,2)(3", 5, "malformed permutation"),
+    ("(1,6)", 5, "point 6 outside 1..5"),
+    ("(0,1)", 5, "point 0 outside 1..5"),
+    ("(3,4)(-1,2)", 5, "point -1 outside 1..5"),
+    ("(1,2)(3,4,3)", 5, r"repeated point in cycle \(3, 4, 3\)"),
+])
+def test_parse_rejects_hostile_input(text, degree, message):
+    with pytest.raises(ValueError, match=message):
+        Perm.parse(text, degree)
+
+
 def test_from_cycles_rejects_bad_points():
     with pytest.raises(ValueError, match="outside"):
         Perm.from_cycles(3, [(1, 2), (2, 0)])

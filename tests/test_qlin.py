@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tpg.qlin import Matrix, Vector, parse_rat, rat_str, span_contains
+from tpg.qlin import Matrix, Vector, integer_rows, null_basis, parse_rat, rat_str, span_contains
 
 F = Fraction
 
@@ -232,6 +233,44 @@ def test_rref_matches_gauss_jordan(rows):
     assert pivots == want_pivots
     assert R == Matrix(want)
     assert all(type(x) is Fraction for row in R.rows for x in row)
+
+
+@given(rational_matrices(), st.data())
+def test_kernel_and_solve_match_gauss_jordan(rows, data):
+    # all three go through the one integer elimination, echelon; the
+    # references read the Fraction Gauss-Jordan form above
+    M = Matrix(rows)
+    R, pivots = gauss_jordan(rows)
+    free = [c for c in range(M.ncols) if c not in pivots]
+    want = []
+    for fc in free:
+        v = [F(0)] * M.ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        want.append(Vector(v))
+    assert M.kernel() == want
+    rhs = [data.draw(st.one_of(st.just(F(0)), rationals)) for _ in range(M.nrows)]
+    A, apivots = gauss_jordan([row + [b] for row, b in zip(rows, rhs)])
+    if M.ncols in apivots:
+        assert M.solve(Vector(rhs)) is None
+    else:
+        x = [F(0)] * M.ncols
+        for r, pc in enumerate(apivots):
+            x[pc] = A[r][M.ncols]
+        assert M.solve(Vector(rhs)) == Vector(x)
+
+
+@given(rational_matrices())
+def test_null_basis_is_primitive(rows):
+    # each integer vector is the Fraction kernel vector times its free
+    # coordinate, which is positive, and its entries have gcd 1
+    M = Matrix(rows)
+    basis = null_basis(integer_rows(M.rows), M.ncols)
+    assert len(basis) == len(M.kernel())
+    for (fc, v), k in zip(basis, M.kernel()):
+        assert v[fc] > 0 and gcd(*v) == 1
+        assert Vector(v) == k * v[fc]
 
 
 def test_rref_edge_shapes():
