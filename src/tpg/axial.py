@@ -137,7 +137,7 @@ class TConfig:
     @cached_property
     def tset(self) -> tuple[Perm, ...]:
         """The T-set elements as Perms, in T-set order."""
-        return tuple(Perm(e, validate=False)
+        return tuple(Perm.trusted(e)
                      for e in self.group.element_images[self.members])
 
     @cached_property
@@ -210,7 +210,7 @@ def _scan_products(
     orders = G.element_orders()[prods]
     if (orders > 6).any():
         r, s = (int(x) for x in np.argwhere(orders > 6)[0])
-        t, u = Perm(m[reps[r]], validate=False), Perm(m[s], validate=False)
+        t, u = Perm.trusted(m[reps[r]]), Perm.trusted(m[s])
         raise NotTrianglePointError(
             f"product of T-set elements {t} and {u} "
             f"has order {(t * u).order()} > 6"
@@ -293,8 +293,8 @@ def _pair_types(G: PermGroup, idx: np.ndarray, designated: np.ndarray) -> np.nda
     if (orders > 6).any():
         t, s = divmod(int(np.argmax(orders > 6)), n)
         raise NotTrianglePointError(
-            f"product of T-set elements {Perm(m[t], validate=False)} and "
-            f"{Perm(m[s], validate=False)} has order > 6")
+            f"product of T-set elements {Perm.trusted(m[t])} and "
+            f"{Perm.trusted(m[s])} has order > 6")
     row, col = np.divmod(np.arange(n * n), n)
     # per t: (tr)^2 and (tr)^4 over o(tr) = 6, coded as t * |G| + element
     six = np.flatnonzero(orders == 6)
@@ -361,7 +361,7 @@ class AxisSpanModel:
     @cached_property
     def axes(self) -> tuple[Perm, ...]:
         E = self.subgroup.element_images
-        return tuple(Perm(E[i], validate=False) for i in self.members)
+        return tuple(Perm.trusted(E[i]) for i in self.members)
 
     @property
     def dim(self) -> int:
@@ -748,7 +748,7 @@ def cert_from_dict(data: dict) -> ObstructionCertificate:
 
 def _cycles(G: PermGroup, idx) -> tuple[str, ...]:
     E = G.element_images
-    return tuple(str(Perm(E[i], validate=False)) for i in idx)
+    return tuple(str(Perm.trusted(E[i])) for i in idx)
 
 
 def _with_words(cfg: TConfig, idx: np.ndarray) -> tuple[tuple[str, str], ...]:

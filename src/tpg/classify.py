@@ -669,10 +669,10 @@ class Configuration:
         Every T-preserving isomorphism preserves them, so configurations that
         differ here are inequivalent without a search.
         """
-        G, in_t = self.tconfig.group, self.tconfig.mask
-        meets = (in_t[G.indices_of_base_images(H.element_images[:, G.base()])].sum()
-                 for H in (G.derived_subgroup(), G.center()))
-        return (len(self.tconfig.members), *(int(n) for n in meets))
+        G, T = self.tconfig.group, self.tconfig.members
+        derived = G.indices_of_base_images(G.derived_subgroup().element_images[:, G.base()])
+        central = np.bincount(G.class_labels())[G.class_labels()[T]] == 1  # classes of size 1
+        return len(T), int(self.tconfig.mask[derived].sum()), int(central.sum())
 
 
 @dataclass

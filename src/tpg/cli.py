@@ -9,7 +9,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -19,19 +18,9 @@ from .dihedral import DIHEDRAL_TYPES, axis_checks, build, check_inclusion, check
 from .fpgrp import DEFAULT_CAPACITY, parse_presentation, todd_coxeter
 from .permgrp import CapacityError
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 CERT_SCHEMA = "tpg.certificate/1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    targets: tuple[str, ...]
-    out: Path
-    format: str
-    verify: bool
-    capacity: int
 
 
 @cache
@@ -59,38 +48,34 @@ def _parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("catalog", help="maximal groups with validation")
     sc.add_argument("--only", metavar="NAME", help="restrict to one group")
+    sc.set_defaults(handler=_cmd_catalog)
 
     sn = sub.add_parser("normals",
                         help="normal subgroups of index > 12 with quotients")
     sn.add_argument("group", metavar="NAME")
+    sn.set_defaults(handler=_cmd_normals)
 
     sd = sub.add_parser("dihedral", help="dihedral algebra checks")
     sd.add_argument("action", choices=("verify",))
+    sd.set_defaults(handler=_cmd_dihedral)
 
     se = sub.add_parser("enumerate", help="coset enumeration from a file")
     se.add_argument("file", metavar="PRESENTATION")
+    se.set_defaults(handler=_cmd_enumerate)
 
     so = sub.add_parser("obstruct",
                         help="certify non-existence for an excluded type")
     so.add_argument("target", metavar="TYPE")
+    so.set_defaults(handler=_cmd_obstruct)
 
-    sub.add_parser("classify", help="full pipeline with report emission")
+    sk = sub.add_parser("classify", help="full pipeline with report emission")
+    sk.set_defaults(handler=_cmd_classify)
 
     sv = sub.add_parser("verify", help="re-check a certificate file")
     sv.add_argument("file", metavar="CERTIFICATE")
+    sv.set_defaults(handler=_cmd_verify)
 
     return p
-
-
-def _config(ns: argparse.Namespace) -> RunConfig:
-    targets = tuple(
-        t for t in (getattr(ns, "only", None), getattr(ns, "group", None),
-                    getattr(ns, "target", None), getattr(ns, "file", None))
-        if t is not None)
-    return RunConfig(
-        subcommand=ns.subcommand, targets=targets, out=Path(ns.out),
-        format=ns.format, verify=ns.verify,
-        capacity=ns.capacity)
 
 
 def _usage_error(msg: str) -> int:
@@ -108,14 +93,23 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_catalog(cfg: RunConfig) -> int:
-    only = cfg.targets[0] if cfg.targets else None
-    if only is not None and only not in classify.GROUP_NAMES:
-        return _usage_error(f"unknown group {only!r}; "
+def _out_dir(ns: argparse.Namespace) -> Path | None:
+    """The --out directory, created; None, after a usage error, if it cannot be."""
+    try:
+        Path(ns.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path through one
+        _usage_error(f"--out {ns.out}: cannot create directory ({exc.strerror})")
+        return None
+    return Path(ns.out)
+
+
+def _cmd_catalog(ns: argparse.Namespace) -> int:
+    if ns.only is not None and ns.only not in classify.GROUP_NAMES:
+        return _usage_error(f"unknown group {ns.only!r}; "
                             f"expected one of {', '.join(classify.GROUP_NAMES)}")
-    entries = (classify.catalog(cfg.capacity) if only is None
-               else [classify.entry(only, cfg.capacity)])
-    if cfg.verify:
+    entries = (classify.catalog(ns.capacity) if ns.only is None
+               else [classify.entry(ns.only, ns.capacity)])
+    if ns.verify:
         for e in entries:
             lattice = classify.normal_subgroups_index_gt(e.group, 12)
             classify.quotient_records(e, lattice)
@@ -127,7 +121,7 @@ def _cmd_catalog(cfg: RunConfig) -> int:
             "r": r, "order": e.order, "source": e.source,
             "normals_index_gt_12": len(classify.table_rows(e.name)),
         })
-    if cfg.format == "json":
+    if ns.format == "json":
         print(json.dumps(rows, indent=2))
     else:
         print(_table(
@@ -137,13 +131,13 @@ def _cmd_catalog(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_normals(cfg: RunConfig) -> int:
-    name = cfg.targets[0]
+def _cmd_normals(ns: argparse.Namespace) -> int:
+    name = ns.group
     if name not in classify.GROUP_NAMES:
         return _usage_error(f"unknown group {name!r}; "
                             f"expected one of {', '.join(classify.GROUP_NAMES)}")
-    recs = classify.quotient_records(classify.entry(name, cfg.capacity))
-    if cfg.format == "json":
+    recs = classify.quotient_records(classify.entry(name, ns.capacity))
+    if ns.format == "json":
         print(json.dumps([
             {"subgroup_order": r.subgroup_order, "words": list(r.words),
              "quotient_order": r.quotient_order, "type": r.type_name,
@@ -160,7 +154,7 @@ def _cmd_normals(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_dihedral(cfg: RunConfig) -> int:
+def _cmd_dihedral(ns: argparse.Namespace) -> int:
     results = []
     for t in DIHEDRAL_TYPES:
         alg = build(t)
@@ -173,7 +167,7 @@ def _cmd_dihedral(cfg: RunConfig) -> int:
             "gram_psd": alg.gram.is_psd(),
         })
     bad = [r for r in results if r["failures"] or not r["gram_psd"]]
-    if cfg.format == "json":
+    if ns.format == "json":
         print(json.dumps(results, indent=2))
     else:
         for r in results:
@@ -183,17 +177,16 @@ def _cmd_dihedral(cfg: RunConfig) -> int:
     return 1 if bad else 0
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
-    path = Path(cfg.targets[0]) if cfg.targets else None
-    assert path is not None
+def _cmd_enumerate(ns: argparse.Namespace) -> int:
+    path = Path(ns.file)
     if not path.is_file():
         return _usage_error(f"no such file: {path}")
     try:
         pres, subgroup = parse_presentation(path.read_text())
     except ValueError as exc:
         return _usage_error(f"{path}: {exc}")
-    table = todd_coxeter(pres, subgroup=subgroup, capacity=cfg.capacity)
-    if cfg.format == "json":
+    table = todd_coxeter(pres, subgroup=subgroup, capacity=ns.capacity)
+    if ns.format == "json":
         print(json.dumps({"cosets": table.coset_count}))
     else:
         print(f"cosets: {table.coset_count}")
@@ -212,8 +205,8 @@ def _cert_summary(cert) -> str:
             f"(u.v, w) = {cert.lhs} but (u, v.w) = {cert.rhs}")
 
 
-def _cmd_obstruct(cfg: RunConfig) -> int:
-    name = cfg.targets[0]
+def _cmd_obstruct(ns: argparse.Namespace) -> int:
+    name = ns.target
     if name not in classify.EXCLUDED_TYPE_NAMES:
         known = ", ".join(classify.EXCLUDED_TYPE_NAMES)
         return _usage_error(f"unknown excluded type {name!r}; expected one "
@@ -223,12 +216,14 @@ def _cmd_obstruct(cfg: RunConfig) -> int:
     if cert is None:
         print(f"tpg: no obstruction certified for {name}", file=sys.stderr)
         return 1
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(ns)
+    if out is None:
+        return 2
     payload = {"schema": CERT_SCHEMA, "type": name,
                "certificate": cert_to_dict(cert)}
-    dest = cfg.out / f"{_safe_name(name)}.cert.json"
+    dest = out / f"{_safe_name(name)}.cert.json"
     dest.write_text(json.dumps(payload, indent=2) + "\n")
-    if cfg.format == "json":
+    if ns.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(f"{name} (order {cert.group_order}): {_cert_summary(cert)}")
@@ -236,14 +231,13 @@ def _cmd_obstruct(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    path = Path(cfg.targets[0]) if cfg.targets else None
-    assert path is not None
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    path = Path(ns.file)
     if not path.is_file():
         return _usage_error(f"no such file: {path}")
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or deep JSON
         return _usage_error(f"{path}: invalid JSON ({exc})")
     if not isinstance(payload, dict):
         return _usage_error(f"{path}: expected a JSON object")
@@ -258,7 +252,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         return _usage_error(f"{path}: malformed certificate ({exc})")
     tcfg = classify.target_config(name)
     ok = verify_certificate(tcfg, cert)
-    if cfg.format == "json":
+    if ns.format == "json":
         print(json.dumps({"type": name, "verified": ok}))
     else:
         verdict = "verified" if ok else "REJECTED"
@@ -266,11 +260,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    report = classify.classify_all(cfg.capacity)
-    paths = classify.write_outputs(report, cfg.out)
+def _cmd_classify(ns: argparse.Namespace) -> int:
+    out = _out_dir(ns)  # an unusable --out fails before the pipeline runs
+    if out is None:
+        return 2
+    report = classify.classify_all(ns.capacity)
+    paths = classify.write_outputs(report, out)
     rec = report.reconciliation
-    if cfg.format == "json":
+    if ns.format == "json":
         print(json.dumps(classify.report_to_json(report), indent=2))
     else:
         print(f"distinct triangle-point types: {rec['computed_total']} "
@@ -299,20 +296,10 @@ def run(argv: list[str] | None = None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config(ns)
-    if cfg.capacity < 1:
+    if ns.capacity < 1:
         return _usage_error("--coset-capacity must be positive")
-    handler = {
-        "catalog": _cmd_catalog,
-        "normals": _cmd_normals,
-        "dihedral": _cmd_dihedral,
-        "enumerate": _cmd_enumerate,
-        "obstruct": _cmd_obstruct,
-        "classify": _cmd_classify,
-        "verify": _cmd_verify,
-    }[cfg.subcommand]
     try:
-        return handler(cfg)
+        return ns.handler(ns)
     except classify.ClassificationError as exc:
         print(f"tpg: verified discrepancy: {exc}", file=sys.stderr)
         return 1

@@ -97,9 +97,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
 

@@ -70,34 +70,29 @@ def _check_degree(degree: int) -> None:
 class Perm:
     """A permutation of {1..degree}, stored as a 0-based image array."""
 
-    __slots__ = ("img", "_hash", "_order")
+    __slots__ = ("img",)
 
-    def __init__(self, img, validate: bool = True):
+    def __init__(self, img):
         arr = np.array(img, dtype=DTYPE, copy=True)
-        if validate:
-            n = len(arr)
-            if n > 65535:
-                raise ValueError("degree too large for uint16 images")
-            if n and (np.bincount(arr, minlength=n) != 1).any():
-                raise ValueError("image array is not a bijection")
+        n = len(arr)
+        if n > 65535:
+            raise ValueError("degree too large for uint16 images")
+        if n and (np.bincount(arr, minlength=n) != 1).any():
+            raise ValueError("image array is not a bijection")
         arr.setflags(write=False)
         self.img = arr
-        self._hash = None
-        self._order = None
 
     @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "Perm":
+    def trusted(cls, arr: np.ndarray) -> "Perm":
+        """Wrap an image row already known to be a permutation, unchecked."""
         p = cls.__new__(cls)
-        a = np.ascontiguousarray(arr, dtype=DTYPE)
-        a.setflags(write=False)
-        p.img = a
-        p._hash = None
-        p._order = None
+        p.img = np.ascontiguousarray(arr, dtype=DTYPE)
+        p.img.setflags(write=False)
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls._trusted(np.arange(degree, dtype=DTYPE))
+        return cls.trusted(np.arange(degree, dtype=DTYPE))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Perm":
@@ -149,7 +144,7 @@ class Perm:
                 succ[ends] = ends - np.array(lengths) + 1
                 img = np.arange(degree, dtype=DTYPE)
                 img[pts] = pts[succ]
-                return cls._trusted(img)
+                return cls.trusted(img)
         return cls.from_cycles(degree, [tuple(map(int, part.split(","))) for part in parts])
 
     @property
@@ -159,12 +154,12 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Perm._trusted(other.img[self.img])
+        return Perm.trusted(other.img[self.img])
 
     def inverse(self) -> "Perm":
         inv = np.empty_like(self.img)
         inv[self.img] = np.arange(self.degree, dtype=DTYPE)
-        return Perm._trusted(inv)
+        return Perm.trusted(inv)
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -180,7 +175,7 @@ class Perm:
 
     def conj(self, g: "Perm") -> "Perm":
         """g^-1 * self * g."""
-        return Perm._trusted(g.img[self.img[g.inverse().img]])
+        return Perm.trusted(g.img[self.img[g.inverse().img]])
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, 1-based, each starting at its least point."""
@@ -200,9 +195,7 @@ class Perm:
         return out
 
     def order(self) -> int:
-        if self._order is None:
-            self._order = math.lcm(*(len(c) for c in self.cycles()), 1)
-        return self._order
+        return math.lcm(*(len(c) for c in self.cycles()), 1)
 
     def is_identity(self) -> bool:
         return bool((self.img == np.arange(self.degree, dtype=DTYPE)).all())
@@ -223,9 +216,7 @@ class Perm:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.img.tobytes())
-        return self._hash
+        return hash(self.img.tobytes())
 
     def __str__(self):
         cyc = self.cycles()
@@ -261,7 +252,6 @@ class PermGroup:
         degree: int,
         generators: Iterable[Perm],
         *,
-        ceiling: int = DEFAULT_CEILING,
         name: Optional[str] = None,
         tracked: Optional[dict[str, Perm]] = None,
     ):
@@ -276,7 +266,6 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self.ceiling = ceiling
         self.name = name
         self.tracked = dict(tracked) if tracked else {}
         self._E: Optional[np.ndarray] = None
@@ -313,9 +302,9 @@ class PermGroup:
                     key = row.tobytes()
                     if key in seen:
                         continue
-                    if len(rows) == self.ceiling:
+                    if len(rows) == DEFAULT_CEILING:
                         raise CapacityError(
-                            f"closure exceeded ceiling {self.ceiling}")
+                            f"closure exceeded ceiling {DEFAULT_CEILING}")
                     seen.add(key)
                     rows.append(row.copy())
         # release the keys before sorting, which lowers the peak memory of
@@ -338,7 +327,7 @@ class PermGroup:
     def elements(self) -> tuple[Perm, ...]:
         self._enumerate()
         if self._elements is None:
-            self._elements = tuple(Perm._trusted(row) for row in self._E)
+            self._elements = tuple(Perm.trusted(row) for row in self._E)
         return self._elements
 
     @property
@@ -373,9 +362,6 @@ class PermGroup:
         idx = self._find(rows[..., self.base()])
         idx[(idx < 0) | (self._E[idx] != rows).any(axis=-1)] = -1
         return idx
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         label = self.name or f"degree {self.degree}"
@@ -513,7 +499,7 @@ class PermGroup:
 
     def involutions(self) -> tuple[Perm, ...]:
         idx = np.nonzero(self.element_orders() == 2)[0]
-        return tuple(Perm._trusted(self._E[i]) for i in idx)
+        return tuple(Perm.trusted(self._E[i]) for i in idx)
 
     def conjugation_map(self, g: Perm) -> np.ndarray:
         """Element index of g^-1 x g for every element x, by base image.
@@ -594,7 +580,7 @@ class PermGroup:
             members = np.argsort(labels, kind="stable")
             bounds = np.cumsum(np.bincount(labels))[:-1]
             self._classes = tuple(
-                tuple(Perm._trusted(self._E[i]) for i in cls)
+                tuple(Perm.trusted(self._E[i]) for i in cls)
                 for cls in np.split(members, bounds)
             )
         return self._classes
@@ -661,8 +647,7 @@ class PermGroup:
 
     def _closed_subgroup(self, mask: np.ndarray, picked: list[int]) -> "PermGroup":
         """The masked rows as a group, with the picked seeds as generators."""
-        H = PermGroup(self.degree, (Perm._trusted(self._E[i]) for i in picked),
-                      ceiling=self.ceiling)
+        H = PermGroup(self.degree, (Perm.trusted(self._E[i]) for i in picked))
         if mask.all():
             H._E = self._E  # the whole group shares its rows
         else:
@@ -794,8 +779,7 @@ class PermGroup:
         moved = number[label[self.product_indices(
             R, _image_rows(list(self.tracked.values()), self.degree))]]
         tracked = dict(zip(self.tracked, (Perm(t) for t in moved.T)))
-        Q = PermGroup(count, (Perm(t) for t in images), ceiling=self.ceiling,
-                      tracked=tracked)
+        Q = PermGroup(count, (Perm(t) for t in images), tracked=tracked)
         rows = np.empty((count, count), dtype=DTYPE)
         rows[0] = np.arange(count)
         batch = max(1, _ROW_BATCH // count)
@@ -814,7 +798,7 @@ class PermGroup:
     def generating_tuple(self) -> tuple[Perm, ...]:
         """Greedy lexicographically-least generating tuple."""
         _, picked = self.index_closure(range(self.order))
-        return tuple(Perm._trusted(self._E[i]) for i in picked)
+        return tuple(Perm.trusted(self._E[i]) for i in picked)
 
 
 def generate(degree: int, gens: Iterable[Perm], **kw) -> PermGroup:
@@ -991,7 +975,7 @@ def find_isomorphism(
     def leaf(imgs: list[int], _) -> Optional[tuple[Perm, ...]]:
         if not _certify_hom(G, gen_idx, H, imgs):
             return None
-        return tuple(Perm._trusted(H_E[i]) for i in imgs)
+        return tuple(Perm.trusted(H_E[i]) for i in imgs)
 
     return _tuple_search(H, _prefix_orders(G, gen_idx), pool, leaf)
 

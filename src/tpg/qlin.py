@@ -206,28 +206,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
-
-    def column(self, j: int) -> Vector:
-        return Vector(r[j] for r in self.rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            [a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            [a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)
-        )
-
-    def _shape_check(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")

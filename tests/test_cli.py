@@ -354,7 +354,11 @@ class TestObstructAndVerify:
     def test_verify_identical_across_hash_seeds(self, tmp_path):
         path = tmp_path / "S6.cert.json"
         path.write_text(_payload("S6"))
-        for argv in (["dihedral", "verify"], ["verify", str(path)]):
+        pres = tmp_path / "G1.txt"
+        pres.write_text("mnp: 4 4 4\n")
+        for argv in (["dihedral", "verify"], ["verify", str(path)],
+                     ["normals", "G6"], ["catalog", "--only", "G10"],
+                     ["enumerate", str(pres)]):
             outputs = []
             for seed in ("1", "12345"):
                 proc = subprocess.run(
@@ -384,6 +388,42 @@ class TestObstructAndVerify:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert "REJECTED" in proc.stdout
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_unreadable_certificate_is_a_usage_error(self, tmp_path, data):
+        path = tmp_path / "bad.cert.json"
+        path.write_bytes(data)
+        proc = subprocess.run([sys.executable, "-m", "tpg.cli", "verify", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"tpg: error: {path}: invalid JSON (")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", [["obstruct", "S6"], ["classify"]])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, command, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("x")
+        out = blocker / under
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpg.cli", "--out", str(out), *command],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"tpg: error: --out {out}: cannot create")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "x"
+
+    def test_classify_checks_out_before_the_pipeline(self, capsys, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(classify, "classify_all",
+                            lambda *args: pytest.fail("the pipeline ran"))
+        (tmp_path / "F").write_text("x")
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "F"), "classify")
+        assert (code, out) == (2, "")
+        assert "--out" in err
 
     def test_verify_flag_rechecks_before_writing(self, capsys, tmp_path):
         code, out, _ = run_cli(

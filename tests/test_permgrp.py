@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tpg import permgrp
 from tpg.classify import normal_subgroups_index_gt
 from tpg.fpgrp import evaluate_word, parse_word
 from tpg.permgrp import (
@@ -171,9 +172,10 @@ def test_elements_sorted_lexicographically():
     assert imgs == sorted(imgs)
 
 
-def test_capacity_ceiling():
+def test_capacity_ceiling(monkeypatch):
+    monkeypatch.setattr(permgrp, "DEFAULT_CEILING", 3)
     with pytest.raises(CapacityError):
-        PermGroup(5, [P("(1,2,3,4,5)", 5)], ceiling=3).order
+        PermGroup(5, [P("(1,2,3,4,5)", 5)]).order
 
 
 def test_standard_constructions():
