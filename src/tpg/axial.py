@@ -27,7 +27,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .dihedral import FUSION, bilinear
-from .fpgrp import Word, evaluate_word, parse_word
+from .fpgrp import Word, parse_word
 from .permgrp import (
     NonMemberError,
     Perm,
@@ -828,25 +828,34 @@ def verify_certificate(cfg: TConfig, cert: ObstructionCertificate) -> bool:
 
     Each parsed list (generators, members, basis, triple) is looked up in
     the group with one batched call, and the checks compare index sets.
+    Each member's word is walked on the base points of the group only:
+    the word and the member both lie in the group, so they are equal when
+    their base images are.
     """
     G = cfg.group
     deg = G.degree
     if cert.degree != deg or cert.group_order != G.order:
         return False
-    images = cfg.seed_images()
     # a hostile certificate may name generators outside the group, or
     # members of it that generate a large subgroup: the first are rejected
     # before any closure (NonMemberError is a ValueError), the second once
     # the closure passes 16 elements
     try:
         gen_idx = G.indices_of([Perm.parse(s, deg) for s in cert.generators])
-        members = [Perm.parse(s, deg) for s, _ in cert.members]
+        member_idx = G.indices_of([Perm.parse(s, deg) for s, _ in cert.members])
         words = [parse_word(w) for _, w in cert.members]
-        if any(evaluate_word(w, images) != p for p, w in zip(members, words)):
-            return False
-        member_idx = G.indices_of(members)
     except ValueError:
         return False
+    base = G.base().tolist()
+    seeds = {ch: p.img.tolist() for ch, p in cfg.seed_images().items()}
+    targets = G.element_images[member_idx][:, base].tolist()
+    for w, target in zip(words, targets):
+        maps = [seeds[ch] for ch in w.letters]
+        for x, want in zip(base, target):
+            for img in maps:
+                x = img[x]
+            if x != want:
+                return False
     if not cfg.mask[member_idx].all():
         return False
     closed = G.index_closure(gen_idx, abort_above=16)

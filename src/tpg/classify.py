@@ -52,6 +52,7 @@ __all__ = [
     "TypeEntry",
     "EXCLUDED_TYPE_NAMES",
     "GROUP_NAMES",
+    "OUTPUT_FILES",
     "GroupSpec",
     "build",
     "catalog",
@@ -954,12 +955,15 @@ def _tables_markdown(report: ClassificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+OUTPUT_FILES = ("classification.json", "tables.md")
+
+
 def write_outputs(report: ClassificationReport, outdir: Path) -> list[Path]:
+    """Write OUTPUT_FILES into outdir, created if need be; their paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jpath = outdir / "classification.json"
+    jpath, mpath = (outdir / name for name in OUTPUT_FILES)
     jpath.write_text(json.dumps(report_to_json(report), indent=2) + "\n")
-    mpath = outdir / "tables.md"
     mpath.write_text(_tables_markdown(report))
     return [jpath, mpath]
 

@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 verified discrepancy or failed check, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -93,14 +95,21 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _out_dir(ns: argparse.Namespace) -> Path | None:
-    """The --out directory, created; None, after a usage error, if it cannot be."""
+def _out_dir(ns: argparse.Namespace, names: tuple[str, ...]) -> Path | None:
+    """The --out directory, created, for files names; None, after a usage
+    error, if it cannot be created or a directory takes one of the names."""
+    out = Path(ns.out)
     try:
-        Path(ns.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file, or a path through one
         _usage_error(f"--out {ns.out}: cannot create directory ({exc.strerror})")
         return None
-    return Path(ns.out)
+    for name in names:
+        if (out / name).is_dir():
+            _usage_error(f"--out {ns.out}: cannot write {name} "
+                         f"({os.strerror(errno.EISDIR)})")
+            return None
+    return out
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
@@ -211,17 +220,18 @@ def _cmd_obstruct(ns: argparse.Namespace) -> int:
         known = ", ".join(classify.EXCLUDED_TYPE_NAMES)
         return _usage_error(f"unknown excluded type {name!r}; expected one "
                             f"of: {known}")
+    fname = f"{_safe_name(name)}.cert.json"
+    out = _out_dir(ns, (fname,))  # an unusable --out fails before the search
+    if out is None:
+        return 2
     tcfg = classify.target_config(name)
     cert = obstruct(tcfg)
     if cert is None:
         print(f"tpg: no obstruction certified for {name}", file=sys.stderr)
         return 1
-    out = _out_dir(ns)
-    if out is None:
-        return 2
     payload = {"schema": CERT_SCHEMA, "type": name,
                "certificate": cert_to_dict(cert)}
-    dest = out / f"{_safe_name(name)}.cert.json"
+    dest = out / fname
     dest.write_text(json.dumps(payload, indent=2) + "\n")
     if ns.format == "json":
         print(json.dumps(payload, indent=2))
@@ -261,7 +271,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
-    out = _out_dir(ns)  # an unusable --out fails before the pipeline runs
+    out = _out_dir(ns, classify.OUTPUT_FILES)  # fails before the pipeline runs
     if out is None:
         return 2
     report = classify.classify_all(ns.capacity)

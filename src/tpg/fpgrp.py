@@ -29,6 +29,7 @@ complete, closed and deterministic.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -110,6 +111,10 @@ class Word:
         return f"Word({str(self)!r})"
 
 
+_LETTERS = re.compile("[abc]+")
+_LETTER_TOKENS = {ch: ("LET", ch) for ch in GENERATORS}
+
+
 def _tokenize(text: str) -> list[tuple[str, object]]:
     toks: list[tuple[str, object]] = []
     i = 0
@@ -119,8 +124,9 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
         if ch.isspace() or ch == "*":
             i += 1
         elif ch in _COL:
-            toks.append(("LET", ch))
-            i += 1
+            j = _LETTERS.match(text, i).end()
+            toks += map(_LETTER_TOKENS.__getitem__, text[i:j])
+            i = j
         elif ch in "()^":
             toks.append((ch, ch))
             i += 1
@@ -178,9 +184,16 @@ def _parse_factor(toks, i):
 
 def _parse_seq(toks, i):
     letters: list[str] = []
-    while i < len(toks) and toks[i][0] != ")":
-        w, i = _parse_factor(toks, i)
-        letters += w.letters
+    n = len(toks)
+    while i < n and toks[i][0] != ")":
+        kind, val = toks[i]
+        if kind == "LET" and (i + 1 == n or toks[i + 1][0] != "^"):
+            # a letter that no ^ follows is a factor of its own
+            letters.append(val)
+            i += 1
+        else:
+            w, i = _parse_factor(toks, i)
+            letters += w.letters
         _check_length(len(letters))
     return Word(letters), i
 
@@ -193,11 +206,12 @@ def parse_word(text: str) -> Word:
     is the empty word.
     """
     toks = _tokenize(text)
-    depth = 0
-    for kind, _ in toks:
-        depth += (kind == "(") - (kind == ")")
-        if depth > MAX_NESTING:
-            raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
+    if "(" in text:  # only parentheses nest
+        depth = 0
+        for kind, _ in toks:
+            depth += (kind == "(") - (kind == ")")
+            if depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
     w, i = _parse_seq(toks, 0)
     if i != len(toks):
         raise ValueError(f"trailing tokens in word {text!r}")

@@ -122,8 +122,12 @@ class Perm:
     def parse(cls, s: str, degree: int) -> "Perm":
         """Parse cycle notation, e.g. "(1,2)(3,4)"; "()" is the identity.
 
-        Disjoint cycles, as str() prints them, are placed by one scatter;
-        anything else goes through from_cycles, which composes or raises.
+        All points are read by one numpy conversion, with a 0 before,
+        between and after the cycles.  Disjoint cycles, as str() prints
+        them, are placed by two scatters: each point to the next one, then
+        each last point of a cycle to the first.  Anything else (a point
+        that is not a uint16, a 0 or a point above the degree, a repeated
+        point) goes through from_cycles, which composes or raises.
         """
         _check_degree(degree)
         text = s.replace(" ", "")
@@ -132,20 +136,21 @@ class Perm:
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"malformed permutation {s!r}")
         body = text[1:-1]
-        parts = body.split(")(")
-        points = list(map(int, body.replace(")(", ",").split(",")))
-        lengths = [part.count(",") + 1 for part in parts]
-        if min(lengths) > 1 and min(points) > 0 and max(points) <= degree:
-            pts = np.array(points, dtype=np.intp) - 1
-            if np.bincount(pts, minlength=degree).max() == 1:
-                # each point goes to the next one in its cycle, the last to the first
-                ends = np.cumsum(lengths) - 1
-                succ = np.arange(1, len(pts) + 1)
-                succ[ends] = ends - np.array(lengths) + 1
-                img = np.arange(degree, dtype=DTYPE)
-                img[pts] = pts[succ]
-                return cls.trusted(img)
-        return cls.from_cycles(degree, [tuple(map(int, part.split(","))) for part in parts])
+        try:
+            pts = np.array(f"0,{body.replace(')(', ',0,')},0".split(","), dtype=DTYPE)
+        except OverflowError:
+            pts = None
+        if pts is not None and pts.max() <= degree:
+            count = np.bincount(pts, minlength=degree + 1)
+            if count[0] == body.count(")(") + 2 and count[1:].max() == 1:
+                cuts = np.flatnonzero(pts == 0)
+                # index 0 of img is the 0s' scratch entry
+                img = np.arange(degree + 1, dtype=DTYPE)
+                img[pts[:-1]] = pts[1:]
+                img[pts[cuts[1:] - 1]] = pts[cuts[:-1] + 1]
+                return cls.trusted(img[1:] - 1)
+        return cls.from_cycles(
+            degree, [tuple(map(int, part.split(","))) for part in body.split(")(")])
 
     @property
     def degree(self) -> int:

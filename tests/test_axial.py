@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import re
+import time
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -628,6 +629,50 @@ class TestObstruct:
         assert not verify_certificate(deg9_config, bad_word)
         short = replace(cert, members=cert.members[:6])
         assert not verify_certificate(deg9_config, short)
+
+    @pytest.fixture(params=["deg9_config", "deg16_config"])
+    def cfg_and_cert(self, request):
+        cfg = request.getfixturevalue(request.param)
+        return cfg, obstruct(cfg)
+
+    @staticmethod
+    def _with_word(cert, i, word):
+        members = list(cert.members)
+        members[i] = (members[i][0], word)
+        return replace(cert, members=tuple(members))
+
+    def test_swapped_words_rejected(self, cfg_and_cert):
+        cfg, cert = cfg_and_cert
+        (p, u), (q, v) = cert.members[:2]
+        swapped = replace(cert, members=((p, v), (q, u)) + cert.members[2:])
+        assert not verify_certificate(cfg, swapped)
+
+    def test_identity_word_rejected(self, cfg_and_cert):
+        cfg, cert = cfg_and_cert
+        assert not verify_certificate(cfg, self._with_word(cert, 0, "1"))
+
+    def test_word_of_another_t_element_rejected(self, cfg_and_cert):
+        cfg, cert = cfg_and_cert
+        deg = cfg.group.degree
+        member = Perm.parse(cert.members[0][0], deg)
+        named = {Perm.parse(p, deg) for p, _ in cert.members}
+        k = next(k for k, t in enumerate(cfg.tset) if t not in named)
+        word = str(cfg.derivations[k].word)
+        assert evaluate_word(parse_word(word), cfg.seed_images()) == cfg.tset[k]
+        assert cfg.tset[k] != member
+        assert not verify_certificate(cfg, self._with_word(cert, 0, word))
+
+    def test_long_words_replay_quickly(self, cfg_and_cert):
+        # ab is an involution, so (ab)^2 is the identity
+        cfg, cert = cfg_and_cert
+        word = cert.members[0][1]
+        padded = "abab" * 25_000 + word
+        wrong = "ab" * 50_000
+        assert len(wrong) == 10**5
+        for w, verdict in ((padded, True), (wrong, False)):
+            start = time.perf_counter()
+            assert verify_certificate(cfg, self._with_word(cert, 0, w)) is verdict
+            assert time.perf_counter() - start < 1.0
 
     def test_tampered_audit_values_rejected(self, deg16_config):
         cert = obstruct(deg16_config)

@@ -416,6 +416,32 @@ class TestObstructAndVerify:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "x"
 
+    def test_obstruct_destination_that_is_a_directory(self, tmp_path):
+        taken = tmp_path / "S6.cert.json"
+        taken.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpg.cli", "--out", str(tmp_path),
+             "obstruct", "S6"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"tpg: error: --out {tmp_path}: cannot write "
+                               f"S6.cert.json (Is a directory)\n")
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
+
+    def test_classify_destination_that_is_a_directory(self, capsys, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(classify, "classify_all",
+                            lambda *args: pytest.fail("the pipeline ran"))
+        for name in classify.OUTPUT_FILES:
+            (tmp_path / name).mkdir()
+            code, out, err = run_cli(capsys, "--out", str(tmp_path), "classify")
+            assert (code, out) == (2, "")
+            assert err == (f"tpg: error: --out {tmp_path}: cannot write "
+                           f"{name} (Is a directory)\n")
+            (tmp_path / name).rmdir()
+
     def test_classify_checks_out_before_the_pipeline(self, capsys, tmp_path,
                                                      monkeypatch):
         monkeypatch.setattr(classify, "classify_all",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tpg import fpgrp
 from tpg.fpgrp import (
     R1,
     R2,
@@ -118,6 +119,31 @@ class TestWord:
         assert parse_word("(ac)^-2") == Word("caca")
         assert parse_word("1") == Word()
         assert parse_word("a^b^c") == Word("a").conj(Word("b")).conj(Word("c"))
+
+    @pytest.mark.parametrize("text, letters", [
+        ("ab^2", "abb"),  # a power binds the letter before it only
+        ("b^ca", "cbca"),  # a conjugator is one atom: (b^c)a
+        ("b^(ca)", "acbca"),
+        ("(ab)^2", "abab"),
+        ("a b * c", "abc"),
+        ("1", "1"),
+        ("ab^-1", "ab"),
+        ("(a^b)^c", "cbabc"),
+        ("a * b^c", "acbc"),  # R1 .. R5
+        ("ab * b^c", "abcbc"),
+        ("ab * a^c", "abcac"),
+        ("c * b^(ca)", "cacbca"),
+        ("c^a * c^(bc)", "acacbcbc"),
+    ])
+    def test_parse_binding(self, text, letters):
+        assert str(parse_word(text)) == letters
+
+    def test_letter_runs_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(fpgrp, "MAX_WORD_LENGTH", 5)
+        assert parse_word("abcab") == Word("abcab")
+        for bad in ("abcabc", "ab(c)abc", "abcb^a"):
+            with pytest.raises(ValueError, match="word longer than 5 letters"):
+                parse_word(bad)
 
     def test_parse_errors(self):
         for bad in ("d", "(ab", "ab)", "a^", "2", "a^()b??"):

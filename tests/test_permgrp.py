@@ -106,6 +106,40 @@ def test_parse_rejects_hostile_input(text, degree, message):
         Perm.parse(text, degree)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2187).flatmap(lambda n: st.permutations(range(n))))
+def test_parse_inverts_str_up_to_degree_2187(img):
+    p = Perm(img)
+    assert Perm.parse(str(p), len(img)) == p
+
+
+@pytest.mark.parametrize("text, degree, message", [
+    ("(1,99999999999999999999)", 5, "point 99999999999999999999 outside 1..5"),
+    ("(1,65536)", 10, "point 65536 outside 1..10"),
+    ("(1,-1)", 5, "point -1 outside 1..5"),
+    ("(1,0)", 5, "point 0 outside 1..5"),
+    ("(-0,1)", 5, "point 0 outside 1..5"),
+    ("(1,,2)", 5, "invalid literal for int"),
+    ("(1,2))((3,4)", 5, "invalid literal for int"),
+])
+def test_parse_falls_back_to_from_cycles_messages(text, degree, message):
+    with pytest.raises(ValueError, match=message):
+        Perm.parse(text, degree)
+
+
+@pytest.mark.parametrize("text, cycles", [
+    ("(1)(2,3)", [(2, 3)]),  # a cycle of one point moves nothing
+    ("(2,3)(1)", [(2, 3)]),
+    ("(1,2)(0)", [(1, 2)]),
+    ("(7)(1,2)", [(1, 2)]),
+    ("(1,2)(1,2)", []),  # cycles that share points compose
+    ("(1,2)(2,3)", [(1, 2), (2, 3)]),
+    ("(5,1,3)", [(1, 3, 5)]),
+])
+def test_parse_irregular_cycles(text, cycles):
+    assert Perm.parse(text, 5) == Perm.from_cycles(5, cycles)
+
+
 def test_from_cycles_rejects_bad_points():
     with pytest.raises(ValueError, match="outside"):
         Perm.from_cycles(3, [(1, 2), (2, 0)])
