@@ -10,7 +10,10 @@ Coset enumeration is HLT-style with coincidence handling (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, ch. 5).  The table lives in
 one ``array('i')`` per generator column plus a union-find parent array and
 an unsigned array of relator marks, all grown in fixed chunks of cosets;
-scans read each relator as a tuple of those column arrays.  A scan closes
+scans read each relator as a tuple of those column arrays.  Every entry of
+a live coset is undefined or a live coset, so scans read the columns
+without union-find lookups, and a scan that stops with a gap of two or
+more letters defines the cosets along the gap in one pass.  A scan closes
 the relator's cycle through its coset, and it marks the cosets of that
 cycle from which the relator reads the same cycle, so the sweep skips
 every scan it can prove is a no-op; the definitions, coincidences and
@@ -22,9 +25,9 @@ after each sweep, and once within it: the sweep tracks the first live
 coset with an undefined entry, and once no live row has one, it checks
 the table.  A table that passes is complete and closed, which is where HLT
 ends, so every scan left would be a no-op and the sweep stops there.  The
-closed table is renumbered breadth-first from the subgroup coset (a
-canonical standardization) and checked again, so a returned table is always
-complete, closed and deterministic.
+closed table is renumbered breadth-first from the subgroup coset, one numpy
+step per BFS level (a canonical standardization), and checked again, so a
+returned table is always complete, closed and deterministic.
 """
 
 from __future__ import annotations
@@ -281,15 +284,24 @@ def tp_presentation(
     return Presentation(tuple(relators))
 
 
+def _directive_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"'{key}:' value {text!r} is not an integer") from None
+
+
 def parse_presentation(text: str) -> tuple[Presentation, tuple[Word, ...]]:
     """Parse an enumeration request: a family member plus extra words.
 
     Lines: ``mnp: M N P``, optional ``r: R1 R2 R3 R4 R5`` ('-' = omitted),
-    ``relator: WORD``, ``subgroup: WORD``, '#' comments.  Returns the
-    presentation and the subgroup generators.
+    ``relator: WORD``, ``subgroup: WORD``, '#' comments.  ``mnp:`` and
+    ``r:`` may each appear once.  Returns the presentation and the subgroup
+    generators.
     """
     mnp = None
     r = (None,) * 5
+    once: set[str] = set()  # the directives seen, of those allowed once
     extra: list[str] = []
     subgroup: list[str] = []
     for raw in text.splitlines():
@@ -298,15 +310,19 @@ def parse_presentation(text: str) -> tuple[Presentation, tuple[Word, ...]]:
             continue
         key, _, rest = line.partition(":")
         key, rest = key.strip(), rest.strip()
+        if key in ("mnp", "r"):
+            if key in once:
+                raise ValueError(f"repeated '{key}:' line")
+            once.add(key)
         if key == "mnp":
-            mnp = tuple(int(x) for x in rest.split())
+            mnp = tuple(_directive_int(key, x) for x in rest.split())
             if len(mnp) != 3:
                 raise ValueError("mnp needs three integers")
         elif key == "r":
             parts = rest.split()
             if len(parts) != 5:
                 raise ValueError("r needs five entries ('-' = omitted)")
-            r = tuple(None if x == "-" else int(x) for x in parts)
+            r = tuple(None if x == "-" else _directive_int(key, x) for x in parts)
         elif key == "relator":
             extra.append(rest)
         elif key == "subgroup":
@@ -375,6 +391,18 @@ class _Enumerator:
     all grown ``_CHUNK`` cosets at a time; ``defined`` counts the cosets
     defined so far, live or collapsed.  Relators and subgroup words are held
     as tuples of those column arrays, so a scan step is ``cword[i][f]``.
+
+    A scan reads only live cosets, so it never looks up a representative:
+    every entry of a live coset is -1 or a live coset.  The columns stay
+    partial involutions (an entry is set together with its back pointer);
+    processing a dead coset in ``_coincidence`` clears its partner's back
+    pointer; every coset that dies is processed before ``_coincidence``
+    returns; and a scan returns right after it calls ``_coincidence``.
+    A scan that stops with a gap of two or more letters defines the cosets
+    along it in one pass: a new coset's only entry is its back pointer, so
+    the forward reading would step onto it and stop at the next letter.  It
+    falls back to one definition per reading where that pointer is read
+    again: by the next letter (as in a square) or by the backward reading.
 
     A scan of relator r leaves r's cycle through its start coset closed, and
     coincidences map a closed cycle onto a closed cycle, so a later scan of
@@ -465,13 +493,15 @@ class _Enumerator:
         mutations = self.mutations + 1
         queue = [l]
         for g in queue:
+            # u walks to g's root once; a merge below may move that root, so
+            # each later column walks on from the root u last reached
+            u = g
             for col in cols:
                 d = col[g]
                 if d == -1:
                     continue
                 if col[d] == g:
                     col[d] = -1
-                u = g
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
@@ -513,10 +543,10 @@ class _Enumerator:
 
     def _scan_and_fill(self, start: int, cword: tuple[array, ...], bit: int,
                        closing: tuple[bool, ...]):
-        # A live coset is its own parent, so _rep runs only on dead entries.
-        # Once the scan returns, the cycle it read is closed, so each coset
-        # the forward reading reaches at a closing position is marked.
-        parent = self.parent
+        # Every entry of a live coset is -1 or a live coset (see the class
+        # docstring), so both readings step without a _rep lookup.  Once the
+        # scan returns, the cycle it read is closed, so each coset the
+        # forward reading reaches at a closing position is marked.
         marks = self.marks
         f = start
         i = 0
@@ -527,7 +557,7 @@ class _Enumerator:
                 nxt = cword[i][f]
                 if nxt == -1:
                     break
-                f = nxt if parent[nxt] == nxt else self._rep(nxt)
+                f = nxt
                 i += 1
                 if closing[i]:
                     marks[f] |= bit
@@ -539,18 +569,38 @@ class _Enumerator:
                 nxt = cword[j][b]
                 if nxt == -1:
                     break
-                b = nxt if parent[nxt] == nxt else self._rep(nxt)
+                b = nxt
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
                 return
+            col = cword[i]
             if j == i:
-                col = cword[i]
                 col[f] = b
                 col[b] = f
                 self.mutations += 1
                 return
-            self._define(f, cword[i])
+            if cword[i + 1] is col or (b == f and cword[j] is col):
+                # the new coset's back pointer is read again: by the next
+                # letter, or by the backward reading from b
+                self._define(f, col)
+                continue
+            # Fill the gap in one pass: a new coset's only entry is its back
+            # pointer, so the forward reading would step onto it and stop at
+            # the next letter, and the backward reading would stop at once.
+            while True:
+                f = self._define(f, col)
+                i += 1
+                if closing[i]:
+                    marks[f] |= bit
+                col = cword[i]
+                if i == j:
+                    col[f] = b
+                    col[b] = f
+                    self.mutations += 1
+                    return
+                if cword[i + 1] is col:
+                    break
 
     def _sweep(self) -> Optional[np.ndarray]:
         """One HLT pass over the live cosets.
@@ -677,21 +727,29 @@ def _verify(mat: np.ndarray, relators, subgroup_rows) -> None:
 
 
 def _standardize(mat: np.ndarray) -> np.ndarray:
-    """Renumber a complete table breadth-first from the subgroup coset 0."""
-    cols = mat.tolist()
-    n = len(cols[0])
-    number = [-1] * n
+    """Renumber a complete table breadth-first from the subgroup coset 0.
+
+    One BFS level at a time: the level's new cosets are numbered in order of
+    first occurrence over (frontier coset, then generators a, b, c), the
+    numbering a queue walk coset by coset gives.
+    """
+    n = mat.shape[1]
+    number = np.full(n, -1, dtype=np.int32)
     number[0] = 0
-    order = [0]
-    for u in order:  # order grows while it is walked: a BFS queue
-        for col in cols:
-            v = col[u]
-            if number[v] == -1:
-                number[v] = len(order)
-                order.append(v)
-    if len(order) != n:
+    frontier = np.zeros(1, dtype=np.intp)
+    levels = [frontier]
+    count = 1
+    while len(frontier):
+        reached = mat[:, frontier].T.ravel()
+        reached = reached[number[reached] == -1]
+        _, first = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(first)]
+        number[frontier] = np.arange(count, count + len(frontier))
+        count += len(frontier)
+        levels.append(frontier)
+    if count != n:
         raise RuntimeError("coset table is not transitive")
-    return np.array(number, dtype=np.int32)[mat[:, order]]
+    return number[mat[:, np.concatenate(levels)]]
 
 
 def _letter_rows(pres: Presentation, subgroup: Sequence[Word]):

@@ -224,10 +224,16 @@ class Perm:
         return hash(self.img.tobytes())
 
     def __str__(self):
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in cyc)
+        # an involution (every certificate element is one) prints from its
+        # cycle starts alone, without a walk over the points
+        img = self.img
+        starts = np.flatnonzero(img > np.arange(self.degree, dtype=DTYPE))
+        ends = img[starts]
+        if (img[ends] == starts).all():
+            pairs = zip((starts + 1).tolist(), (ends + 1).tolist())
+            return "".join(map("(%d,%d)".__mod__, pairs)) or "()"
+        return "".join("(" + ",".join(map(str, c)) + ")"
+                       for c in self.cycles()) or "()"
 
     def __repr__(self):
         return f"Perm[{self}]"

@@ -264,6 +264,10 @@ class TestPresentation:
             ("mnp: 6 6 6\nrel: ab\n", "unrecognized line"),
             ("mnp: 6 6 7\n", "out of range"),
             ("mnp: 6 6 6\nrelator: a^99999999999999999999\n", "exponent"),
+            ("mnp: 6 6 6\nmnp: 2 2 2\n", "repeated 'mnp:' line"),
+            ("mnp: 6 6 6\nr: 6 6 6 - -\nr: 6 6 6 5 -\n", "repeated 'r:' line"),
+            ("mnp: 0x6 6 6\n", "'mnp:' value '0x6' is not an integer"),
+            ("mnp: 6 6 6\nr: 6 six 6 - -\n", "'r:' value 'six' is not an integer"),
         ):
             with pytest.raises(ValueError, match=message):
                 parse_presentation(text)
@@ -427,9 +431,36 @@ class TestDefinitionOrder:
 
 class ReferenceEnumerator(_Enumerator):
     """The plain HLT sweep: every relator, in sort order, is scanned at every
-    live coset to the end of the sweep, and no scan sets a mark.  Its
-    coincidence pass is the plain one too: a merge function, representative
-    lookups through _rep, and a FIFO deque of merged cosets."""
+    live coset to the end of the sweep, and no scan sets a mark.  Its scan
+    is the plain one, with one definition per reading and a _rep lookup on
+    every entry read, and so is its coincidence pass: a merge function,
+    representative lookups through _rep, and a FIFO deque of merged
+    cosets."""
+
+    def _plain_scan(self, start, cword):
+        rep = self._rep
+        f, i = start, 0
+        b, j = start, len(cword) - 1
+        while True:
+            while i <= j and cword[i][f] != -1:
+                f = rep(cword[i][f])
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i and cword[j][b] != -1:
+                b = rep(cword[j][b])
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+                return
+            if j == i:
+                cword[i][f] = b
+                cword[i][b] = f
+                self.mutations += 1
+                return
+            self._define(f, cword[i])
 
     def _coincidence(self, k, l):
         parent = self.parent
@@ -469,10 +500,7 @@ class ReferenceEnumerator(_Enumerator):
 
     def _sweep(self):
         parent = self.parent
-
-        def scan(alpha, cword):
-            self._scan_and_fill(alpha, cword, 0, (False,) * (len(cword) + 1))
-
+        scan = self._plain_scan
         for cword in self._columns(self.subgroup_rows):
             scan(0, cword)
         rel_cols = self._columns(self.relators)
@@ -502,6 +530,52 @@ def enumeration_trace(cls, pres, subgroup, capacity):
     return rows, enum.defined, enum.mutations
 
 
+def reference_standardize(mat):
+    """The BFS, one coset at a time over a list queue, that the numpy level
+    steps replaced."""
+    cols = mat.tolist()
+    n = len(cols[0])
+    number = [-1] * n
+    number[0] = 0
+    order = [0]
+    for u in order:  # order grows while it is walked: a BFS queue
+        for col in cols:
+            v = col[u]
+            if number[v] == -1:
+                number[v] = len(order)
+                order.append(v)
+    if len(order) != n:
+        raise RuntimeError("coset table is not transitive")
+    return np.array(number, dtype=np.int32)[mat[:, order]]
+
+
+@pytest.mark.parametrize("pres,subgroup", [
+    (tp_presentation(3, 3, 3), ()),
+    (tp_presentation(1, 6, 6), ()),
+    (tp_presentation(4, 5, 6), ()),
+    (tp_presentation(6, 6, 6, (5, 5, 5, 4, None)), ()),
+    (G11, ("a", "b", "bacacacbacacacbacacac")),
+], ids=["1", "4", "240", "G10", "G11-over-2^3"])
+def test_standardize_matches_reference(pres, subgroup):
+    words = [parse_word(w) for w in subgroup]
+    mat = _Enumerator(*_letter_rows(pres, words), 10**6).run()
+    n = mat.shape[1]
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        got = _standardize(mat)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference_standardize(mat))
+        # coset i renamed p[i]: the same table, numbered another way
+        p = rng.permutation(n)
+        renamed = np.empty_like(mat)
+        renamed[:, p] = p[mat]
+        mat = renamed
+    split = np.concatenate([mat, mat + n], axis=1)  # two orbits
+    for standardize in (_standardize, reference_standardize):
+        with pytest.raises(RuntimeError, match="not transitive"):
+            standardize(split)
+
+
 WORDS = st.lists(st.sampled_from("abc"), min_size=1, max_size=8).map(Word)
 # m = 1 puts the relator ac between the squares aa and bb in sort order
 MEMBERS = (st.tuples(*[st.integers(1, 6)] * 3)
@@ -511,18 +585,8 @@ MEMBERS = (st.tuples(*[st.integers(1, 6)] * 3)
 MANY_RELATORS = "".join(f"relator: (ab)^{2 * k}\n" for k in range(1, 70))
 
 
-@settings(max_examples=80, deadline=None)
-@example((1, 6, 6), None, [Word("aab")], [], False)
-@example((1, 5, 6), None, [], [Word("c")], True)
-# complete at 20 live of 22 defined cosets, fails the relator check there,
-# and collapses to 1 later in the same sweep
-@example((3, 3, 3), None, [], [], False)
-@given(MEMBERS,
-       st.none() | st.tuples(*[st.none() | st.integers(1, 6)] * 5),
-       st.lists(WORDS, max_size=2),
-       st.lists(WORDS, max_size=2),
-       st.booleans())
-def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
+def sweep_input(mnp, r, extra, subgroup, many):
+    """The presentation and subgroup words one draw of SWEEP_ARGS names."""
     # extra relators are not reduced: words such as aab stay as drawn
     text = "mnp: %d %d %d\n" % mnp
     if r is not None:
@@ -534,8 +598,68 @@ def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
     pres, words = parse_presentation(text)
     if many:
         assert len(_letter_rows(pres, words)[0]) > 64
+    return pres, words
+
+
+SWEEP_ARGS = (MEMBERS,
+              st.none() | st.tuples(*[st.none() | st.integers(1, 6)] * 5),
+              st.lists(WORDS, max_size=2),
+              st.lists(WORDS, max_size=2),
+              st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@example((1, 6, 6), None, [Word("aab")], [], False)
+@example((1, 5, 6), None, [], [Word("c")], True)
+# complete at 20 live of 22 defined cosets, fails the relator check there,
+# and collapses to 1 later in the same sweep
+@example((3, 3, 3), None, [], [], False)
+# the two cases where a scan fills its gap one definition at a time: the
+# next letter reads the new coset's column again (4 times here), and the
+# backward end is the forward end on that column (3 times, on 12 cosets)
+@example((3, 3, 3), None, [Word("acca")], [], False)
+@example((3, 3, 4), None, [], [Word("c")], False)
+@given(*SWEEP_ARGS)
+def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
+    pres, words = sweep_input(mnp, r, extra, subgroup, many)
     got = enumeration_trace(_Enumerator, pres, words, 2000)
     assert got == enumeration_trace(ReferenceEnumerator, pres, words, 2000)
+
+
+class LiveEntriesEnumerator(_Enumerator):
+    """Checks, after every coincidence pass, the invariant that lets a scan
+    read without _rep: every entry of a live coset is -1 or a live coset."""
+
+    coincidences = 0
+
+    def _coincidence(self, k, l):
+        super()._coincidence(k, l)
+        self.coincidences += 1
+        n = self.defined
+        live = np.frombuffer(self.parent, dtype=np.int32)[:n] == np.arange(n)
+        rows = np.stack([np.frombuffer(col, dtype=np.int32)[:n][live]
+                         for col in self.cols])
+        # a -1 entry reads live[-1], which the first term overrides
+        assert ((rows == -1) | live[rows]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(*SWEEP_ARGS)
+def test_live_cosets_name_only_live_cosets(mnp, r, extra, subgroup, many):
+    try:
+        LiveEntriesEnumerator(*_letter_rows(*sweep_input(
+            mnp, r, extra, subgroup, many)), 2000).run()
+    except CapacityError:
+        pass
+
+
+def test_live_cosets_name_only_live_cosets_in_g11():
+    # G11 over <a, b, x^3>, x = b(ac)^3: 8,415 cosets defined for 2,187,
+    # with 248 coincidence passes
+    words = [parse_word(w) for w in ("a", "b", "bacacacbacacacbacacac")]
+    enum = LiveEntriesEnumerator(*_letter_rows(G11, words), 10**6)
+    assert enum.run().shape == (3, 2187)
+    assert enum.coincidences > 100
 
 
 @pytest.mark.parametrize("pres,closed", [

@@ -83,6 +83,23 @@ def test_parse_inverts_str(img):
     assert Perm.parse(str(p), len(img)) == p
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2187).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.integers(0, n // 2))))
+def test_involutions_print_as_their_cycles(case):
+    # str prints an involution from its cycle starts alone; the cycle walk
+    # it skips is the reference
+    order, k = case
+    img = np.arange(len(order))
+    a = np.array(order[:2 * k:2], dtype=np.intp)
+    b = np.array(order[1:2 * k:2], dtype=np.intp)
+    img[a], img[b] = b, a
+    p = Perm(img)
+    walked = "".join("(" + ",".join(map(str, c)) + ")" for c in p.cycles())
+    assert str(p) == (walked or "()")
+    assert Perm.parse(str(p), len(img)) == p
+
+
 @pytest.mark.parametrize("text, degree, message", [
     ("(1,99999999999999999999)", 10, "point 99999999999999999999 outside 1..10"),
     ("(99999999999999999999,1)(2,3)", 10, "point 99999999999999999999 outside 1..10"),
