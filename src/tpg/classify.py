@@ -60,6 +60,7 @@ __all__ = [
     "entry",
     "identify",
     "is_triangle_point",
+    "markdown_table",
     "lemma_m66_groups",
     "lemma_r4_groups",
     "normal_subgroups_index_gt",
@@ -110,10 +111,7 @@ class GroupSpec:
 
     @property
     def presentation(self) -> Presentation:
-        pres = tp_presentation(*self.mnp, self.r)
-        for w in self.extra:
-            pres = pres.with_relator(parse_word(w), 1)
-        return pres
+        return tp_presentation(*self.mnp, self.r, self.extra)
 
 
 # the standard groups a row names as factors ("C", n), ("D", n), ("S", n), ("A", n), ("2^", k)
@@ -234,7 +232,7 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
     """
     src = spec if not spec.shares else next(
         s for s in _rows(spec.shares) if spec.name in (s.name, s.claimed))
-    defined = 0  # the most cosets one of the row's enumerations defined
+    table = None
     if src is not spec:
         G = entry(src.name, capacity).group if src.role == "catalog" else _group(src)
     elif spec.generators:
@@ -246,7 +244,6 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
     else:
         words = tuple(map(parse_word, spec.action))
         table = todd_coxeter(spec.presentation, words, capacity)
-        defined = table.defined
         G = coset_action(table)
         G.name = spec.name
     if G.order != spec.order:
@@ -261,11 +258,13 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
         # tracked triple in both construction routes
         if [p.key() for p in G.generators] != [G.tracked[k].key() for k in "abc"]:
             raise ClassificationError(f"{spec.name}: generators drifted from a,b,c")
-        regular = todd_coxeter(pres, capacity=capacity)
+        # an action on the cosets of the trivial subgroup is the regular one
+        regular = (table if table is not None and not spec.action
+                   else todd_coxeter(pres, capacity=capacity))
         if regular.coset_count != spec.order:
             raise ClassificationError(f"{spec.name}: enumeration gives {regular.coset_count} "
                                       f"cosets, expected {spec.order}")
-        _cosets_defined[spec.name] = max(defined, regular.defined)
+        _cosets_defined[spec.name] = max(table.defined if table else 0, regular.defined)
     g11 = _row("catalog", "G11")
     if spec.role == "target" and (src.mnp, src.r) == (g11.mnp, g11.r):
         for w in ("ac", "bc", "abc", "b * (ac)^3"):
@@ -913,25 +912,29 @@ def report_to_json(report: ClassificationReport) -> dict:
     }
 
 
+def markdown_table(headers: list[str], rows: list[list[str]]) -> str:
+    """A markdown table, one line per row, without a trailing newline."""
+    lines = ["| " + " | ".join(headers) + " |",
+             "| " + " | ".join("---" for _ in headers) + " |"]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines)
+
+
 def _tables_markdown(report: ClassificationReport) -> str:
-    lines = ["# Computed tables", "", "## Maximal groups", "",
-             "| name | type | (m,n,p) | r | order |",
-             "| --- | --- | --- | --- | --- |"]
-    for e in report.entries:
-        r = ",".join("-" if x is None else str(x) for x in e.r)
-        lines.append(f"| {e.name} | {e.claimed} | {e.mnp} | ({r}) | {e.order} |")
-    lines += ["", "## Normal subgroups of index > 12", "",
-              "| parent | |N| | X | quotient |", "| --- | --- | --- | --- |"]
-    for q in report.quotients:
-        star = " *" if q.repaired else ""
-        words = ", ".join(q.words)
-        lines.append(f"| {q.parent} | {q.subgroup_order} | {words}{star} "
-                     f"| {q.type_name} |")
-    lines += ["", "(* = corrected X cell)", "", "## Excluded types", "",
-              "| type | order | obstruction |", "| --- | --- | --- |"]
-    for name in EXCLUDED_TYPE_NAMES:
-        cert = report.certificates[name]
-        lines.append(f"| {name} | {cert.group_order} | {cert.kind} |")
+    lines = ["# Computed tables", "", "## Maximal groups", "", markdown_table(
+        ["name", "type", "(m,n,p)", "r", "order"],
+        [[e.name, e.claimed, str(e.mnp),
+          "(" + ",".join("-" if x is None else str(x) for x in e.r) + ")",
+          str(e.order)] for e in report.entries])]
+    lines += ["", "## Normal subgroups of index > 12", "", markdown_table(
+        ["parent", "|N|", "X", "quotient"],
+        [[q.parent, str(q.subgroup_order),
+          ", ".join(q.words) + (" *" if q.repaired else ""), q.type_name]
+         for q in report.quotients])]
+    lines += ["", "(* = corrected X cell)", "", "## Excluded types", "", markdown_table(
+        ["type", "order", "obstruction"],
+        [[name, str(report.certificates[name].group_order),
+          report.certificates[name].kind] for name in EXCLUDED_TYPE_NAMES])]
     lines += ["", "## Admissible configurations", ""]
     for c in report.admissible:
         lines.append(f"- {c.name} (order {c.order}, |T| = {c.tset_size}): "

@@ -85,13 +85,6 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -133,7 +126,7 @@ def _cmd_catalog(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         print(json.dumps(rows, indent=2))
     else:
-        print(_table(
+        print(classify.markdown_table(
             ["name", "type", "(m,n,p)", "r", "order", "normals(index>12)"],
             [[d["name"], d["type"], str(tuple(d["mnp"])), f"({d['r']})",
               str(d["order"]), str(d["normals_index_gt_12"])] for d in rows]))
@@ -153,7 +146,7 @@ def _cmd_normals(ns: argparse.Namespace) -> int:
              "triangle_point": r.triangle_point, "repaired": r.repaired}
             for r in recs], indent=2))
     else:
-        print(_table(
+        print(classify.markdown_table(
             ["|N|", "X", "quotient order", "type"],
             [[str(r.subgroup_order),
               ", ".join(r.words) + (" *" if r.repaired else ""),
@@ -192,6 +185,8 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
         return _usage_error(f"no such file: {path}")
     try:
         pres, subgroup = parse_presentation(path.read_text())
+    except OSError as exc:
+        return _usage_error(f"{path}: cannot read ({exc.strerror or exc})")
     except ValueError as exc:
         return _usage_error(f"{path}: {exc}")
     table = todd_coxeter(pres, subgroup=subgroup, capacity=ns.capacity)
@@ -247,6 +242,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         return _usage_error(f"no such file: {path}")
     try:
         payload = json.loads(path.read_text())
+    except OSError as exc:
+        return _usage_error(f"{path}: cannot read ({exc.strerror or exc})")
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or deep JSON
         return _usage_error(f"{path}: invalid JSON ({exc})")
     if not isinstance(payload, dict):

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .permgrp import CapacityError, Perm, PermGroup
+from .permgrp import CapacityError, Perm, PermGroup, breadth_first
 
 GENERATORS = ("a", "b", "c")
 _COL = {"a": 0, "b": 1, "c": 2}
@@ -254,10 +255,12 @@ class Presentation:
 
 
 def tp_presentation(
-    m: int, n: int, p: int, r: Optional[Sequence[Optional[int]]] = None
+    m: int, n: int, p: int, r: Optional[Sequence[Optional[int]]] = None,
+    extra: Sequence[str] = (),
 ) -> Presentation:
     """The family member with o(ac)=m, o(bc)=n, o(abc)=p plus optional
-    added relations fixing the orders of R1..R5."""
+    added relations fixing the orders of R1..R5, and the ``extra`` relator
+    words, each as ``parse_word`` reads it."""
     for v in (m, n, p):
         if not isinstance(v, int) or not 1 <= v <= 6:
             raise ValueError(f"presentation parameter {v!r} out of range 1..6")
@@ -281,7 +284,10 @@ def tp_presentation(
             if not isinstance(ri, int) or not 1 <= ri <= 6:
                 raise ValueError(f"added-relation exponent {ri!r} out of range 1..6")
             relators.append((word, ri))
-    return Presentation(tuple(relators))
+    pres = Presentation(tuple(relators))
+    for w in extra:
+        pres = pres.with_relator(parse_word(w))
+    return pres
 
 
 def _directive_int(key: str, text: str) -> int:
@@ -331,34 +337,36 @@ def parse_presentation(text: str) -> tuple[Presentation, tuple[Word, ...]]:
             raise ValueError(f"unrecognized line {raw!r}")
     if mnp is None:
         raise ValueError("missing 'mnp:' line")
-    pres = tp_presentation(*mnp, r)
-    for w in extra:
-        pres = pres.with_relator(parse_word(w), 1)
-    return pres, tuple(parse_word(w) for w in subgroup)
+    return (tp_presentation(*mnp, r, extra),
+            tuple(parse_word(w) for w in subgroup))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetTable:
-    """Complete standardized coset table; row i maps coset i under a, b, c.
+    """Complete standardized coset table: ``images[x, i]`` is coset i under
+    generator x (a, b, c), a read-only (3, n) int32 array.
 
     Coset 0 is the subgroup coset.  Columns are involutions, so the table is
-    symmetric: rows[rows[i][x]][x] == i.
+    symmetric: images[x, images[x, i]] == i.
     """
 
-    rows: tuple[tuple[int, int, int], ...]
-    complete: bool
+    images: np.ndarray
     subgroup: tuple[Word, ...] = ()
     # cosets the enumeration defined, live or collapsed: it ends alike at
     # every capacity from this one up, and raises CapacityError below it
-    defined: int = field(default=0, compare=False)
+    defined: int = 0
 
     @property
     def coset_count(self) -> int:
-        return len(self.rows)
+        return self.images.shape[1]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int, int], ...]:
+        """Row i maps coset i under a, b, c."""
+        return tuple(zip(*self.images.tolist()))
 
     def column(self, letter: str) -> tuple[int, ...]:
-        x = _COL[letter]
-        return tuple(row[x] for row in self.rows)
+        return tuple(self.images[_COL[letter]].tolist())
 
 
 # Storage grows this many cosets at a time: a fixed step, not doubling, so
@@ -727,29 +735,12 @@ def _verify(mat: np.ndarray, relators, subgroup_rows) -> None:
 
 
 def _standardize(mat: np.ndarray) -> np.ndarray:
-    """Renumber a complete table breadth-first from the subgroup coset 0.
-
-    One BFS level at a time: the level's new cosets are numbered in order of
-    first occurrence over (frontier coset, then generators a, b, c), the
-    numbering a queue walk coset by coset gives.
-    """
-    n = mat.shape[1]
-    number = np.full(n, -1, dtype=np.int32)
-    number[0] = 0
-    frontier = np.zeros(1, dtype=np.intp)
-    levels = [frontier]
-    count = 1
-    while len(frontier):
-        reached = mat[:, frontier].T.ravel()
-        reached = reached[number[reached] == -1]
-        _, first = np.unique(reached, return_index=True)
-        frontier = reached[np.sort(first)]
-        number[frontier] = np.arange(count, count + len(frontier))
-        count += len(frontier)
-        levels.append(frontier)
-    if count != n:
+    """Renumber a complete table breadth-first from the subgroup coset 0
+    (``permgrp.breadth_first``), as an int32 table."""
+    _, order, images, _ = breadth_first(mat.shape[1], lambda f: mat[:, f].T)
+    if len(order) != mat.shape[1]:
         raise RuntimeError("coset table is not transitive")
-    return number[mat[:, np.concatenate(levels)]]
+    return images
 
 
 def _letter_rows(pres: Presentation, subgroup: Sequence[Word]):
@@ -789,8 +780,8 @@ def todd_coxeter(
     enumerator = _Enumerator(rel_rows, sub_rows, capacity)
     std = _standardize(enumerator.run())
     _verify(std, rel_rows, sub_rows)
-    return CosetTable(rows=tuple(zip(*std.tolist())), complete=True,
-                      subgroup=tuple(subgroup), defined=enumerator.defined)
+    std.setflags(write=False)
+    return CosetTable(std, tuple(subgroup), enumerator.defined)
 
 
 def coset_action(table: CosetTable) -> PermGroup:
@@ -800,18 +791,12 @@ def coset_action(table: CosetTable) -> PermGroup:
     generators through quotients.  Over the trivial subgroup the action is
     regular, so its order equals the coset count.
     """
-    if not table.complete:
-        raise ValueError("coset action requires a complete table")
     n = table.coset_count
     if n > 65535:
         raise CapacityError(
             f"coset action on {n} cosets exceeds the uint16 limit of 65535 points")
-    images = {}
-    for letter in GENERATORS:
-        img = np.array(table.column(letter), dtype=np.uint16)
-        images[letter] = Perm(img)
-    gens = [images[g] for g in GENERATORS]
-    return PermGroup(n, gens, tracked=images)
+    images = dict(zip(GENERATORS, map(Perm, table.images)))
+    return PermGroup(n, images.values(), tracked=images)
 
 
 def evaluate_word(w: Word, images: Mapping[str, Perm]) -> Perm:

@@ -747,8 +747,7 @@ class PermGroup:
 
         Each element is labelled by the least index in its coset N x, an
         orbit of the left maps x -> n x of N's generators.  Cosets are
-        numbered breadth first from N, a level at a time: a level's new
-        cosets in order of first occurrence over frontier x generators.
+        numbered from N by breadth_first, the standardized numbering.
         The action is regular, so the quotient's element with first image j
         is the one taking coset 0 to j; its rows are filled along the
         generators' images, row[g(x)] = g(row[x]), and ordered by first
@@ -764,31 +763,12 @@ class PermGroup:
         if (np.bincount(label)[label] != N.order).any():
             raise RuntimeError("a coset of N does not have |N| elements")
         gens = _image_rows(self.generators, self.degree)
-        number = np.full(self.order, -1, dtype=np.intp)  # coset number by label
-        number[0] = 0
-        frontier = np.zeros(1, dtype=np.intp)
-        reps, steps, tree = [frontier], [], []
-        count = 1
-        while frontier.size:
-            step = label[self.product_indices(self._E[frontier], gens)]
-            flat = step.ravel()
-            fresh = np.flatnonzero(number[flat] < 0)
-            new, first = np.unique(flat[fresh], return_index=True)
-            by_first = np.argsort(first)
-            new, at = new[by_first], fresh[first[by_first]]
-            number[new] = np.arange(count, count + new.size)
-            count += new.size
-            steps.append(number[step])
-            # each new coset is its parent coset moved by one generator
-            tree.append((number[new], number[frontier[at // len(gens)]],
-                         at % len(gens)))
-            reps.append(new)
-            frontier = new
+        number, reps, images, tree = breadth_first(
+            self.order, lambda x: label[self.product_indices(self._E[x], gens)])
+        count = len(reps)
         assert count * N.order == self.order, "coset bookkeeping failed"
-        images = np.concatenate(steps).T.astype(DTYPE)  # (generator, coset)
-        R = self._E[np.concatenate(reps)]
         moved = number[label[self.product_indices(
-            R, _image_rows(list(self.tracked.values()), self.degree))]]
+            self._E[reps], _image_rows(list(self.tracked.values()), self.degree))]]
         tracked = dict(zip(self.tracked, (Perm(t) for t in moved.T)))
         Q = PermGroup(count, (Perm(t) for t in images), tracked=tracked)
         rows = np.empty((count, count), dtype=DTYPE)
@@ -878,6 +858,34 @@ def _tuple_search(G: PermGroup, orders: Sequence[int], pool: Callable,
     result = extend([], G.index_closure(()))
     del extend  # the closure refers to itself; free it without the cyclic GC
     return result
+
+
+def breadth_first(size: int, step: Callable[[np.ndarray], np.ndarray]):
+    """Number the points of range(size) reached from point 0, a level at a
+    time, in order of first occurrence over (frontier point, then generator):
+    the standardized coset table (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 5).  step(points) gives their
+    images under k generators, one row per point.  Returns each point's
+    number (int32, -1 if unreached), the reached points in that order, the
+    generators' images as a (k, count) int32 array of numbers, and per level
+    the (child, parent, generator) of its new points, as numbers."""
+    number = np.full(size, -1, dtype=np.int32)
+    number[0] = 0
+    levels, steps, tree = [np.zeros(1, dtype=np.intp)], [], []
+    count = 1
+    while levels[-1].size:
+        frontier = levels[-1]
+        steps.append(step(frontier))
+        flat = steps[-1].ravel()
+        fresh = np.flatnonzero(number[flat] < 0)
+        at = fresh[np.sort(np.unique(flat[fresh], return_index=True)[1])]
+        new = flat[at]
+        number[new] = np.arange(count, count + new.size)
+        count += new.size
+        k = steps[-1].shape[1]  # each new point is its parent moved by a generator
+        tree.append((number[new], number[frontier[at // k]], at % k))
+        levels.append(new)
+    return number, np.concatenate(levels), number[np.concatenate(steps)].T, tree
 
 
 def _least_in_orbits(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:

@@ -73,6 +73,26 @@ class TestCatalog:
         presented = {n for n, e in entries.items() if e.source == "coset-action"}
         assert presented == {"G3", "G5", "G7", "G11"}
 
+    def test_regular_action_is_its_own_order_proof(self):
+        # in a fresh process: G3, G5 and G7 act on their regular tables, so
+        # one enumeration gives both the action and the order proof
+        code = (
+            "from tpg import classify\n"
+            "enumerate_cosets = classify.todd_coxeter\n"
+            "calls = []\n"
+            "def counted(*args, **kwargs):\n"
+            "    calls.append(args)\n"
+            "    return enumerate_cosets(*args, **kwargs)\n"
+            "classify.todd_coxeter = counted\n"
+            "for name in ('G3', 'G5', 'G7'):\n"
+            "    calls.clear()\n"
+            "    classify.entry(name)\n"
+            "    print(name, len(calls), classify._cosets_defined[name])\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["G3 1 287", "G5 1 1225", "G7 1 2956"]
+
     def test_claimed_names(self, entries):
         assert entries["G1"].claimed == "2wr2^2"
         assert entries["G11"].claimed == "(3^4:2):(3^{1+2}:2^2)"

@@ -208,6 +208,30 @@ class TestEnumerate:
         assert "three integers" in err
 
 
+    def test_empty_relator_is_a_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "empty.pres"
+        src.write_text("mnp: 6 6 6\nrelator: 1\n")
+        code, out, err = run_cli(capsys, "enumerate", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == f"tpg: error: {src}: relator must be a non-empty Word\n"
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path,
+                                              monkeypatch, command):
+        # a read that fails (permission denied, an I/O error) names the path
+        src = tmp_path / "input.txt"
+        src.write_text("mnp: 4 4 4\n")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, out, err = run_cli(capsys, command, str(src))
+        assert code == 2
+        assert out == ""
+        assert err == f"tpg: error: {src}: cannot read (Permission denied)\n"
+
     @pytest.mark.parametrize("exponent", ["99999999999999999999", "1000001"])
     def test_huge_exponent_is_a_usage_error(self, capsys, tmp_path,
                                             monkeypatch, exponent):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tpg import fpgrp
+from tpg import classify, fpgrp
 from tpg.fpgrp import (
     R1,
     R2,
@@ -32,6 +32,7 @@ from tpg.fpgrp import (
 from tpg.permgrp import (
     CapacityError,
     Perm,
+    PermGroup,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -237,6 +238,16 @@ class TestPresentation:
         with pytest.raises(ValueError):
             p.with_relator(Word("ac"), 0)
 
+    def test_extra_relator_words(self):
+        r = (6, 6, 6, None, 3)
+        extra = ("(a * c^(bc))^2", "ab * a^c")
+        want = tp_presentation(6, 6, 6, r)
+        for w in extra:
+            want = want.with_relator(parse_word(w), 1)
+        assert tp_presentation(6, 6, 6, r, extra) == want
+        with pytest.raises(ValueError, match="non-empty"):
+            tp_presentation(4, 4, 4, extra=("1",))
+
     def test_text_round_trip(self):
         p = tp_presentation(4, 5, 6, (4, None, None, None, 3))
         p = p.with_relator(Word("cacbca"), 1)
@@ -370,15 +381,23 @@ class TestToddCoxeter:
             assert sorted(col) == list(range(n))
             assert all(col[col[i]] == i for i in range(n))
 
-    def test_coset_action_on_incomplete_table(self):
-        t = CosetTable(rows=((0, 0, 0),), complete=False)
+    def test_table_is_one_read_only_array(self):
+        t = todd_coxeter(tp_presentation(2, 6, 6))
+        assert t.images.dtype == np.int32
+        assert t.images.shape == (3, t.coset_count) == (3, 24)
+        assert not t.images.flags.writeable
         with pytest.raises(ValueError):
-            coset_action(t)
+            t.images[0, 0] = 1
+        assert t.rows == tuple(zip(*t.images.tolist()))
+        assert len(t.rows) == t.coset_count
+        for x, letter in enumerate("abc"):
+            assert t.column(letter) == tuple(t.images[x].tolist())
+            assert t.column(letter) == tuple(row[x] for row in t.rows)
 
     def test_coset_action_beyond_uint16(self):
         # 65536 cosets: a, b, c all swap 2i and 2i+1, a complete involutory table
-        rows = tuple((i ^ 1, i ^ 1, i ^ 1) for i in range(65536))
-        t = CosetTable(rows=rows, complete=True)
+        images = np.tile(np.arange(65536, dtype=np.int32) ^ 1, (3, 1))
+        t = CosetTable(images)
         with pytest.raises(CapacityError, match="65535"):
             coset_action(t)
 
@@ -574,6 +593,45 @@ def test_standardize_matches_reference(pres, subgroup):
     for standardize in (_standardize, reference_standardize):
         with pytest.raises(RuntimeError, match="not transitive"):
             standardize(split)
+
+
+def coset_action_matrix(G, N, rng):
+    """G's action on the cosets N x by right multiplication, one row per
+    generator, the cosets labelled at random apart from N, coset 0."""
+    N_rows = N.element_images
+    label, reps = {}, []
+    for row in G.element_images:  # the identity first
+        key = frozenset(r.tobytes() for r in row[N_rows])  # N x
+        if key not in label:
+            label[key] = len(reps)
+            reps.append(row)
+    name = np.concatenate([[0], 1 + rng.permutation(len(reps) - 1)])
+    mat = np.empty((len(G.generators), len(reps)), dtype=np.int32)
+    for k, g in enumerate(G.generators):
+        for i, row in enumerate(reps):
+            y = g.img[row]  # the representative times g
+            mat[k, name[i]] = name[label[frozenset(r.tobytes() for r in y[N_rows])]]
+    return mat
+
+
+def _quotient_cases():
+    S4 = symmetric_group(4)
+    yield S4, S4.normal_closure([Perm.parse("(1,2)(3,4)", 4)])
+    G6 = classify.entry("G6").group
+    for N in classify.normal_subgroups_index_gt(G6, 12):
+        yield G6, N
+
+
+def test_quotient_numbering_matches_reference():
+    # PermGroup.quotient numbers the cosets as _standardize numbers a table
+    cases = list(_quotient_cases())
+    assert len(cases) == 1 + len(classify.table_rows("G6"))
+    rng = np.random.default_rng(4)
+    for G, N in cases:
+        Q = G.quotient(N)
+        ref = reference_standardize(coset_action_matrix(G, N, rng))
+        assert Q.degree == ref.shape[1] == G.order // N.order
+        assert Q.generators == PermGroup(Q.degree, map(Perm, ref)).generators
 
 
 WORDS = st.lists(st.sampled_from("abc"), min_size=1, max_size=8).map(Word)
