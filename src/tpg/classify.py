@@ -372,8 +372,7 @@ def normal_subgroups_index_gt(G: PermGroup, bound: int = 12) -> list[PermGroup]:
                     found.add(J)
                     fresh.append(J)
         frontier = fresh
-    labels = G.class_labels()
-    out = [G.subgroup_from_indices(np.flatnonzero(np.isin(labels, sorted(S))))
+    out = [G.subgroup_from_indices(G.class_members(S))
            for S in sorted(found, key=lambda S: (order(S), sorted(S)))]
     for N in out:
         if not G.is_normal(N):

@@ -351,7 +351,6 @@ class CosetTable:
     """
 
     images: np.ndarray
-    subgroup: tuple[Word, ...] = ()
     # cosets the enumeration defined, live or collapsed: it ends alike at
     # every capacity from this one up, and raises CapacityError below it
     defined: int = 0
@@ -781,7 +780,7 @@ def todd_coxeter(
     std = _standardize(enumerator.run())
     _verify(std, rel_rows, sub_rows)
     std.setflags(write=False)
-    return CosetTable(std, tuple(subgroup), enumerator.defined)
+    return CosetTable(std, enumerator.defined)
 
 
 def coset_action(table: CosetTable) -> PermGroup:

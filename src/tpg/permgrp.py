@@ -24,7 +24,10 @@ A subgroup of an enumerated group is a boolean mask over its elements,
 closed from seed element indices by one kernel (index_closure): each
 frontier is one gather through the cached right-multiplication maps
 x -> x*g of the picked generators, and a closure resumes from an earlier
-one by adding only the new frontiers.  Isomorphism and subgroup searches
+one by adding only the new frontiers.  Sets of element or class indices
+are tables indexed by those integers, never sorted or hashed: a frontier
+drops repeats by stamping (_distinct), a class set is a boolean lookup over
+class numbers (class_members).  Isomorphism and subgroup searches
 are one depth-first search over generator tuples (_tuple_search), each
 tuple's closure resumed from its prefix's.  A PermGroup is built from a
 mask only where one is needed (subgroup_from_indices).
@@ -48,7 +51,6 @@ import numpy as np
 DTYPE = np.uint16
 DEFAULT_CEILING = 2**20
 _LOOKUP_BATCH = 2**20  # base-image entries composed per product batch
-_ROW_BATCH = 2**17  # quotient row entries filled per batch
 
 
 class CapacityError(RuntimeError):
@@ -208,10 +210,6 @@ class Perm:
     def key(self) -> bytes:
         """Bytes key; equal keys iff equal permutations (same degree)."""
         return self.img.tobytes()
-
-    def sort_key(self) -> bytes:
-        """Big-endian bytes, so byte order equals lexicographic image order."""
-        return self.img.astype(">u2").tobytes()
 
     def __eq__(self, other):
         return (
@@ -441,12 +439,9 @@ class PermGroup:
         A mixed-radix int64 when degree**len(base) fits, otherwise the
         big-endian bytes of the row.
         """
-        rows, width = images.shape
+        width = images.shape[1]
         if self.degree**width < 2**63:
-            keys = np.zeros(rows, dtype=np.int64)
-            for col in range(width):
-                keys = keys * self.degree + images[:, col]
-            return keys
+            return images @ self.degree ** np.arange(width - 1, -1, -1, dtype=np.int64)
         raw = np.ascontiguousarray(images, dtype=">u2")
         return raw.view(np.dtype((np.void, 2 * width))).ravel()
 
@@ -531,8 +526,8 @@ class PermGroup:
             self._enumerate()
             least = _least_in_orbits(
                 len(self._E), [self.conjugation_map(g) for g in self.generators])
-            reps, labels = np.unique(least, return_inverse=True)
-            labels = labels.reshape(-1)
+            fixed = least == np.arange(len(least))  # each orbit's least member
+            reps, labels = np.flatnonzero(fixed), (np.cumsum(fixed) - 1)[least]
             labels.setflags(write=False)
             reps.setflags(write=False)
             self._labels, self._class_reps = labels, reps
@@ -547,10 +542,16 @@ class PermGroup:
         """Class numbers of the conjugacy classes that meet perms."""
         return frozenset(self.class_labels()[self.indices_of(perms)].tolist())
 
+    def class_members(self, classes: Iterable[int]) -> np.ndarray:
+        """Sorted element indices of the union of the given classes."""
+        labels = self.class_labels()
+        chosen = np.zeros(len(self._class_reps), dtype=bool)
+        chosen[np.fromiter(classes, dtype=np.intp)] = True
+        return np.flatnonzero(chosen[labels])
+
     def class_union(self, perms: Iterable[Perm]) -> np.ndarray:
         """Sorted element indices of the conjugacy classes that meet perms."""
-        met = list(self.classes_meeting(perms))
-        return np.flatnonzero(np.isin(self.class_labels(), met))
+        return self.class_members(self.classes_meeting(perms))
 
     def class_product(self, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
         """Class numbers of the products x y, x in the classes A, y in B.
@@ -562,7 +563,7 @@ class PermGroup:
         """
         labels = self.class_labels()
         left = self._E[self.class_representatives()[sorted(A)]]
-        right = self._E[np.flatnonzero(np.isin(labels, list(B)))]
+        right = self._E[self.class_members(B)]
         return frozenset(labels[self.product_indices(left, right)].ravel().tolist())
 
     def class_closure(
@@ -596,15 +597,6 @@ class PermGroup:
             )
         return self._classes
 
-    def is_elementary_abelian_2(self) -> bool:
-        return all(o <= 2 for o, _ in self.order_histogram())
-
-    def center(self) -> "PermGroup":
-        """The union of the conjugacy classes of size 1."""
-        labels = self.class_labels()
-        return self.subgroup_from_indices(
-            np.flatnonzero(np.bincount(labels)[labels] == 1))
-
     def _right_map(self, i: int) -> np.ndarray:
         """Index of x * g for every element x, where g is element i; cached."""
         m = self._right_maps.get(i)
@@ -630,7 +622,10 @@ class PermGroup:
         mask, picked = ((np.arange(n) == 0, []) if start is None
                         else (start[0].copy(), list(start[1])))
         count = int(np.count_nonzero(mask))
+        if abort_above is not None and count > abort_above:
+            return None
         maps = [self._right_map(i) for i in picked]
+        stamp = np.empty(n, dtype=np.intp)
         for s in seeds:
             if count == n:
                 break  # the closure is the whole group: nothing is left to pick
@@ -646,7 +641,7 @@ class PermGroup:
                 if abort_above is not None and count > abort_above:
                     return None
                 step = np.concatenate([m[frontier] for m in maps])
-                frontier = np.unique(step[~mask[step]])
+                frontier = _distinct(step[~mask[step]], stamp)
         return mask, picked
 
     def subgroup_from_indices(
@@ -773,11 +768,10 @@ class PermGroup:
         Q = PermGroup(count, (Perm(t) for t in images), tracked=tracked)
         rows = np.empty((count, count), dtype=DTYPE)
         rows[0] = np.arange(count)
-        batch = max(1, _ROW_BATCH // count)
         for child, parent, k in tree:
-            for s in range(0, child.size, batch):
-                part = slice(s, s + batch)
-                rows[child[part]] = images[k[part, None], rows[parent[part]]]
+            for g, img in enumerate(images.astype(DTYPE)):
+                pick = k == g
+                rows[child[pick]] = img[rows[parent[pick]]]
         rows.setflags(write=False)
         Q._E = rows
         return Q
@@ -871,6 +865,7 @@ def breadth_first(size: int, step: Callable[[np.ndarray], np.ndarray]):
     the (child, parent, generator) of its new points, as numbers."""
     number = np.full(size, -1, dtype=np.int32)
     number[0] = 0
+    scratch = np.empty(size, dtype=np.intp)
     levels, steps, tree = [np.zeros(1, dtype=np.intp)], [], []
     count = 1
     while levels[-1].size:
@@ -878,7 +873,7 @@ def breadth_first(size: int, step: Callable[[np.ndarray], np.ndarray]):
         steps.append(step(frontier))
         flat = steps[-1].ravel()
         fresh = np.flatnonzero(number[flat] < 0)
-        at = fresh[np.sort(np.unique(flat[fresh], return_index=True)[1])]
+        at = fresh[_first_occurrences(flat[fresh], scratch)]
         new = flat[at]
         number[new] = np.arange(count, count + new.size)
         count += new.size
@@ -886,6 +881,22 @@ def breadth_first(size: int, step: Callable[[np.ndarray], np.ndarray]):
         tree.append((number[new], number[frontier[at // k]], at % k))
         levels.append(new)
     return number, np.concatenate(levels), number[np.concatenate(steps)].T, tree
+
+
+def _distinct(values: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """values without repeats: each position stamps its value's slot of the
+    scratch array stamp, and the one whose stamp stands survives."""
+    at = np.arange(values.size)
+    stamp[values] = at
+    return values[stamp[values] == at]
+
+
+def _first_occurrences(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Positions of each distinct value's first occurrence, ascending."""
+    at = np.arange(values.size)
+    scratch[values] = values.size
+    np.minimum.at(scratch, values, at)
+    return at[scratch[values] == at]
 
 
 def _least_in_orbits(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -925,6 +936,7 @@ def _certify_hom(G: PermGroup, gens: Sequence[int], H: PermGroup,
         return False
     phi = np.full(n, -1, dtype=np.intp)
     phi[0] = 0
+    stamp = np.empty(n, dtype=np.intp)
     frontier = np.zeros(1, dtype=np.intp)
     reached = 1
     while frontier.size:
@@ -936,10 +948,10 @@ def _certify_hom(G: PermGroup, gens: Sequence[int], H: PermGroup,
             phi[y[new]] = fy[new]
             if (phi[y] != fy).any():
                 return False
-            fresh.append(np.unique(y[new]))
+            fresh.append(_distinct(y[new], stamp))
         frontier = np.concatenate([frontier[:0], *fresh])
         reached += frontier.size
-    return reached == n and np.unique(phi).size == n
+    return reached == n and bool((np.bincount(phi, minlength=n) == 1).all())
 
 
 def isomorphic(G: PermGroup, H: PermGroup) -> bool:

@@ -59,6 +59,15 @@ _T_LABELS = {
 }
 
 
+def is_elementary_abelian_2(G):
+    return all(o <= 2 for o, _ in G.order_histogram())
+
+
+def sort_key(p):
+    """Big-endian bytes, so byte order equals lexicographic image order."""
+    return p.img.astype(">u2").tobytes()
+
+
 def _t(i: int) -> Perm:
     return Perm.parse(_T_LABELS[i], 6)
 
@@ -325,7 +334,7 @@ class TestPairTypeCounts:
         G = generate(7, [a, b, c])
         cfg = TConfig(group=G, seeds=(a, b, c),
                       members=G.indices_of(
-                          sorted((a, b, c, a * b), key=Perm.sort_key)),
+                          sorted((a, b, c, a * b), key=sort_key)),
                       derivations=())
         with pytest.raises(NotTrianglePointError, match=re.escape(
                 "product of T-set elements (2,3)(4,5)(6,7) and (1,2)(3,4) "
@@ -454,7 +463,7 @@ class TestKleinSearch:
         found = klein_search(s6_config)
         assert found is not None
         assert found.order == 8
-        assert found.is_elementary_abelian_2()
+        assert is_elementary_abelian_2(found)
         target = generate(
             6,
             [Perm.parse("(1,2)", 6), Perm.parse("(3,4)", 6), Perm.parse("(5,6)", 6)],
@@ -530,7 +539,7 @@ class TestFindSubgroups:
         ref = generate(4, [Perm.parse("(1,2)", 4), Perm.parse("(3,4)", 4)])
         found = find_subgroups_iso(D, ref)
         assert len(found) == 2
-        assert all(H.order == 4 and H.is_elementary_abelian_2() for H in found)
+        assert all(H.order == 4 and is_elementary_abelian_2(H) for H in found)
 
     def test_2d8_count_in_deg16_group(self, deg16_config):
         G = deg16_config.group

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tpg import permgrp
 from tpg.classify import normal_subgroups_index_gt
@@ -28,6 +28,21 @@ from tpg.permgrp import (
     symmetric_group,
     trivial_group,
 )
+
+
+def center(G):
+    """The union of the conjugacy classes of size 1."""
+    labels = G.class_labels()
+    return G.subgroup_from_indices(np.flatnonzero(np.bincount(labels)[labels] == 1))
+
+
+def is_elementary_abelian_2(G):
+    return all(o <= 2 for o, _ in G.order_histogram())
+
+
+def sort_key(p):
+    """Big-endian bytes, so byte order equals lexicographic image order."""
+    return p.img.astype(">u2").tobytes()
 
 
 def P(s, degree):
@@ -211,13 +226,13 @@ def test_elementary_abelian_classes_singletons():
     G = elementary_abelian_2(3)
     assert G.order == 8
     assert all(len(c) == 1 for c in G.conjugacy_classes())
-    assert G.is_elementary_abelian_2()
-    assert trivial_group().is_elementary_abelian_2()
+    assert is_elementary_abelian_2(G)
+    assert is_elementary_abelian_2(trivial_group())
 
 
 def test_elements_sorted_lexicographically():
     G = generate(3, [P("(1,2)", 3), P("(1,2,3)", 3)])
-    keys = [e.sort_key() for e in G.elements]
+    keys = [sort_key(e) for e in G.elements]
     assert keys == sorted(keys)
     imgs = [tuple(int(x) for x in e.img) for e in G.elements]
     assert imgs == sorted(imgs)
@@ -244,11 +259,11 @@ def test_standard_constructions():
 def test_quaternion_and_dicyclic():
     Q8 = quaternion_group()
     assert Q8.order == 8
-    assert Q8.center().order < Q8.order  # not abelian
+    assert center(Q8).order < Q8.order  # not abelian
     assert dict(Q8.order_histogram())[2] == 1
     dic = dicyclic_group_12()
     assert dic.order == 12
-    assert dic.center().order < dic.order  # not abelian
+    assert center(dic).order < dic.order  # not abelian
     assert dict(dic.order_histogram())[2] == 1
 
 
@@ -256,15 +271,15 @@ def test_direct_product():
     G = direct_product(cyclic_group(2), dihedral_group(8))
     assert G.order == 16
     assert G.degree == 2 + 4
-    assert G.center().order == 4
+    assert center(G).order == 4
 
 
 def test_center_and_derived():
     D8 = dihedral_group(8)
-    assert D8.center().order == 2
+    assert center(D8).order == 2
     S4 = symmetric_group(4)
     assert S4.derived_subgroup().order == 12
-    assert S4.center().order == 1
+    assert center(S4).order == 1
     assert isomorphic(S4.derived_subgroup(), alternating_group(4))
 
 
@@ -282,7 +297,7 @@ def test_subgroup_and_lagrange():
     S6 = symmetric_group(6)
     K = S6.subgroup([P("(1,2)", 6), P("(3,4)", 6), P("(5,6)", 6)])
     assert K.order == 8
-    assert K.is_elementary_abelian_2()
+    assert is_elementary_abelian_2(K)
     with pytest.raises(ValueError):
         alternating_group(4).subgroup([P("(1,2)", 4)])
 
@@ -520,7 +535,7 @@ def test_center_is_the_size_one_classes():
         central = [i for i in range(G.order)
                    if all((g.img[E[i]] == E[i][g.img]).all()
                           for g in G.generators)]
-        assert [G.index_of(z) for z in G.center().elements] == central
+        assert [G.index_of(z) for z in center(G).elements] == central
 
 
 def test_is_generated_by():
@@ -562,6 +577,87 @@ def test_index_closure_matches_fresh_closure(build):
         assert np.array_equal(resumed[0], whole[0])
         assert resumed[1] == whole[1]
         assert np.array_equal(first[0], kept) and first[1] == idx[:1]
+
+
+def test_index_closure_aborts_when_no_seed_is_new():
+    S4 = symmetric_group(4)
+    full = S4.index_closure(range(S4.order))
+    assert full[0].all()
+    assert S4.index_closure([0], abort_above=5, start=full) is None
+    assert S4.index_closure([0], abort_above=24, start=full)[0].all()
+    assert S4.index_closure([], abort_above=0) is None
+    assert S4.index_closure([], abort_above=1)[0].sum() == 1
+
+
+_index_arrays = st.integers(1, 50).flatmap(lambda size: st.tuples(
+    st.just(size), st.lists(st.integers(0, size - 1), max_size=200)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_index_arrays)
+@example((1, []))
+@example((1, [0]))
+def test_distinct_and_first_occurrences_match_unique(case):
+    size, values = case
+    a = np.array(values, dtype=np.intp)
+    scratch = np.empty(size, dtype=np.intp)
+    assert np.array_equal(np.sort(permgrp._distinct(a, scratch)), np.unique(a))
+    assert np.array_equal(permgrp._first_occurrences(a, scratch),
+                          np.sort(np.unique(a, return_index=True)[1]))
+
+
+def test_class_members_match_isin():
+    S4 = symmetric_group(4)
+    labels = S4.class_labels()
+    classes = range(len(S4.class_representatives()))
+    for r in range(len(classes) + 1):
+        for S in itertools.combinations(classes, r):
+            assert np.array_equal(S4.class_members(S),
+                                  np.flatnonzero(np.isin(labels, S)))
+    G = _g6()
+    labels = G.class_labels()
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        S = frozenset(np.flatnonzero(rng.random(labels.max() + 1) < 0.5).tolist())
+        assert np.array_equal(G.class_members(S),
+                              np.flatnonzero(np.isin(labels, list(S))))
+
+
+def _widest_degree(width):
+    """The largest degree whose keys of width base images fit an int64."""
+    degree = min(65535, int(2 ** (63 / width)))
+    while degree**width >= 2**63:
+        degree -= 1
+    return degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.tuples(
+    st.integers(1, _widest_degree(width)), st.integers(0, 2**32 - 1),
+    st.just(width))))
+@example((_widest_degree(6), 0, 6))
+def test_keys_match_mixed_radix_loop(case):
+    degree, seed, width = case
+    assert degree**width < 2**63
+    images = np.random.default_rng(seed).integers(
+        0, degree, size=(20, width)).astype(permgrp.DTYPE)
+    keys = np.zeros(len(images), dtype=np.int64)
+    for col in range(width):
+        keys = keys * degree + images[:, col]
+    assert np.array_equal(PermGroup(degree, [])._keys(images), keys)
+
+
+def test_quotient_rows_match_a_fresh_closure():
+    S4 = symmetric_group(4)
+    cases = [(S4, S4.normal_closure([P("(1,2)(3,4)", 4)]))]
+    cases += [(G, N) for G in (_g6(), _g10()) for N in normal_subgroups_index_gt(G)]
+    orders = []
+    for G, N in cases:
+        Q = G.quotient(N)
+        orders.append(Q.order)
+        fresh = PermGroup(Q.degree, Q.generators).element_images
+        assert np.array_equal(Q.element_images, fresh)
+    assert 6 in orders and 1920 in orders
 
 
 def test_non_member_sharing_base_images():
@@ -651,7 +747,7 @@ def test_quotient_matches_coset_action_on_lattice(build, largest):
 def test_quotient_by_the_centre_of_g10_stays_small():
     # the quotient's rows are 1920 x 1920 uint16, 7.0 MiB
     G = _g10()
-    Z = G.center()
+    Z = center(G)
     assert Z.order == 2
     tracemalloc.start()
     try:
