@@ -13,21 +13,22 @@ an unsigned array of relator marks, all grown in fixed chunks of cosets;
 scans read each relator as a tuple of those column arrays.  Every entry of
 a live coset is undefined or a live coset, so scans read the columns
 without union-find lookups, and a scan that stops with a gap of two or
-more letters defines the cosets along the gap in one pass.  A scan closes
-the relator's cycle through its coset, and it marks the cosets of that
-cycle from which the relator reads the same cycle, so the sweep skips
-every scan it can prove is a no-op; the definitions, coincidences and
-defined-coset count are those of the plain HLT sweep.  The live rows are
-compacted into a numpy table, and one vectorised check (columns are
-involutions of range(n), every relator fixes every coset, every subgroup
-word fixes coset 0) decides whether the table is closed.  The check runs
-after each sweep, and once within it: the sweep tracks the first live
-coset with an undefined entry, and once no live row has one, it checks
-the table.  A table that passes is complete and closed, which is where HLT
-ends, so every scan left would be a no-op and the sweep stops there.  The
-closed table is renumbered breadth-first from the subgroup coset, one numpy
-step per BFS level (a canonical standardization), and checked again, so a
-returned table is always complete, closed and deterministic.
+more letters defines the cosets along the gap in one pass.  The columns are
+involutions, so a square x^2 can only miss its coset's x entry: the sweep
+fills that entry in place of a scan.  A scan of any other relator closes
+its cycle through its coset and marks the cosets of that cycle from which
+the relator reads the same cycle, so the sweep skips every scan it can
+prove is a no-op; the definitions, coincidences and defined-coset count
+are those of the plain HLT sweep.  The live rows are compacted into a numpy
+table, and one vectorised check (columns are involutions of range(n), every
+relator fixes every coset, every subgroup word fixes coset 0) decides
+whether the table is closed.  The check runs after each sweep, and once
+within it: the sweep tracks the first live coset with an undefined entry,
+and once no live row has one, it checks the table.  A table that passes is
+complete and closed, which is where HLT ends, so the sweep stops there.
+The closed table is renumbered breadth-first from the subgroup coset, one
+numpy step per BFS level: a canonical relabeling of the checked table, so
+a returned table is always complete, closed and deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -359,14 +359,6 @@ class CosetTable:
     def coset_count(self) -> int:
         return self.images.shape[1]
 
-    @cached_property
-    def rows(self) -> tuple[tuple[int, int, int], ...]:
-        """Row i maps coset i under a, b, c."""
-        return tuple(zip(*self.images.tolist()))
-
-    def column(self, letter: str) -> tuple[int, ...]:
-        return tuple(self.images[_COL[letter]].tolist())
-
 
 # Storage grows this many cosets at a time: a fixed step, not doubling, so
 # the slack past the last defined coset never exceeds one chunk.
@@ -382,11 +374,14 @@ def _closing_positions(row: tuple[int, ...]) -> tuple[bool, ...]:
     k) or backward (the reversal read from k), is ``row`` itself.
     Generators are involutions, so reading backward along the cycle reads
     the same letters.  Entry 0 is never read; entry len(row) is the start.
+    Rotations by multiples of the least period p give ``row``, and by q plus
+    those multiples (q < p, the first) its reversal: two linear-time searches.
     """
-    n = len(row)
-    return (False,) + tuple(
-        row[k:] + row[:k] == row or row[k - 1::-1] + row[:k - 1:-1] == row
-        for k in range(1, n)) + (True,)
+    s = bytes(row)
+    p = (s + s).find(s, 1)
+    q = (s + s).find(s[::-1])
+    hits = {0, q} if q >= 0 else {0}
+    return (False,) + tuple(k % p in hits for k in range(1, len(s))) + (True,)
 
 
 class _Enumerator:
@@ -409,16 +404,19 @@ class _Enumerator:
     along it in one pass: a new coset's only entry is its back pointer, so
     the forward reading would step onto it and stop at the next letter.  It
     falls back to one definition per reading where that pointer is read
-    again: by the next letter (as in a square) or by the backward reading.
+    again: by the next letter (as in ``aa``) or by the backward reading.
 
-    A scan of relator r leaves r's cycle through its start coset closed, and
-    coincidences map a closed cycle onto a closed cycle, so a later scan of
-    r at a live coset of that cycle is a no-op wherever r read from there
-    traces the same cycle (``_closing_positions``).  A scan sets bit k of
-    the marks of the cosets its forward reading reaches at those positions,
-    for the k-th relator, and the sweep skips every marked scan.  A sweep
-    also ends early, returning the live table, once every live row is full
-    and the table passes the check (``_sweep``).  The HLT definitions,
+    A square x^2 is not scanned: at a live coset its scan is a no-op if the
+    x entry is set and defines that entry if not, so the sweep does just
+    that.  A scan of any other relator r leaves r's cycle through its start
+    coset closed, and coincidences map a closed cycle onto a closed cycle,
+    so a later scan of r at a live coset of that cycle is a no-op wherever
+    r read from there traces the same cycle (``_closing_positions``).  A
+    scan sets bit k of the marks of the cosets its forward reading reaches
+    at those positions, for the k-th relator that is not a square, and the
+    sweep skips every marked scan.  A sweep ends early, returning the live
+    table, once every live row is full and the table passes the check
+    (``_sweep``), the only check a table gets.  The HLT definitions,
     coincidences and defined count are exactly those of the sweep that
     scans every relator at every live coset to the end.
     """
@@ -429,23 +427,27 @@ class _Enumerator:
         self.capacity = capacity
         self.cols = (array("i"), array("i"), array("i"))
         self.parent = array("i")
-        # marks are the narrowest unsigned type with a bit per relator;
-        # relators past the first 64 in sort order get no bit
-        bits = min(len(relators), 64)
-        self.marks = array(next(t for t in "BHIQ"
-                                if 8 * array(t).itemsize >= bits))
+        # (column word, mark bit, closing positions) per relator; a bit of 0
+        # marks nothing.  A square x^2 is (column x, 0, None), a row fill.
+        # The first 64 other relators, in sort order, get a bit.
+        rel_scans = []
+        bits = 0
+        for cword, row in zip(self._columns(relators), relators):
+            if len(row) == 2 and row[0] == row[1]:
+                rel_scans.append((cword[0], 0, None))
+            elif bits < 64:
+                rel_scans.append((cword, 1 << bits, _closing_positions(row)))
+                bits += 1
+            else:
+                rel_scans.append((cword, 0, (False,) * (len(row) + 1)))
+        self.rel_scans = tuple(rel_scans)
+        self.sub_scans = tuple((cword, 0, (False,) * (len(cword) + 1))
+                               for cword in self._columns(subgroup_rows))
+        # marks are the narrowest unsigned type with a bit per marking relator
+        self.marks = array(next(t for t in "BHIQ" if 8 * array(t).itemsize >= bits))
         self._grow()
         self.defined = 1  # coset 0, the subgroup coset
         self.mutations = 0
-        # (column word, mark bit, closing positions) per scan; a bit of 0
-        # marks nothing, so those scans always run
-        rel_cols = self._columns(relators)
-        self.rel_scans = tuple(
-            (cword, 1 << k, _closing_positions(row)) if k < bits
-            else (cword, 0, (False,) * (len(row) + 1))
-            for k, (cword, row) in enumerate(zip(rel_cols, relators)))
-        self.sub_scans = tuple((cword, 0, (False,) * (len(cword) + 1))
-                               for cword in self._columns(subgroup_rows))
 
     def _columns(self, rows) -> tuple[tuple[array, ...], ...]:
         """Each letter row as the tuple of the column arrays it reads."""
@@ -455,15 +457,8 @@ class _Enumerator:
         m = len(self.parent)
         for col in self.cols:
             col.extend(_UNDEFINED)
-        self.parent.extend(range(m, m + _CHUNK))
+        self.parent.frombytes(np.arange(m, m + _CHUNK, dtype=np.int32).tobytes())
         self.marks.frombytes(bytes(_CHUNK * self.marks.itemsize))
-
-    def _rep(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def _define(self, f: int, col: array) -> int:
         m = self.defined
@@ -650,9 +645,12 @@ class _Enumerator:
                 for cword, bit, closing in self.rel_scans:
                     if done & bit:
                         continue
-                    scan(alpha, cword, bit, closing)
-                    if parent[alpha] != alpha:
-                        break
+                    if closing is not None:
+                        scan(alpha, cword, bit, closing)
+                        if parent[alpha] != alpha:
+                            break
+                    elif cword[alpha] == -1:  # a square: its only possible gap
+                        self._define(alpha, cword)
                 else:
                     for col in self.cols:
                         if col[alpha] == -1:
@@ -727,12 +725,6 @@ def _table_fault(mat: np.ndarray, relators, subgroup_rows) -> Optional[str]:
     return None
 
 
-def _verify(mat: np.ndarray, relators, subgroup_rows) -> None:
-    fault = _table_fault(mat, relators, subgroup_rows)
-    if fault is not None:
-        raise RuntimeError(f"coset table failed {fault} verification")
-
-
 def _standardize(mat: np.ndarray) -> np.ndarray:
     """Renumber a complete table breadth-first from the subgroup coset 0
     (``permgrp.breadth_first``), as an int32 table."""
@@ -778,7 +770,6 @@ def todd_coxeter(
     rel_rows, sub_rows = _letter_rows(pres, subgroup)
     enumerator = _Enumerator(rel_rows, sub_rows, capacity)
     std = _standardize(enumerator.run())
-    _verify(std, rel_rows, sub_rows)
     std.setflags(write=False)
     return CosetTable(std, enumerator.defined)
 

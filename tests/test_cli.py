@@ -200,6 +200,15 @@ class TestEnumerate:
         assert code == 0
         assert "cosets: 1152" in out
 
+    def test_long_periodic_relator(self, capsys, tmp_path):
+        # a 30,000-letter relator, (abc)^10000, that is (abc)^2 = 1 here;
+        # its closing positions take linear time in its length
+        src = tmp_path / "long.pres"
+        src.write_text("mnp: 6 6 6\nrelator: ((abc)^1000)^10\n")
+        code, out, _ = run_cli(capsys, "--format", "json", "enumerate", str(src))
+        assert code == 0
+        assert json.loads(out) == {"cosets": 24}
+
     def test_malformed_file(self, capsys, tmp_path):
         src = tmp_path / "bad.pres"
         src.write_text("mnp: 6 6\n")

@@ -25,9 +25,10 @@ from tpg.fpgrp import (
     todd_coxeter,
     tp_presentation,
     _Enumerator,
+    _closing_positions,
     _letter_rows,
     _standardize,
-    _verify,
+    _table_fault,
 )
 from tpg.permgrp import (
     CapacityError,
@@ -70,6 +71,15 @@ def perms(degree, *cycle_strs):
 def images(degree, sa, sb, sc):
     a, b, c = perms(degree, sa, sb, sc)
     return {"a": a, "b": b, "c": c}
+
+
+def table_rows(t):
+    """Row i maps coset i under a, b, c."""
+    return tuple(zip(*t.images.tolist()))
+
+
+def table_column(t, letter):
+    return tuple(t.images["abc".index(letter)].tolist())
 
 
 # The explicit generator triple for the order-216 group S3 x S3 x S3.
@@ -375,13 +385,13 @@ class TestToddCoxeter:
 
     def test_determinism(self):
         p = tp_presentation(2, 6, 6)
-        assert todd_coxeter(p).rows == todd_coxeter(p).rows
+        assert table_rows(todd_coxeter(p)) == table_rows(todd_coxeter(p))
 
     def test_table_structure(self):
         t = todd_coxeter(tp_presentation(2, 6, 6))
         n = t.coset_count
         for letter in "abc":
-            col = t.column(letter)
+            col = table_column(t, letter)
             assert sorted(col) == list(range(n))
             assert all(col[col[i]] == i for i in range(n))
 
@@ -392,11 +402,11 @@ class TestToddCoxeter:
         assert not t.images.flags.writeable
         with pytest.raises(ValueError):
             t.images[0, 0] = 1
-        assert t.rows == tuple(zip(*t.images.tolist()))
-        assert len(t.rows) == t.coset_count
+        assert table_rows(t) == tuple(zip(*t.images.tolist()))
+        assert len(table_rows(t)) == t.coset_count
         for x, letter in enumerate("abc"):
-            assert t.column(letter) == tuple(t.images[x].tolist())
-            assert t.column(letter) == tuple(row[x] for row in t.rows)
+            assert table_column(t, letter) == tuple(t.images[x].tolist())
+            assert table_column(t, letter) == tuple(row[x] for row in table_rows(t))
 
     def test_coset_action_beyond_uint16(self):
         # 65536 cosets: a, b, c all swap 2i and 2i+1, a complete involutory table
@@ -426,7 +436,7 @@ class TestDefinitionOrder:
     def test_standardized_rows_are_pinned(self, pres, subgroup, count, digest):
         t = todd_coxeter(pres, subgroup=[parse_word(w) for w in subgroup])
         assert t.coset_count == count
-        assert hashlib.sha256(repr(t.rows).encode()).hexdigest() == digest
+        assert hashlib.sha256(repr(table_rows(t)).encode()).hexdigest() == digest
 
     def test_g9_capacity_boundary(self):
         # the HLT run on G9 defines 14,735 cosets, 1,152 of them live
@@ -459,6 +469,13 @@ class ReferenceEnumerator(_Enumerator):
     every entry read, and so is its coincidence pass: a merge function,
     representative lookups through _rep, and a FIFO deque of merged
     cosets."""
+
+    def _rep(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
     def _plain_scan(self, start, cword):
         rep = self._rep
@@ -543,14 +560,16 @@ class ReferenceEnumerator(_Enumerator):
 
 def enumeration_trace(cls, pres, subgroup, capacity):
     """Standardized rows, defined count and mutation count of one run, or
-    the counts at which it ran out of capacity."""
+    the counts at which it ran out of capacity.  A table that completes
+    passes the check on its standardized form too."""
     rel_rows, sub_rows = _letter_rows(pres, subgroup)
     enum = cls(rel_rows, sub_rows, capacity)
     try:
-        rows = _standardize(enum.run()).tolist()
+        std = _standardize(enum.run())
     except CapacityError:
-        rows = None
-    return rows, enum.defined, enum.mutations
+        return None, enum.defined, enum.mutations
+    assert _table_fault(std, rel_rows, sub_rows) is None
+    return std.tolist(), enum.defined, enum.mutations
 
 
 def reference_standardize(mat):
@@ -681,6 +700,8 @@ SWEEP_ARGS = (MEMBERS,
 # backward end is the forward end on that column (3 times, on 12 cosets)
 @example((3, 3, 3), None, [Word("acca")], [], False)
 @example((3, 3, 4), None, [], [Word("c")], False)
+# a length-1 relator sorts before the squares
+@example((3, 3, 3), None, [Word("c")], [], False)
 @given(*SWEEP_ARGS)
 def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
     pres, words = sweep_input(mnp, r, extra, subgroup, many)
@@ -736,7 +757,7 @@ def test_sweep_returns_only_a_closed_table(pres, closed):
     mat = enum._sweep()
     if closed:
         assert mat is not None and mat.shape == (3, 3840)
-        _verify(mat, enum.relators, enum.subgroup_rows)
+        verify_table(mat, enum.relators, enum.subgroup_rows)
         assert enum.defined == 10289
     else:
         assert mat is None
@@ -744,15 +765,39 @@ def test_sweep_returns_only_a_closed_table(pres, closed):
 
 
 def test_mark_bits_fit_their_array():
-    # the squares plus (ab)^2k: every relator's bit fits the marks' type,
-    # whichever width its count picks
+    # the squares plus (ab)^2k: every relator that is not a square gets a
+    # bit, up to 64, and each fits the marks' type, whichever width its
+    # count picks; squares are row fills, with no bit
     squares = [(0, 0), (1, 1), (2, 2)]
     for n in range(1, 70):
         rows = squares + [(0, 1) * (2 * k) for k in range(1, n + 1)]
         enum = _Enumerator(rows, [], 10)
         for _, bit, _ in enum.rel_scans:
             enum.marks[0] |= bit
-        assert sum(bit > 0 for _, bit, _ in enum.rel_scans) == min(n + 3, 64)
+        assert sum(bit > 0 for _, bit, _ in enum.rel_scans) == min(n, 64)
+
+
+def reference_closing_positions(row):
+    """Each rotation and reversal built and compared: quadratic in len(row)."""
+    n = len(row)
+    return (False,) + tuple(
+        row[k:] + row[:k] == row or row[k - 1::-1] + row[:k - 1:-1] == row
+        for k in range(1, n)) + (True,)
+
+
+LETTER_ROWS = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
+
+
+@given(st.one_of(
+    LETTER_ROWS,
+    LETTER_ROWS.map(lambda r: r + r[::-1]),  # even palindromes
+    LETTER_ROWS.map(lambda r: r + r[-2::-1]),  # odd palindromes
+    st.tuples(LETTER_ROWS, st.integers(2, 5)).map(lambda rk: rk[0] * rk[1])))
+@example((0,))
+@example((0, 1, 0, 2) * 3)
+def test_closing_positions_match_reference(row):
+    assert _closing_positions(row) == reference_closing_positions(row)
+
 
 def letter_rows(words):
     return [tuple("abc".index(ch) for ch in w.letters) for w in words]
@@ -783,6 +828,12 @@ def reference_fault(mat, relators, subgroup_rows):
     return None
 
 
+def verify_table(mat, relators, subgroup_rows):
+    fault = _table_fault(mat, relators, subgroup_rows)
+    if fault is not None:
+        raise RuntimeError(f"coset table failed {fault} verification")
+
+
 class TestVerifier:
     """The check every enumerated table passes before it is returned."""
 
@@ -791,7 +842,7 @@ class TestVerifier:
     @pytest.fixture
     def table(self):
         t = todd_coxeter(self.PRES)
-        return np.array(t.rows, dtype=np.int32).T.copy()
+        return np.array(table_rows(t), dtype=np.int32).T.copy()
 
     def check(self, mat, subgroup=()):
         """The verifier's verdict, which must match the reference loops."""
@@ -799,10 +850,10 @@ class TestVerifier:
         subs = letter_rows(subgroup)
         fault = reference_fault(mat, rels, subs)
         if fault is None:
-            _verify(mat, rels, subs)
+            verify_table(mat, rels, subs)
         else:
             with pytest.raises(RuntimeError, match=f"failed {fault} verification"):
-                _verify(mat, rels, subs)
+                verify_table(mat, rels, subs)
         return fault
 
     def test_enumerated_table_passes(self, table):
