@@ -164,9 +164,6 @@ class TConfig:
             raise ValueError(f"{p} is not in the T-set")
         return i
 
-    def derivation_of(self, p: Perm) -> Derivation:
-        return self.derivations[self.index_of(p)]
-
     def seed_images(self) -> dict[str, Perm]:
         a, b, c = self.seeds
         return {"a": a, "b": b, "c": c}
@@ -388,9 +385,6 @@ class AxisSpanModel:
         if i < 0:
             raise ValueError(f"{p} is not an axis of the model")
         return i
-
-    def pair_of(self, t: Perm, s: Perm) -> PairType:
-        return _pair_type(self.pair_types[self.axis_index(t), self.axis_index(s)])
 
     def inner_entry(self, i: int, j: int) -> Fraction:
         kind = self.pair_types[i, j]  # "1A" on the diagonal

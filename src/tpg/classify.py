@@ -348,7 +348,7 @@ def normal_subgroups_index_gt(G: PermGroup, bound: int = 12) -> list[PermGroup]:
     The join of A and B is the product set AB, of order |A||B|/|A n B|.
     """
     limit = -(-G.order // bound) - 1  # largest order with index > bound
-    sizes = np.bincount(G.class_labels())
+    sizes = G.class_sizes()
 
     def order(S: frozenset[int]) -> int:
         return int(sizes[list(S)].sum())
@@ -670,7 +670,7 @@ class Configuration:
         """
         G, T = self.tconfig.group, self.tconfig.members
         derived = G.indices_of_base_images(G.derived_subgroup().element_images[:, G.base()])
-        central = np.bincount(G.class_labels())[G.class_labels()[T]] == 1  # classes of size 1
+        central = G.class_sizes()[G.class_labels()[T]] == 1  # classes of size 1
         return len(T), int(self.tconfig.mask[derived].sum()), int(central.sum())
 
 

@@ -6,8 +6,10 @@ Permutations are numpy uint16 image arrays (0-based internally,
 elements once, by breadth-first closure of its generators, which is fine at
 this scale (orders up to ~20000); the elements are kept as one array of
 image rows in lexicographic order, so the identity is row 0.  A quotient
-acts regularly on the cosets, so its rows are built directly, one per
-coset, without that closure.
+G/N labels each coset x N = N x by an orbit of the cached right maps of N's
+generators and numbers the cosets breadth first through the right maps of
+G's generators; it acts regularly on the cosets, so its rows are built
+directly, one per coset, without that closure.
 
 Each group keys its elements by their images of a short base, picked
 along the stabiliser chain (Sims' base; Seress, Permutation Group
@@ -18,7 +20,10 @@ compare of its full row rejects a non-member that shares a member's base
 images.  Element orders follow powers on the base images only, and product
 orders compose only the base images of the two factors and look the
 product's order up, so no full image array of a product or a power is ever
-built.
+built.  A regular group (every quotient, and a group acting on the cosets
+of its trivial subgroup) needs no keys: sorted by rows, its element i takes
+point 0 to i, so its base is [0], an element's index is its image of 0, and
+the right map of element i is row i.
 
 A subgroup of an enumerated group is a boolean mask over its elements,
 closed from seed element indices by one kernel (index_closure): each
@@ -38,7 +43,8 @@ from base images, and the least index of each orbit is propagated along the
 maps.  Conjugacy classes, class unions, normal closures, the centre and
 class invariants for isomorphism testing are lookups into these labels, and
 a normal subgroup, a union of classes, is handled as its set of class
-numbers (class_closure, class_product).
+numbers (class_closure, class_product), whose products are gathers through
+the cached right maps of the class representatives.
 """
 
 from __future__ import annotations
@@ -283,6 +289,7 @@ class PermGroup:
         self._classes = None
         self._labels: Optional[np.ndarray] = None
         self._class_reps: Optional[np.ndarray] = None
+        self._class_sizes: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None
         self._base_keys: Optional[np.ndarray] = None
         self._base_elements: Optional[np.ndarray] = None
@@ -411,11 +418,17 @@ class PermGroup:
         """Points (0-based) whose images tell all elements apart.
 
         Picked along the stabiliser chain: each point is the first one moved
-        by the elements that fix every earlier base point (Sims' base).
+        by the elements that fix every earlier base point (Sims' base).  A
+        regular group, whose element i takes point 0 to i, has the base [0]
+        without that scan and no keys: _find reads an index as an image of 0.
         """
         if self._base is None:
             self._enumerate()
             E = self._E
+            if 1 < len(E) == self.degree and (E[:, 0] == np.arange(len(E))).all():
+                self._base = np.zeros(1, dtype=np.intp)  # _base_keys stays None
+                self._base.setflags(write=False)
+                return self._base
             ident = np.arange(self.degree, dtype=DTYPE)
             points = []
             rows = E
@@ -449,6 +462,10 @@ class PermGroup:
         """Element indices for rows of base images, shape images.shape[:-1],
         with -1 for rows that match no element."""
         base = self.base()
+        if self._base_keys is None:  # regular: the image of 0 is the index
+            idx = images[..., 0].astype(np.intp)
+            idx[(idx < 0) | (idx >= len(self._E))] = -1
+            return idx
         keys = self._keys(images.reshape(math.prod(images.shape[:-1]), len(base)))
         pos = np.searchsorted(self._base_keys, keys)
         pos[pos == len(self._base_keys)] = 0
@@ -528,15 +545,21 @@ class PermGroup:
                 len(self._E), [self.conjugation_map(g) for g in self.generators])
             fixed = least == np.arange(len(least))  # each orbit's least member
             reps, labels = np.flatnonzero(fixed), (np.cumsum(fixed) - 1)[least]
-            labels.setflags(write=False)
-            reps.setflags(write=False)
-            self._labels, self._class_reps = labels, reps
+            sizes = np.bincount(labels)
+            for a in (labels, reps, sizes):
+                a.setflags(write=False)
+            self._labels, self._class_reps, self._class_sizes = labels, reps, sizes
         return self._labels
 
     def class_representatives(self) -> np.ndarray:
         """Element index of the least member of each class, by class number."""
         self.class_labels()
         return self._class_reps
+
+    def class_sizes(self) -> np.ndarray:
+        """Number of elements of each class, by class number."""
+        self.class_labels()
+        return self._class_sizes
 
     def classes_meeting(self, perms: Iterable[Perm]) -> frozenset[int]:
         """Class numbers of the conjugacy classes that meet perms."""
@@ -556,15 +579,20 @@ class PermGroup:
     def class_product(self, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
         """Class numbers of the products x y, x in the classes A, y in B.
 
-        The least member of each class of A is the only left factor needed:
-        when B is a union of classes, g^-1 x y g = (g^-1 x g)(g^-1 y g) puts
-        every product's class into reps(A) . B.  For normal subgroups A and
-        B, given as class sets, this is the product subgroup AB.
+        The least member r of each class of A is the only factor of A
+        needed: when B is a union of classes, g^-1 x y g = (g^-1 x g)(g^-1 y g)
+        puts every product's class into r B.  Since y r = r^-1 (r y) r, the
+        classes of r B are those of B r, one gather through r's cached right
+        map.  For normal subgroups A and B, given as class sets, this is the
+        product subgroup AB.
         """
         labels = self.class_labels()
-        left = self._E[self.class_representatives()[sorted(A)]]
-        right = self._E[self.class_members(B)]
-        return frozenset(labels[self.product_indices(left, right)].ravel().tolist())
+        reps = self._class_reps
+        members = self.class_members(B)
+        met = np.zeros(len(reps), dtype=bool)
+        for a in A:
+            met[labels[self._right_map(int(reps[a]))[members]]] = True
+        return frozenset(np.flatnonzero(met).tolist())
 
     def class_closure(
         self, classes: Iterable[int], bound: Optional[int] = None
@@ -575,7 +603,7 @@ class PermGroup:
         (class 0) until it stops; a finite set closed under products is a
         subgroup.  Returns None once the summed class sizes pass bound.
         """
-        sizes = np.bincount(self.class_labels())
+        sizes = self.class_sizes()
         S = frozenset(classes) | {0}
         while True:
             grown = S | self.class_product(S, S)
@@ -590,7 +618,7 @@ class PermGroup:
         if self._classes is None:
             labels = self.class_labels()
             members = np.argsort(labels, kind="stable")
-            bounds = np.cumsum(np.bincount(labels))[:-1]
+            bounds = np.cumsum(self._class_sizes)[:-1]
             self._classes = tuple(
                 tuple(Perm.trusted(self._E[i]) for i in cls)
                 for cls in np.split(members, bounds)
@@ -598,10 +626,13 @@ class PermGroup:
         return self._classes
 
     def _right_map(self, i: int) -> np.ndarray:
-        """Index of x * g for every element x, where g is element i; cached."""
+        """Index of x * g for every element x, where g is element i; cached.
+        In a regular group (see base) it is row i."""
         m = self._right_maps.get(i)
         if m is None:
-            m = self.product_indices(self._E, self._E[i : i + 1])[:, 0]
+            self.base()
+            m = (self._E[i].astype(np.intp) if self._base_keys is None
+                 else self.product_indices(self._E, self._E[i : i + 1])[:, 0])
             self._right_maps[i] = m
         return m
 
@@ -700,7 +731,7 @@ class PermGroup:
                 order=self.order,
                 order_histogram=self.order_histogram(),
                 abelian_invariants=self.abelian_invariants(),
-                center_order=int((np.bincount(self.class_labels()) == 1).sum()),
+                center_order=int((self.class_sizes() == 1).sum()),
                 derived_order=self.derived_subgroup().order,
                 class_count=len(self.class_representatives()),
             )
@@ -740,39 +771,43 @@ class PermGroup:
     def quotient(self, N: "PermGroup") -> "PermGroup":
         """Action of the group on the cosets of a normal subgroup N.
 
-        Each element is labelled by the least index in its coset N x, an
-        orbit of the left maps x -> n x of N's generators.  Cosets are
-        numbered from N by breadth_first, the standardized numbering.
+        Each element is labelled by the least index in its coset x N = N x,
+        an orbit of the cached right maps x -> x n of N's generators.
+        Cosets are numbered from N by breadth_first, the standardized
+        numbering, stepping through the right maps of the generators.
         The action is regular, so the quotient's element with first image j
         is the one taking coset 0 to j; its rows are filled along the
         generators' images, row[g(x)] = g(row[x]), and ordered by first
         image they are already sorted, so the quotient is never closed.
 
         Generator images are tracked: the quotient's .tracked carries the
-        images of this group's tracked permutations.
+        images of this group's tracked permutations, each the row of the
+        quotient that takes coset 0 to the permutation's coset.
         """
         if not self.is_normal(N):
             raise ValueError("quotient by a non-normal subgroup")
-        left = self.product_indices(_image_rows(N.generators, self.degree), self._E)
-        label = _least_in_orbits(self.order, list(left))
+        label = _least_in_orbits(
+            self.order, [self._right_map(i) for i in self.indices_of(N.generators)])
         if (np.bincount(label)[label] != N.order).any():
             raise RuntimeError("a coset of N does not have |N| elements")
-        gens = _image_rows(self.generators, self.degree)
+        # one row per generator, a (0, order) array for a group without any
+        maps = np.array([self._right_map(i) for i in self.indices_of(self.generators)],
+                        dtype=np.intp).reshape(len(self.generators), self.order)
         number, reps, images, tree = breadth_first(
-            self.order, lambda x: label[self.product_indices(self._E[x], gens)])
+            self.order, lambda x: label[maps[:, x]].T)
         count = len(reps)
         assert count * N.order == self.order, "coset bookkeeping failed"
-        moved = number[label[self.product_indices(
-            self._E[reps], _image_rows(list(self.tracked.values()), self.degree))]]
-        tracked = dict(zip(self.tracked, (Perm(t) for t in moved.T)))
-        Q = PermGroup(count, (Perm(t) for t in images), tracked=tracked)
         rows = np.empty((count, count), dtype=DTYPE)
         rows[0] = np.arange(count)
+        imgs = images.astype(DTYPE)
         for child, parent, k in tree:
-            for g, img in enumerate(images.astype(DTYPE)):
-                pick = k == g
-                rows[child[pick]] = img[rows[parent[pick]]]
+            for g, img in enumerate(imgs):
+                pick = k == g  # take reads uint16 indices faster than img[...]
+                rows[child[pick]] = img.take(rows[parent[pick]])
         rows.setflags(write=False)
+        moved = rows[number[label[self.indices_of(self.tracked.values())]]]
+        Q = PermGroup(count, (Perm(t) for t in images),
+                      tracked=dict(zip(self.tracked, (Perm(t) for t in moved))))
         Q._E = rows
         return Q
 
@@ -809,8 +844,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def _class_invariants(G: PermGroup) -> np.ndarray:
     """Element order and class size per element index, as one int64 key."""
-    labels = G.class_labels()
-    return G.element_orders() * (G.order + 1) + np.bincount(labels)[labels]
+    return G.element_orders() * (G.order + 1) + G.class_sizes()[G.class_labels()]
 
 
 def _prefix_orders(G: PermGroup, idx: Sequence[int]) -> list[int]:

@@ -37,6 +37,7 @@ from tpg.axial import (
     t_closure,
     t_equivalent,
     two_d8_reference,
+    _pair_type,
     verify_certificate,
 )
 from tpg.fpgrp import evaluate_word, parse_word
@@ -70,6 +71,16 @@ def sort_key(p):
 
 def _t(i: int) -> Perm:
     return Perm.parse(_T_LABELS[i], 6)
+
+
+def derivation_of(cfg, p: Perm):
+    """The Derivation of the T-set member p of cfg."""
+    return cfg.derivations[cfg.index_of(p)]
+
+
+def pair_of(model, t: Perm, s: Perm):
+    """The PairType of the axes t and s of an axis-span model."""
+    return _pair_type(model.pair_types[model.axis_index(t), model.axis_index(s)])
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +204,7 @@ class TestTClosure:
         for cycles in ("(7,9)", "(1,3)", "(4,6)"):
             p = Perm.parse(cycles, 9)
             assert p in cfg
-            assert cfg.derivation_of(p).kind in ("cube", "conjugate")
+            assert derivation_of(cfg, p).kind in ("cube", "conjugate")
 
     def test_derivation_words_re_derive_elements(self, deg9_config):
         cfg = deg9_config
@@ -370,11 +381,11 @@ class TestAxisSpanModel:
 
     def test_pair_typing_by_membership(self):
         model = self._reference_model()
-        assert model.pair_of(_t(1), _t(4)).forced == "2A"
-        assert model.pair_of(_t(1), _t(3)).forced == "2B"  # product is t11
-        assert model.pair_of(_t(1), _t(5)).forced == "4B"
+        assert pair_of(model, _t(1), _t(4)).forced == "2A"
+        assert pair_of(model, _t(1), _t(3)).forced == "2B"  # product is t11
+        assert pair_of(model, _t(1), _t(5)).forced == "4B"
         # every order-4 product in this group squares to t9, so 4B throughout
-        assert model.pair_of(_t(1), _t(7)).forced == "4B"
+        assert pair_of(model, _t(1), _t(7)).forced == "4B"
 
     def test_kernel_matches_reference_on_every_ordered_pair(self):
         model = self._reference_model()
@@ -385,7 +396,7 @@ class TestAxisSpanModel:
     def test_4a_when_square_not_designated(self):
         K = generate(6, [_t(2), _t(7)])
         model = axis_span_model(K, [_t(2), _t(7)])
-        assert model.pair_of(_t(2), _t(7)).forced == "4A"
+        assert pair_of(model, _t(2), _t(7)).forced == "4A"
         assert model.inner_entry(0, 1) == Fraction(1, 32)
         assert model.product_entry(0, 1) is None
         assert audit_model(model) is None

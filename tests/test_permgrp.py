@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tpg import permgrp
-from tpg.classify import normal_subgroups_index_gt
+from tpg.classify import entry, normal_subgroups_index_gt, quotient_records
 from tpg.fpgrp import evaluate_word, parse_word
 from tpg.permgrp import (
     CapacityError,
@@ -443,6 +443,49 @@ def test_lookup_rejects_non_member_images():
         G.indices_of_base_images(np.array([[7]]))
 
 
+def _sims_base(G):
+    """The base picked along the stabiliser chain by a scan of all the
+    elements, each point the first one moved by the stabiliser so far."""
+    ident = np.arange(G.degree)
+    points, rows = [], G.element_images
+    while len(rows) > 1:
+        points.append(int(np.argmax((rows != ident).any(axis=0))))
+        rows = rows[rows[:, points[-1]] == points[-1]]
+    return points
+
+
+def _regular_groups():
+    yield cyclic_group(7)
+    yield entry("G3").group  # on its regular coset table
+    for name in ("G6", "G9", "G10"):
+        for rec in quotient_records(entry(name)):
+            yield rec.group
+
+
+def test_regular_groups_match_the_generic_lookup():
+    orders = []
+    for G in _regular_groups():
+        E, n = G.element_images, G.order
+        orders.append(n)
+        assert G.degree == n and G.base().tolist() == [0] == _sims_base(G)
+        assert G._base_keys is None  # the regular path was taken
+        # _find: base images of members in shuffled order, then non-members
+        rng = np.random.default_rng(n)
+        idx = rng.permutation(n)
+        images = np.concatenate([E[idx][:, G.base()], [[n], [n + 1], [65535]]])
+        index = {row.tobytes(): i for i, row in enumerate(E[:, G.base()])}
+        want = [index.get(row.tobytes(), -1) for row in images.astype(permgrp.DTYPE)]
+        assert G._find(images).tolist() == want == idx.tolist() + [-1] * 3
+        # right maps x -> x * e_i, by full rows against a dict of all rows
+        rows = {row.tobytes(): i for i, row in enumerate(E)}
+        for i in {0, 1, n - 1, *G.indices_of(G.generators).tolist(),
+                  *rng.integers(0, n, 3).tolist()}:
+            brute = [rows[r.tobytes()] for r in E[i][E]]
+            assert G._right_map(i).tolist() == brute
+            assert G.product_indices(E, E[i : i + 1])[:, 0].tolist() == brute
+    assert 160 in orders and 1920 in orders and 7 in orders
+
+
 # -- conjugacy class labels ---------------------------------------------------
 
 
@@ -527,6 +570,31 @@ def test_class_product_is_product_subgroup():
     assert S4.class_product(V, V) == V
     assert S4.class_product(V, A4) == A4
     assert S4.class_product(A4, T) == T == set(range(len(S4.conjugacy_classes())))
+
+
+def _classes_of_all_products(G, A, B):
+    """Classes of every product x y, x in the classes A and y in B."""
+    E = G.element_images
+    products = G.product_indices(E[G.class_members(A)], E[G.class_members(B)])
+    return frozenset(G.class_labels()[products].ravel().tolist())
+
+
+def test_class_product_matches_all_products():
+    S4 = symmetric_group(4)
+    classes = range(len(S4.class_representatives()))
+    subsets = [frozenset(S) for r in range(len(classes) + 1)
+               for S in itertools.combinations(classes, r)]
+    for A in subsets:
+        for B in subsets:
+            assert S4.class_product(A, B) == _classes_of_all_products(S4, A, B)
+    for G, density in ((_g6(), 0.5), (_g10(), 0.3)):
+        assert np.array_equal(G.class_sizes(), np.bincount(G.class_labels()))
+        k = len(G.class_representatives())
+        rng = np.random.default_rng(G.order)
+        for _ in range(12):
+            A, B = (frozenset(np.flatnonzero(rng.random(k) < density).tolist())
+                    for _ in "AB")
+            assert G.class_product(A, B) == _classes_of_all_products(G, A, B)
 
 
 def test_center_is_the_size_one_classes():
