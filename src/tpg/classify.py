@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
@@ -33,6 +32,7 @@ from .permgrp import (
     Perm,
     PermGroup,
     alternating_group,
+    breadth_first,
     cyclic_group,
     dicyclic_group_12,
     dihedral_group,
@@ -372,12 +372,8 @@ def normal_subgroups_index_gt(G: PermGroup, bound: int = 12) -> list[PermGroup]:
                     found.add(J)
                     fresh.append(J)
         frontier = fresh
-    out = [G.subgroup_from_indices(G.class_members(S))
-           for S in sorted(found, key=lambda S: (order(S), sorted(S)))]
-    for N in out:
-        if not G.is_normal(N):
-            raise ClassificationError("lattice produced a non-normal subgroup")
-    return out
+    return [G.subgroup_from_indices(G.class_members(S))
+            for S in sorted(found, key=lambda S: (order(S), sorted(S)))]
 
 
 # -- quotient table data ---------------------------------------------------------
@@ -558,58 +554,64 @@ class QuotientRecord:
     group: PermGroup = field(compare=False, repr=False)
 
 
-def _g11_row_quotient(entry: CatalogEntry, row: RowSpec, want: int) -> PermGroup:
-    # G11's presentation plus the row's relators, on the smallest subgroup
-    # whose coset action is faithful; build refuses the others by order
-    for action in (_row("catalog", entry.name).action, ("a", "b"), ()):
-        with suppress(ClassificationError):
-            return build(GroupSpec(
-                "quotient", f"{entry.name}/N{entry.order // want}", want,
-                entry.mnp, entry.r, extra=row.words, action=action))
-    raise ClassificationError(
-        f"{entry.name}: no faithful coset action for quotient of order {want}")
-
-
-def _class_set(G: PermGroup, N: PermGroup) -> frozenset[int]:
-    """Class numbers of the classes of G that make up its normal subgroup N."""
-    idx = G.indices_of_base_images(N.element_images[:, G.base()])
-    return frozenset(G.class_labels()[idx].tolist())
+def _orbit_quotient(G: PermGroup, S: frozenset[int]) -> Optional[PermGroup]:
+    """G/N as G's action on the orbits of N, the union of the classes S, or
+    None where that action is not G/N or |G| >= degree**2, as for every
+    catalog group but G11 and the regular G3, G5 and G7.  G acts on N's
+    orbits as on the cosets of H N, H the stabiliser of point 0, with kernel
+    the core of H N: the classes whose elements all keep point 0 in its block
+    (Holt, Eick and O'Brien, 2005, ch. 4).  Blocks are numbered as a
+    standardized coset table numbers its cosets, and G/N is generated by the
+    images of the tracked a, b, c."""
+    if G.order >= G.degree**2:
+        return None
+    E, sizes = G.element_images, G.class_sizes()
+    least = E[G.class_members(S)].min(axis=0)  # each point's block, by least point
+    leaves = np.zeros(len(sizes), dtype=bool)
+    leaves[G.class_labels()[least[E[:, 0]] != 0]] = True
+    if sizes[~leaves].sum() != sizes[list(S)].sum():
+        return None
+    maps = least[np.stack([g.img for g in G.generators])]
+    number, reps, _, _ = breadth_first(G.degree, lambda x: maps[:, x].T)
+    images = {k: Perm(number[least[p.img[reps]]]) for k, p in G.tracked.items()}
+    return PermGroup(len(reps), images.values(), tracked=images)
 
 
 def quotient_records(
     entry: CatalogEntry, lattice: Optional[list[PermGroup]] = None
 ) -> list[QuotientRecord]:
-    """One record per table row, cross-validated against the lattice."""
+    """One record per table row, cross-validated against the lattice.
+
+    A row's N is its class set S, the class closure of its words, and the
+    lattice member of order |N| whose generators' classes lie in S; each
+    member serves one row.  G/N is G's action on N's orbits where
+    _orbit_quotient gives it, else quotient(N)."""
     rows = table_rows(entry.name)
     G = entry.group
     images = entry.images()
     if lattice is None:
         lattice = normal_subgroups_index_gt(G, 12)
-    lattice_keys = {_class_set(G, N) for N in lattice}
+    unclaimed = [(N, G.classes_meeting(N.generators)) for N in lattice]
     recs: list[QuotientRecord] = []
-    seen: set[frozenset[int]] = set()
     for i, row in enumerate(rows):
         seeds = [evaluate_word(parse_word(w), images) for w in row.words]
-        N = G.normal_closure(seeds)
-        if N.order != row.order:
+        S = G.class_closure(G.classes_meeting(seeds))
+        order = int(G.class_sizes()[list(S)].sum())
+        if order != row.order:
             raise ClassificationError(
-                f"{entry.name} row {i}: closure has order {N.order}, "
+                f"{entry.name} row {i}: closure has order {order}, "
                 f"row says {row.order}")
-        key = _class_set(G, N)
-        if key not in lattice_keys:
-            raise ClassificationError(
-                f"{entry.name} row {i}: closure is not a lattice member")
-        if key in seen:
-            raise ClassificationError(
-                f"{entry.name} row {i}: duplicates an earlier row's subgroup")
-        seen.add(key)
-        want = G.order // N.order
-        Q = _g11_row_quotient(entry, row, want) if entry.name == "G11" else G.quotient(N)
-        if Q.order != want:
+        match = [k for k, (N, C) in enumerate(unclaimed) if N.order == order and C <= S]
+        if not match:
+            raise ClassificationError(f"{entry.name} row {i}: closure is not a "
+                                      f"lattice member, or an earlier row's")
+        N, _ = unclaimed.pop(match[0])
+        Q = _orbit_quotient(G, S) or G.quotient(N)
+        if Q.order * order != G.order:
             raise ClassificationError(f"{entry.name} row {i}: quotient order")
         tp = is_triangle_point(Q, *(Q.tracked[k] for k in "abc"))
         recs.append(QuotientRecord(
-            parent=entry.name, subgroup_order=N.order, words=row.words,
+            parent=entry.name, subgroup_order=order, words=row.words,
             claimed=row.claimed, quotient_order=Q.order,
             type_name=identify(Q), triangle_point=tp,
             repaired=row.repaired, group=Q))

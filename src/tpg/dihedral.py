@@ -500,8 +500,8 @@ def _eigenbases(alg: DihedralAlgebra, axis: str, mult, dm: int) -> list:
 def ad_spectrum(alg: DihedralAlgebra, axis: str) -> dict[Fraction, tuple[int, tuple[Vector, ...]]]:
     """Eigenvalue -> (multiplicity, eigenbasis) for the adjoint of an axis.
 
-    Each eigenbasis is the one Matrix.eigenspace gives: ordered by free
-    column, with a 1 there.  Raises AxiomError if the adjoint is not
+    Each eigenbasis is the canonical Fraction kernel basis of ad - lam*I:
+    one vector per free column, ordered by it, with a 1 there.  Raises AxiomError if the adjoint is not
     diagonalizable with spectrum inside {1, 0, 1/4, 1/32}, or if the
     1-eigenspace is not spanned by the axis itself.
     """

@@ -5,10 +5,10 @@ Permutations are numpy uint16 image arrays (0-based internally,
 "apply p, then q", so (p*q).img = q.img[p.img].  A group enumerates all its
 elements once, by breadth-first closure of its generators, which is fine at
 this scale (orders up to ~20000); the elements are kept as one array of
-image rows in lexicographic order, so the identity is row 0.  A quotient
-G/N labels each coset x N = N x by an orbit of the cached right maps of N's
+image rows in lexicographic order, so the identity is row 0.  quotient(N)
+labels each coset x N = N x by an orbit of the cached right maps of N's
 generators and numbers the cosets breadth first through the right maps of
-G's generators; it acts regularly on the cosets, so its rows are built
+G's generators; G/N acts regularly on the cosets, so its rows are built
 directly, one per coset, without that closure.
 
 Each group keys its elements by their images of a short base, picked
@@ -20,10 +20,10 @@ compare of its full row rejects a non-member that shares a member's base
 images.  Element orders follow powers on the base images only, and product
 orders compose only the base images of the two factors and look the
 product's order up, so no full image array of a product or a power is ever
-built.  A regular group (every quotient, and a group acting on the cosets
-of its trivial subgroup) needs no keys: sorted by rows, its element i takes
-point 0 to i, so its base is [0], an element's index is its image of 0, and
-the right map of element i is row i.
+built.  A regular group (a quotient built by quotient(), and a group
+acting on the cosets of its trivial subgroup) needs no keys: sorted by rows,
+its element i takes point 0 to i, so its base is [0], an element's index is
+its image of 0, and the right map of element i is row i.
 
 A subgroup of an enumerated group is a boolean mask over its elements,
 closed from seed element indices by one kernel (index_closure): each
@@ -360,7 +360,8 @@ class PermGroup:
         perms = list(perms)
         if any(p.degree != self.degree for p in perms):
             raise NonMemberError("permutation of another degree")
-        idx = self._lookup(_image_rows(perms, self.degree))
+        rows = np.array([p.img for p in perms], dtype=DTYPE)
+        idx = self._lookup(rows.reshape(len(perms), self.degree))
         if (idx < 0).any():
             raise NonMemberError(f"{perms[int(np.argmin(idx))]} is not a member")
         return idx
@@ -759,24 +760,26 @@ class PermGroup:
         return self.subgroup_from_indices(self.class_union(X), abort_above)
 
     def is_normal(self, N: "PermGroup") -> bool:
+        """Whether N's members lie in the group and the classes they meet
+        hold |N| elements, so N is a union of classes (one lookup a member)."""
         if N.degree != self.degree:
             return False
-        gens = _image_rows(N.generators, self.degree)
-        if (self._lookup(gens) < 0).any():
+        idx = self._lookup(N.element_images)
+        if (idx < 0).any():
             return False
-        # g^-1 n g has images g.img[n.img[g^-1.img]]
-        return all((N._lookup(g.img[gens[:, g.inverse().img]]) >= 0).all()
-                   for g in self.generators)
+        met = np.zeros(len(self.class_sizes()), dtype=bool)
+        met[self._labels[idx]] = True
+        return int(self._class_sizes[met].sum()) == N.order
 
     def quotient(self, N: "PermGroup") -> "PermGroup":
         """Action of the group on the cosets of a normal subgroup N.
 
-        Each element is labelled by the least index in its coset x N = N x,
-        an orbit of the cached right maps x -> x n of N's generators.
-        Cosets are numbered from N by breadth_first, the standardized
-        numbering, stepping through the right maps of the generators.
-        The action is regular, so the quotient's element with first image j
-        is the one taking coset 0 to j; its rows are filled along the
+        Each element is labelled by the least index in its coset x N, an
+        orbit of the cached right maps x -> x n of N's generators, and N is
+        normal (else ValueError) when x N g = x g N for each generator g.
+        Cosets are numbered from N by breadth_first (standardized) through
+        the generators' right maps.  The action is regular, so the element
+        with first image j takes coset 0 to j; its rows are filled along the
         generators' images, row[g(x)] = g(row[x]), and ordered by first
         image they are already sorted, so the quotient is never closed.
 
@@ -784,8 +787,6 @@ class PermGroup:
         images of this group's tracked permutations, each the row of the
         quotient that takes coset 0 to the permutation's coset.
         """
-        if not self.is_normal(N):
-            raise ValueError("quotient by a non-normal subgroup")
         label = _least_in_orbits(
             self.order, [self._right_map(i) for i in self.indices_of(N.generators)])
         if (np.bincount(label)[label] != N.order).any():
@@ -793,6 +794,8 @@ class PermGroup:
         # one row per generator, a (0, order) array for a group without any
         maps = np.array([self._right_map(i) for i in self.indices_of(self.generators)],
                         dtype=np.intp).reshape(len(self.generators), self.order)
+        if (label[maps] != label[maps][:, label]).any():
+            raise ValueError("quotient by a non-normal subgroup")
         number, reps, images, tree = breadth_first(
             self.order, lambda x: label[maps[:, x]].T)
         count = len(reps)
@@ -948,12 +951,6 @@ def _least_in_orbits(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
         least = least[least]
         if (least == before).all():
             return least
-
-
-def _image_rows(perms: Sequence[Perm], degree: int) -> np.ndarray:
-    if not perms:
-        return np.empty((0, degree), dtype=DTYPE)
-    return np.stack([p.img for p in perms])
 
 
 def _certify_hom(G: PermGroup, gens: Sequence[int], H: PermGroup,

@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Vectors and dense matrices with fractions.Fraction entries, reduced
-row-echelon form, kernels, eigenspaces and an exact positive
+Vectors and dense matrices with fractions.Fraction entries, an integer
+row reduction with the kernel basis read from it, and an exact positive
 semidefiniteness test.  Python's Fraction already keeps every value in
 lowest terms with a positive denominator and arbitrary-precision
 integer parts, so it serves directly as the scalar type.  The
 constructors keep entries that already are Fractions as they are.
-Row reduction runs fraction-free on integer rows and builds Fractions
-only for its result, since every Fraction operation pays for a gcd.  That
-one elimination (echelon) and the integer kernel basis read from it
-(null_basis) are public, for callers whose rows are integers already.
+Row reduction (echelon) runs fraction-free on integer rows, since every
+Fraction operation pays for a gcd, and null_basis reads an integer kernel
+basis from it.
 
 Rationals serialize as "p/q" with the "/q" omitted when q == 1.
 """
@@ -19,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rational = Fraction
 
@@ -43,15 +42,6 @@ def parse_rat(s: str) -> Fraction:
     if not den:
         raise ValueError(f"malformed rational {s!r}")
     return Fraction(int(match[1]), den)
-
-
-def integer_rows(rows) -> list[list[int]]:
-    """Each row of Fractions times the lcm of its denominators."""
-    out = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (d // x.denominator) for x in row])
-    return out
 
 
 def echelon(rows: list[list[int]]) -> list[int]:
@@ -187,15 +177,6 @@ class Matrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 
@@ -206,22 +187,10 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [sum((a * b for a, b in zip(r, c)), ZERO) for c in cols]
-            for r in self.rows
-        )
-
     def apply(self, v: Vector) -> Vector:
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
         return Vector(sum((a * b for a, b in zip(r, v)), ZERO) for r in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows))
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -229,59 +198,6 @@ class Matrix:
             for i in range(self.nrows)
             for j in range(i)
         )
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the tuple of pivot columns.
-
-        Pivots are chosen as the first nonzero entry scanning columns
-        left to right, so the result is deterministic.  Each row is scaled
-        to integers by the lcm of its denominators and reduced by echelon;
-        each pivot row is divided by its pivot once, at the end.  The
-        reduced row-echelon form is unique, so this equals Gauss-Jordan
-        over the rationals.
-        """
-        rows = integer_rows(self.rows)
-        pivots = echelon(rows)
-        out = [[Fraction(x, row[c]) if x else ZERO for x in row]
-               for row, c in zip(rows, pivots)]
-        out += [[ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
-        return Matrix(out), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> list[Vector]:
-        """Basis of the null space, one vector per free column.
-
-        Basis vectors are ordered by their free column and have a 1 in
-        that coordinate, so the basis is canonical for a given matrix.
-        """
-        return [Vector(Fraction(x, v[fc]) for x in v)
-                for fc, v in null_basis(integer_rows(self.rows), self.ncols)]
-
-    def eigenspace(self, lam) -> list[Vector]:
-        """Kernel basis of (M - lam*I); empty list when lam is not an eigenvalue."""
-        if self.nrows != self.ncols:
-            raise ValueError("eigenspace of a non-square matrix")
-        lam = Fraction(lam)
-        shifted = Matrix(
-            [
-                [x - lam if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(self.rows)
-            ]
-        )
-        return shifted.kernel()
-
-    def solve(self, rhs: Vector) -> Vector | None:
-        """One exact solution of M x = rhs, or None if inconsistent."""
-        aug = Matrix([list(r) + [rhs[i]] for i, r in enumerate(self.rows)])
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [ZERO] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
-        return Vector(x)
 
     def is_psd(self) -> bool:
         """Exact test for x^T M x >= 0 over all rational x.
@@ -327,10 +243,3 @@ class Matrix:
         )
         return f"Matrix[{body}]"
 
-
-def span_contains(basis: Sequence[Vector], v: Vector) -> bool:
-    """Exact membership of v in the span of basis (empty basis spans 0)."""
-    if not basis:
-        return v.is_zero()
-    M = Matrix.from_columns(list(basis))
-    return M.solve(v) is not None

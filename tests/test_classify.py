@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -199,6 +200,52 @@ class TestQuotientRecords:
         recs = quotient_records(entries["G4"])
         assert [(r.subgroup_order, r.type_name) for r in recs] == [(2, "S5")]
 
+    @pytest.mark.parametrize("extra", [
+        classify.PARENT_ROWS["G1"][0],  # a second row for one subgroup
+        classify.RowSpec(64, "2wr2^2", ("a", "b", "c")),  # index 1
+    ])
+    def test_rows_are_distinct_lattice_members(self, entries, monkeypatch, extra):
+        monkeypatch.setitem(classify.PARENT_ROWS, "G1",
+                            classify.PARENT_ROWS["G1"] + (extra,))
+        with pytest.raises(ClassificationError, match="row 4: "):
+            quotient_records(entries["G1"])
+
+    def test_g11_rows_match_todd_coxeter(self, entries):
+        e = entries["G11"]
+        inherited = 0
+        for rec, row in zip(quotient_records(e), G11_ROWS):
+            Q, R = rec.group, _g11_row_by_todd_coxeter(e, row, rec.quotient_order)
+            assert (Q.order, identify(Q)) == (R.order, identify(R)), row.words
+            if Q.degree < Q.order:  # G11's own action on the orbits of N
+                inherited += 1
+                assert Q.degree == R.degree, row.words
+                assert all(Q.tracked[k] == R.tracked[k] for k in "abc"), row.words
+        assert inherited == 14
+
+    def test_g11_rows_enumerate_nothing(self, entries, monkeypatch):
+        e = entries["G11"]
+        quotient_records(e)  # builds the references identify matches against
+        calls = Counter()
+        for name in ("todd_coxeter", "coset_action", "build"):
+            def counting(*args, _real=getattr(classify, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(classify, name, counting)
+        assert len(quotient_records(e)) == 23
+        assert calls == Counter()
+
+
+def _g11_row_by_todd_coxeter(e, row, order):
+    """Reference: G11's presentation with the row's words as relators,
+    enumerated on the first of <a, b, x^3>, <a, b> and the trivial subgroup
+    whose coset action is faithful; build refuses the others by order."""
+    for action in (classify._row("catalog", "G11").action, ("a", "b"), ()):
+        with suppress(ClassificationError):
+            return classify.build(classify.GroupSpec(
+                "quotient", f"G11/N{e.order // order}", order, e.mnp, e.r,
+                extra=row.words, action=action))
+    raise AssertionError(f"no faithful coset action for {row.words}")
+
 
 class TestIdentify:
     def test_named_groups(self):
@@ -323,10 +370,14 @@ class TestBaseImageLookup:
         assert len(entries["G11"].group.base()) == 2
 
     def test_base_separates_quotients(self, classification_report):
+        regular = 0
         for rec in classification_report.quotients:
-            assert _separates(rec.group), (rec.parent, rec.subgroup_order)
-            if rec.parent != "G11":  # regular coset actions
-                assert len(rec.group.base()) == 1
+            Q = rec.group
+            assert _separates(Q), (rec.parent, rec.subgroup_order)
+            if Q.degree == Q.order:  # a regular action: element i takes 0 to i
+                regular += 1
+                assert Q.base().tolist() == [0], (rec.parent, rec.subgroup_order)
+        assert regular == 32  # all but G11's 14 rows on the orbits of N
 
     @pytest.mark.parametrize("source", ["G6", "G10", "G10/N2"])
     def test_product_orders_on_class_union(self, entries, classification_report,

@@ -25,7 +25,9 @@ from tpg.dihedral import (
     product,
     to_dict,
 )
-from tpg.qlin import Matrix, Vector, span_contains
+from tpg.qlin import Vector
+
+from test_qlin import Matrix, span_contains
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -319,6 +319,44 @@ def test_normal_closure():
     assert A5.normal_closure([P("(1,2,3)", 5)], abort_above=59) is None
 
 
+def _is_normal_by_conjugates(G, N):
+    """Reference: N's generators lie in G, and every conjugate of one by a
+    generator of G lies in N, looked up in N itself."""
+    if N.degree != G.degree:
+        return False
+    gens = np.stack([g.img for g in N.generators] or [np.arange(N.degree)])
+    if (G._lookup(gens) < 0).any():
+        return False
+    # g^-1 n g has images g.img[n.img[g^-1.img]]
+    return all((N._lookup(g.img[gens[:, g.inverse().img]]) >= 0).all()
+               for g in G.generators)
+
+
+def test_is_normal_matches_conjugate_lookup():
+    S4, A4 = symmetric_group(4), alternating_group(4)
+    V4 = S4.normal_closure([P("(1,2)(3,4)", 4)])
+    transposition = PermGroup(4, [P("(1,2)", 4)])
+    cases = [
+        (S4, V4, True),
+        (V4, transposition, False),  # two elements, one not in V4
+        (S4, A4, True),
+        (S4, S4, True),
+        (S4, S4.normal_closure([Perm.identity(4)]), True),
+        (S4, transposition, False),  # a subgroup that is not normal
+        (A4, transposition, False),  # (1,2) is not a member of A4
+        (A4, S4, False),
+        (S4, symmetric_group(3), False),  # another degree
+    ]
+    G6 = _g6()
+    cases += [(G6, N, True) for N in normal_subgroups_index_gt(G6)]
+    cases += [(G6, G6.subgroup([g]), None) for g in G6.generators]
+    for G, N, normal in cases:
+        assert G.is_normal(N) == _is_normal_by_conjugates(G, N)
+        if normal is not None:
+            assert G.is_normal(N) == normal
+    assert not all(G6.is_normal(G6.subgroup([g])) for g in G6.generators)
+
+
 def test_quotient_with_tracked_images():
     a, b = P("(1,2)", 4), P("(3,4)", 4)
     G = PermGroup(4, [a, b], tracked={"a": a, "b": b, "ab": a * b})

@@ -1,13 +1,113 @@
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tpg.qlin import Matrix, Vector, integer_rows, null_basis, parse_rat, rat_str, span_contains
+from tpg import qlin
+from tpg.qlin import ONE, ZERO, Vector, echelon, null_basis, parse_rat, rat_str
 
 F = Fraction
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Each row of Fractions times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+class Matrix(qlin.Matrix):
+    """qlin.Matrix with the operations only tests use: products, the reduced
+    row-echelon form, kernels, eigenspaces and solutions, all read from
+    qlin.echelon and qlin.null_basis."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_columns(cls, cols) -> "Matrix":
+        n = len(cols[0])
+        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        cols = list(zip(*other.rows))
+        return Matrix(
+            [sum((a * b for a, b in zip(r, c)), ZERO) for c in cols]
+            for r in self.rows
+        )
+
+    def transpose(self) -> "Matrix":
+        return Matrix(zip(*self.rows))
+
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row-echelon form and the tuple of pivot columns.
+
+        Pivots are chosen as the first nonzero entry scanning columns
+        left to right, so the result is deterministic.  Each row is scaled
+        to integers by the lcm of its denominators and reduced by echelon;
+        each pivot row is divided by its pivot once, at the end.  The
+        reduced row-echelon form is unique, so this equals Gauss-Jordan
+        over the rationals.
+        """
+        rows = integer_rows(self.rows)
+        pivots = echelon(rows)
+        out = [[Fraction(x, row[c]) if x else ZERO for x in row]
+               for row, c in zip(rows, pivots)]
+        out += [[ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return Matrix(out), tuple(pivots)
+
+    def rank(self) -> int:
+        return len(self.rref()[1])
+
+    def kernel(self) -> list[Vector]:
+        """Basis of the null space, one vector per free column.
+
+        Basis vectors are ordered by their free column and have a 1 in
+        that coordinate, so the basis is canonical for a given matrix.
+        """
+        return [Vector(Fraction(x, v[fc]) for x in v)
+                for fc, v in null_basis(integer_rows(self.rows), self.ncols)]
+
+    def eigenspace(self, lam) -> list[Vector]:
+        """Kernel basis of (M - lam*I); empty list when lam is not an eigenvalue."""
+        if self.nrows != self.ncols:
+            raise ValueError("eigenspace of a non-square matrix")
+        lam = Fraction(lam)
+        shifted = Matrix(
+            [
+                [x - lam if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(self.rows)
+            ]
+        )
+        return shifted.kernel()
+
+    def solve(self, rhs: Vector) -> Vector | None:
+        """One exact solution of M x = rhs, or None if inconsistent."""
+        aug = Matrix([list(r) + [rhs[i]] for i, r in enumerate(self.rows)])
+        R, pivots = aug.rref()
+        if self.ncols in pivots:
+            return None
+        x = [ZERO] * self.ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = R.rows[r][self.ncols]
+        return Vector(x)
+
+
+def span_contains(basis, v: Vector) -> bool:
+    """Exact membership of v in the span of basis (empty basis spans 0)."""
+    if not basis:
+        return v.is_zero()
+    M = Matrix.from_columns(list(basis))
+    return M.solve(v) is not None
 
 
 def test_rat_str_roundtrip():
