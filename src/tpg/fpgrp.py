@@ -13,16 +13,20 @@ an unsigned array of relator marks, all grown in fixed chunks of cosets;
 scans read each relator as a tuple of those column arrays.  Every entry of
 a live coset is undefined or a live coset, so scans read the columns
 without union-find lookups, and a scan that stops with a gap of two or
-more letters defines the cosets along the gap in one pass.  The columns are
-involutions, so a square x^2 can only miss its coset's x entry: the sweep
-fills that entry in place of a scan.  A scan of any other relator closes
-its cycle through its coset and marks the cosets of that cycle from which
-the relator reads the same cycle, so the sweep skips every scan it can
-prove is a no-op; the definitions, coincidences and defined-coset count
-are those of the plain HLT sweep.  The live rows are compacted into a numpy
-table, and one vectorised check (columns are involutions of range(n), every
+more letters defines the cosets along the gap in one pass, numbered inline
+after one capacity and storage check.  The columns are involutions, so a
+square x^2 can only miss its coset's x entry: the sweep fills that entry in
+place of a scan.  A scan of any other relator closes its cycle through its
+coset and marks the cosets of that cycle, reached by its forward or its
+backward reading, from which the relator reads the same cycle, so the
+sweep skips every scan it can prove is a no-op; the definitions,
+coincidences and defined-coset count are those of the plain HLT sweep.
+The live rows are compacted into a numpy table, renumbered by one gather,
+and one vectorised check (columns are involutions of range(n), every
 relator fixes every coset, every subgroup word fixes coset 0) decides
-whether the table is closed.  The check runs after each sweep, and once
+whether the table is closed; it reads a relator w^k as its least period w
+raised to the k-th power by squaring, and leaves the squares to the
+involution check.  The check runs after each sweep, and once
 within it: the sweep tracks the first live coset with an undefined entry,
 and once no live row has one, it checks the table.  A table that passes is
 complete and closed, which is where HLT ends, so the sweep stops there.
@@ -402,9 +406,14 @@ class _Enumerator:
     returns; and a scan returns right after it calls ``_coincidence``.
     A scan that stops with a gap of two or more letters defines the cosets
     along it in one pass: a new coset's only entry is its back pointer, so
-    the forward reading would step onto it and stop at the next letter.  It
-    falls back to one definition per reading where that pointer is read
-    again: by the next letter (as in ``aa``) or by the backward reading.
+    the forward reading would step onto it and stop at the next letter.
+    The pass numbers its cosets from a local count, after one check that
+    the gap fits the capacity (``limit``, which also stops at the end of
+    the storage chunk), and adds them to ``defined`` and ``mutations`` at
+    its end.  It falls back to one ``_define`` per reading where that
+    pointer is read again, by the next letter (as in ``aa``) or by the
+    backward reading, and where the gap may not fit: there ``_define``
+    grows the storage or raises ``CapacityError`` at the same count.
 
     A square x^2 is not scanned: at a live coset its scan is a no-op if the
     x entry is set and defines that entry if not, so the sweep does just
@@ -412,13 +421,13 @@ class _Enumerator:
     coset closed, and coincidences map a closed cycle onto a closed cycle,
     so a later scan of r at a live coset of that cycle is a no-op wherever
     r read from there traces the same cycle (``_closing_positions``).  A
-    scan sets bit k of the marks of the cosets its forward reading reaches
-    at those positions, for the k-th relator that is not a square, and the
-    sweep skips every marked scan.  A sweep ends early, returning the live
-    table, once every live row is full and the table passes the check
-    (``_sweep``), the only check a table gets.  The HLT definitions,
-    coincidences and defined count are exactly those of the sweep that
-    scans every relator at every live coset to the end.
+    scan sets bit k of the marks of the cosets that its forward or its
+    backward reading reaches at those positions, for the k-th relator that
+    is not a square, and the sweep skips every marked scan.  A sweep ends
+    early, returning the live table, once every live row is full and the
+    table passes the check (``_sweep``), the only check a table gets.  The
+    HLT definitions, coincidences and defined count are exactly those of
+    the sweep that scans every relator at every live coset to the end.
     """
 
     def __init__(self, relators, subgroup_rows, capacity):
@@ -459,16 +468,18 @@ class _Enumerator:
             col.extend(_UNDEFINED)
         self.parent.frombytes(np.arange(m, m + _CHUNK, dtype=np.int32).tobytes())
         self.marks.frombytes(bytes(_CHUNK * self.marks.itemsize))
+        # the cosets below it fit both the capacity and the storage
+        self.limit = min(self.capacity, m + _CHUNK)
 
     def _define(self, f: int, col: array) -> int:
         m = self.defined
-        if m >= self.capacity:
-            raise CapacityError(
-                f"coset table capacity {self.capacity} exhausted; the "
-                "presented group may be infinite or the bound too small"
-            )
-        if not m % _CHUNK:  # every slot up to m is in use
-            self._grow()
+        if m >= self.limit:
+            if m >= self.capacity:
+                raise CapacityError(
+                    f"coset table capacity {self.capacity} exhausted; the "
+                    "presented group may be infinite or the bound too small"
+                )
+            self._grow()  # every slot up to m is in use
         self.defined = m + 1
         col[f] = m
         col[m] = f
@@ -502,8 +513,8 @@ class _Enumerator:
                 d = col[g]
                 if d == -1:
                     continue
-                if col[d] == g:
-                    col[d] = -1
+                # the columns are partial involutions, so col[d] == g: clear it
+                col[d] = -1
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
@@ -547,8 +558,9 @@ class _Enumerator:
                        closing: tuple[bool, ...]):
         # Every entry of a live coset is -1 or a live coset (see the class
         # docstring), so both readings step without a _rep lookup.  Once the
-        # scan returns, the cycle it read is closed, so each coset the
-        # forward reading reaches at a closing position is marked.
+        # scan returns, the cycle it read is closed, so each coset either
+        # reading reaches at a closing position is marked: the forward one
+        # stands at position i after i letters, the backward one at j + 1.
         marks = self.marks
         f = start
         i = 0
@@ -572,6 +584,8 @@ class _Enumerator:
                 if nxt == -1:
                     break
                 b = nxt
+                if closing[j]:
+                    marks[b] |= bit
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
@@ -582,27 +596,38 @@ class _Enumerator:
                 col[b] = f
                 self.mutations += 1
                 return
-            if cword[i + 1] is col or (b == f and cword[j] is col):
-                # the new coset's back pointer is read again: by the next
-                # letter, or by the backward reading from b
+            m = self.defined
+            if (cword[i + 1] is col or (b == f and cword[j] is col)
+                    or m + j - i > self.limit):
+                # one definition per reading where the new coset's back
+                # pointer is read again (by the next letter, or by the
+                # backward reading from b), and where the gap could reach
+                # the capacity or the end of storage: _define raises or grows
                 self._define(f, col)
                 continue
-            # Fill the gap in one pass: a new coset's only entry is its back
-            # pointer, so the forward reading would step onto it and stop at
-            # the next letter, and the backward reading would stop at once.
+            # Fill the gap in one pass, numbering the new cosets from m: a new
+            # coset's only entry is its back pointer, so the forward reading
+            # would step onto it and stop at the next letter, and the
+            # backward reading would stop at once.  At most j - i cosets are
+            # defined, so the check above covers them all.
             while True:
-                f = self._define(f, col)
+                col[f] = m
+                col[m] = f
+                f = m
+                m += 1
                 i += 1
                 if closing[i]:
                     marks[f] |= bit
                 col = cword[i]
-                if i == j:
-                    col[f] = b
-                    col[b] = f
-                    self.mutations += 1
-                    return
-                if cword[i + 1] is col:
+                if i == j or cword[i + 1] is col:
                     break
+            self.mutations += m - self.defined
+            self.defined = m
+            if i == j:
+                col[f] = b
+                col[b] = f
+                self.mutations += 1
+                return
 
     def _sweep(self) -> Optional[np.ndarray]:
         """One HLT pass over the live cosets.
@@ -668,13 +693,15 @@ class _Enumerator:
             if np.array_equal(nxt, par):
                 break
             par = nxt
-        live = np.flatnonzero(par == np.arange(len(par), dtype=np.int32))
+        live = np.flatnonzero(par == np.arange(n, dtype=np.int32))
+        number = np.empty(n, dtype=np.int32)  # each live coset's row in mat
+        number[live] = np.arange(len(live), dtype=np.int32)
         mat = np.empty((3, len(live)), dtype=np.int32)
         for x, col in enumerate(self.cols):
             col = np.frombuffer(col, dtype=np.int32)[:n][live]
             if (col == -1).any():
                 return None
-            mat[x] = np.searchsorted(live, par[col])
+            mat[x] = number[par[col]]
         return mat
 
     def _closed_table(self) -> Optional[np.ndarray]:
@@ -703,7 +730,9 @@ def _table_fault(mat: np.ndarray, relators, subgroup_rows) -> Optional[str]:
     ``mat`` is 3 x n: row x maps each coset under generator x.  The checks, in
     order: "symmetry" (every column is an involution of range(n)), "relator"
     (every relator fixes every coset) and "subgroup" (every subgroup word
-    fixes coset 0).
+    fixes coset 0).  A relator w^k, w its least period, is read as w once
+    and raised to the k-th power by squaring.  Symmetry makes every x^2 fix
+    every coset, so the relator check skips even powers of one letter.
     """
     n = mat.shape[1]
     idx = np.arange(n)
@@ -711,9 +740,21 @@ def _table_fault(mat: np.ndarray, relators, subgroup_rows) -> Optional[str]:
             not np.array_equal(col[col], idx) for col in mat):
         return "symmetry"
     for row in relators:
-        pos = idx
-        for x in row:
-            pos = mat[x][pos]
+        s = bytes(row)
+        p = (s + s).find(s, 1)  # the least period, a divisor of len(row)
+        k = len(row) // p
+        if p == 1 and k % 2 == 0:
+            continue
+        step = idx
+        for x in row[:p]:
+            step = mat[x][step]
+        pos = idx  # step^k by squaring: the powers of step commute
+        while k:
+            if k & 1:
+                pos = step[pos]
+            k >>= 1
+            if k:
+                step = step[step]
         if not np.array_equal(pos, idx):
             return "relator"
     for row in subgroup_rows:

@@ -1,5 +1,6 @@
 """Words, presentations and coset enumeration."""
 
+import functools
 import hashlib
 from collections import deque
 
@@ -15,6 +16,7 @@ from tpg.fpgrp import (
     R3,
     R4,
     R5,
+    DEFAULT_CAPACITY,
     CosetTable,
     Presentation,
     Word,
@@ -709,6 +711,83 @@ def test_skipping_sweep_matches_reference(mnp, r, extra, subgroup, many):
     assert got == enumeration_trace(ReferenceEnumerator, pres, words, 2000)
 
 
+@pytest.mark.parametrize("capacity", [4096, 4097, 8192, DEFAULT_CAPACITY])
+@pytest.mark.parametrize("pres", [
+    tp_presentation(6, 6, 6, (4, 6, 6, None, None)),
+    tp_presentation(6, 6, 6, (5, 5, 5, 4, None)),
+], ids=["G9", "G10"])
+def test_sweep_matches_reference_across_chunks(pres, capacity):
+    # G9 defines 14,735 cosets and G10 10,289, so the smaller capacities
+    # end in CapacityError, at the first storage chunk's end (4,096), just
+    # past it and at the second's: where a gap fill falls back to _define
+    got = enumeration_trace(_Enumerator, pres, (), capacity)
+    assert got == enumeration_trace(ReferenceEnumerator, pres, (), capacity)
+    assert (got[0] is None) == (capacity < 10**4)
+
+
+def word_map(cols, row):
+    """``row`` read from each point through the maps ``cols``, as a map.
+    The least period w of row = w^k is read once and raised to the k-th
+    power by squaring."""
+    s = bytes(row)
+    p = (s + s).find(s, 1)
+    step = np.arange(len(cols[0]))
+    for x in row[:p]:
+        step = cols[x][step]
+    out = np.arange(len(step))
+    k = len(row) // p
+    while k:
+        if k & 1:
+            out = step[out]
+        k >>= 1
+        step = step[step]
+    return out
+
+
+class MarkedCyclesEnumerator(_Enumerator):
+    """Checks, after every scan, what a mark claims: each live coset with
+    relator k's bit set reads relator k back to itself through defined
+    entries, so the scan that the mark skips would be a no-op."""
+
+    scans = 0
+
+    def _scan_and_fill(self, start, cword, bit, closing):
+        super()._scan_and_fill(start, cword, bit, closing)
+        self.scans += 1
+        n = self.defined
+        live = np.frombuffer(self.parent, dtype=np.int32)[:n] == np.arange(n)
+        marks = np.frombuffer(self.marks, dtype=self.marks.typecode)[:n]
+        # each column as a map of range(n + 1) that sends undefined entries
+        # and the extra point n to n: a reading that meets one ends at n
+        cols = []
+        for col in self.cols:
+            col = np.append(np.frombuffer(col, dtype=np.int32)[:n], n)
+            col[col == -1] = n
+            cols.append(col)
+        for row, (_, rbit, _) in zip(self.relators, self.rel_scans):
+            if rbit:
+                cosets = np.flatnonzero(live & (marks & rbit != 0))
+                assert np.array_equal(word_map(cols, row)[cosets], cosets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*SWEEP_ARGS)
+def test_marked_cosets_read_their_relators(mnp, r, extra, subgroup, many):
+    enum = MarkedCyclesEnumerator(*_letter_rows(*sweep_input(
+        mnp, r, extra, subgroup, many)), 2000)
+    try:
+        enum.run()
+    except CapacityError:
+        pass
+
+
+def test_marked_cosets_read_their_relators_in_g11():
+    words = [parse_word(w) for w in ("a", "b", "bacacacbacacacbacacac")]
+    enum = MarkedCyclesEnumerator(*_letter_rows(G11, words), 10**6)
+    assert enum.run().shape == (3, 2187)
+    assert enum.scans > 1000
+
+
 class LiveEntriesEnumerator(_Enumerator):
     """Checks, after every coincidence pass, the invariant that lets a scan
     read without _rep: every entry of a live coset is -1 or a live coset."""
@@ -900,6 +979,49 @@ class TestVerifier:
     def test_subgroup_word_moves_coset_0(self, table):
         # the regular table satisfies every relator, but a moves coset 0
         assert self.check(table, subgroup=[Word("a")]) == "subgroup"
+
+    def test_powers_of_one_letter(self, table):
+        # a moves cosets, so a and a^3 fail; a^2 and a^4 hold by symmetry
+        for k in (1, 2, 3, 4):
+            rels = [(0,) * k]
+            fault = reference_fault(table, rels, [])
+            assert fault == ("relator" if k % 2 else None)
+            assert _table_fault(table, rels, []) == fault
+
+
+@functools.cache
+def verifier_case(name):
+    """(table, relator rows, subgroup rows) of an enumerated table: the
+    240-coset one of TestVerifier, or G11's 2,187 cosets over <a, b, x^3>,
+    whose relators are powers w^k with k = 2, 3 and 6."""
+    if name == "240":
+        pres, words = TestVerifier.PRES, []
+    else:
+        pres = G11
+        words = [parse_word(w) for w in ("a", "b", "bacacacbacacacbacacac")]
+    mat = todd_coxeter(pres, words).images
+    return mat, letter_rows(pres.relator_words()), letter_rows(words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["240", "G11"]), st.data())
+def test_repaired_tables_match_reference_fault(name, data):
+    mat, rels, subs = verifier_case(name)
+    mat = mat.copy()
+    n = mat.shape[1]
+    # re-pair a few points of a column and their partners, in a drawn
+    # order, leaving the rest fixed: the column stays an involution
+    for _ in range(data.draw(st.integers(1, 2))):
+        col = mat[data.draw(st.integers(0, 2))]
+        points = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=4, unique=True))
+        moved = data.draw(st.permutations(
+            sorted(set(points) | set(col[points].tolist()))))
+        pairs = data.draw(st.integers(0, len(moved) // 2))
+        for i, u in enumerate(moved):
+            col[u] = u if i >= 2 * pairs else moved[i ^ 1]
+        assert np.array_equal(col[col], np.arange(len(col)))
+    assert _table_fault(mat, rels, subs) == reference_fault(mat, rels, subs)
 
 
 @settings(max_examples=60, deadline=None)
