@@ -8,31 +8,36 @@ every presentation carries the square relators.
 
 Coset enumeration is HLT-style with coincidence handling (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, ch. 5).  The table lives in
-one ``array('i')`` per generator column plus a union-find parent array and
-an unsigned array of relator marks, all grown in fixed chunks of cosets;
-scans read each relator as a tuple of those column arrays.  Every entry of
-a live coset is undefined or a live coset, so scans read the columns
-without union-find lookups, and a scan that stops with a gap of two or
-more letters defines the cosets along the gap in one pass, numbered inline
-after one capacity and storage check.  The columns are involutions, so a
-square x^2 can only miss its coset's x entry: the sweep fills that entry in
-place of a scan.  A scan of any other relator closes its cycle through its
-coset and marks the cosets of that cycle, reached by its forward or its
-backward reading, from which the relator reads the same cycle, so the
-sweep skips every scan it can prove is a no-op; the definitions,
-coincidences and defined-coset count are those of the plain HLT sweep.
-The live rows are compacted into a numpy table, renumbered by one gather,
-and one vectorised check (columns are involutions of range(n), every
-relator fixes every coset, every subgroup word fixes coset 0) decides
-whether the table is closed; it reads a relator w^k as its least period w
-raised to the k-th power by squaring, and leaves the squares to the
-involution check.  The check runs after each sweep, and once
-within it: the sweep tracks the first live coset with an undefined entry,
-and once no live row has one, it checks the table.  A table that passes is
-complete and closed, which is where HLT ends, so the sweep stops there.
-The closed table is renumbered breadth-first from the subgroup coset, one
-numpy step per BFS level: a canonical relabeling of the checked table, so
-a returned table is always complete, closed and deterministic.
+one Python list per generator column plus a union-find parent list and an
+unsigned array of relator marks, all grown in fixed chunks of cosets; scans
+read each relator as a tuple of those column lists.  A list read returns
+the int object it holds, where an array read builds a new one (for each
+number above 256), and a coset's number is one int object shared by every
+slot that names it: the lists cost about 68 bytes per defined coset,
+against about 17 in arrays.
+Every entry of a live coset is undefined or a live coset, so scans read
+the columns without union-find lookups, and a scan that stops with a gap
+of two or more letters defines the cosets along the gap in one pass,
+numbered inline after one capacity and storage check.  The columns are
+involutions, so a square x^2 can only miss its coset's x entry: the sweep
+fills that entry in place of a scan.  A scan of any other relator closes
+its cycle through its coset and marks the cosets of that cycle, reached by
+its forward or its backward reading, from which the relator reads the same
+cycle, so the sweep skips every scan it can prove is a no-op; the
+definitions, coincidences and defined-coset count are those of the plain
+HLT sweep.  The live rows are read out of the lists into a numpy table,
+renumbered by one gather, and one vectorised check (columns are
+involutions of range(n), every relator fixes every coset, every subgroup
+word fixes coset 0) decides whether the table is closed; it reads a
+relator w^k as its least period w raised to the k-th power by squaring,
+and leaves the squares to the involution check.  The check runs after
+each sweep, and once within it: the sweep tracks the first live coset with
+an undefined entry, and once no live row has one, it checks the table.  A
+table that passes is complete and closed, which is where HLT ends, so the
+sweep stops there.  The closed table is renumbered breadth-first from the
+subgroup coset, one numpy step per BFS level: a canonical relabeling of
+the checked table, so a returned table is always complete, closed and
+deterministic.
 """
 
 from __future__ import annotations
@@ -365,9 +370,12 @@ class CosetTable:
 
 
 # Storage grows this many cosets at a time: a fixed step, not doubling, so
-# the slack past the last defined coset never exceeds one chunk.
+# the slack past the last defined coset never exceeds one chunk.  A slot is
+# 8 bytes in each of the four lists, pointing at the one cached -1 until it
+# is set, and a mark; a defined coset adds its number, one 28-byte int
+# object that every slot naming it shares: about 68 bytes per coset with
+# the lists' over-allocation.
 _CHUNK = 4096
-_UNDEFINED = array("i", [-1]) * _CHUNK
 
 
 def _closing_positions(row: tuple[int, ...]) -> tuple[bool, ...]:
@@ -391,12 +399,19 @@ def _closing_positions(row: tuple[int, ...]) -> tuple[bool, ...]:
 class _Enumerator:
     """HLT coset enumeration state over involutory columns.
 
-    Storage stays compact for enumerations that define many more cosets than
-    survive (R4_5 defines about 10^5 for 12): one ``array('i')`` per column,
-    the union-find parent array and one unsigned array of relator marks,
-    all grown ``_CHUNK`` cosets at a time; ``defined`` counts the cosets
-    defined so far, live or collapsed.  Relators and subgroup words are held
-    as tuples of those column arrays, so a scan step is ``cword[i][f]``.
+    Storage is one list per column and the union-find parent list, all
+    grown ``_CHUNK`` slots of -1 at a time, and one unsigned array of
+    relator marks; ``defined`` counts the cosets defined so far, live or
+    collapsed.  Lists, because a scan step or a union-find step reads an
+    entry, and a list read returns the stored int where an array read
+    builds a new one.  A coset's number is one int object: the definition
+    that makes coset m stores that m in its parent slot and in the entry
+    that points at it, and every later entry that names m copies a
+    reference.  So enumerations that define many more cosets than survive
+    (R4_5 defines about 10^5 for 12) cost about 68 bytes per defined
+    coset, against about 17 in ``array('i')`` columns.  Relators and
+    subgroup words are held as tuples of the column lists, so a scan step
+    is ``cword[i][f]``.
 
     A scan reads only live cosets, so it never looks up a representative:
     every entry of a live coset is -1 or a live coset.  The columns stay
@@ -434,8 +449,8 @@ class _Enumerator:
         self.relators = relators
         self.subgroup_rows = subgroup_rows
         self.capacity = capacity
-        self.cols = (array("i"), array("i"), array("i"))
-        self.parent = array("i")
+        self.cols = ([], [], [])
+        self.parent = []
         # (column word, mark bit, closing positions) per relator; a bit of 0
         # marks nothing.  A square x^2 is (column x, 0, None), a row fill.
         # The first 64 other relators, in sort order, get a bit.
@@ -455,23 +470,24 @@ class _Enumerator:
         # marks are the narrowest unsigned type with a bit per marking relator
         self.marks = array(next(t for t in "BHIQ" if 8 * array(t).itemsize >= bits))
         self._grow()
+        self.parent[0] = 0
         self.defined = 1  # coset 0, the subgroup coset
         self.mutations = 0
 
-    def _columns(self, rows) -> tuple[tuple[array, ...], ...]:
-        """Each letter row as the tuple of the column arrays it reads."""
+    def _columns(self, rows) -> tuple[tuple[list, ...], ...]:
+        """Each letter row as the tuple of the column lists it reads."""
         return tuple(tuple(self.cols[x] for x in row) for row in rows)
 
     def _grow(self):
         m = len(self.parent)
-        for col in self.cols:
-            col.extend(_UNDEFINED)
-        self.parent.frombytes(np.arange(m, m + _CHUNK, dtype=np.int32).tobytes())
+        undefined = [-1] * _CHUNK
+        for slots in (*self.cols, self.parent):
+            slots += undefined
         self.marks.frombytes(bytes(_CHUNK * self.marks.itemsize))
         # the cosets below it fit both the capacity and the storage
         self.limit = min(self.capacity, m + _CHUNK)
 
-    def _define(self, f: int, col: array) -> int:
+    def _define(self, f: int, col: list) -> int:
         m = self.defined
         if m >= self.limit:
             if m >= self.capacity:
@@ -483,6 +499,7 @@ class _Enumerator:
         self.defined = m + 1
         col[f] = m
         col[m] = f
+        self.parent[m] = m
         self.mutations += 1
         return m
 
@@ -554,7 +571,7 @@ class _Enumerator:
                         queue.append(ev)
         self.mutations = mutations
 
-    def _scan_and_fill(self, start: int, cword: tuple[array, ...], bit: int,
+    def _scan_and_fill(self, start: int, cword: tuple[list, ...], bit: int,
                        closing: tuple[bool, ...]):
         # Every entry of a live coset is -1 or a live coset (see the class
         # docstring), so both readings step without a _rep lookup.  Once the
@@ -562,6 +579,7 @@ class _Enumerator:
         # reading reaches at a closing position is marked: the forward one
         # stands at position i after i letters, the backward one at j + 1.
         marks = self.marks
+        parent = self.parent
         f = start
         i = 0
         b = start
@@ -613,6 +631,7 @@ class _Enumerator:
             while True:
                 col[f] = m
                 col[m] = f
+                parent[m] = m
                 f = m
                 m += 1
                 i += 1
@@ -687,7 +706,7 @@ class _Enumerator:
         """Rep-normalized live rows (3 x live, int32), or None if any entry
         is undefined."""
         n = self.defined
-        par = np.frombuffer(self.parent, dtype=np.int32)[:n].copy()
+        par = np.fromiter(self.parent, dtype=np.int32, count=n)
         while True:
             nxt = par[par]
             if np.array_equal(nxt, par):
@@ -697,8 +716,9 @@ class _Enumerator:
         number = np.empty(n, dtype=np.int32)  # each live coset's row in mat
         number[live] = np.arange(len(live), dtype=np.int32)
         mat = np.empty((3, len(live)), dtype=np.int32)
+        rows = live.tolist()  # only the live entries of a column are read
         for x, col in enumerate(self.cols):
-            col = np.frombuffer(col, dtype=np.int32)[:n][live]
+            col = np.array([col[i] for i in rows], dtype=np.int32)
             if (col == -1).any():
                 return None
             mat[x] = number[par[col]]

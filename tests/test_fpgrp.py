@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -755,13 +756,13 @@ class MarkedCyclesEnumerator(_Enumerator):
         super()._scan_and_fill(start, cword, bit, closing)
         self.scans += 1
         n = self.defined
-        live = np.frombuffer(self.parent, dtype=np.int32)[:n] == np.arange(n)
+        live = np.array(self.parent[:n]) == np.arange(n)
         marks = np.frombuffer(self.marks, dtype=self.marks.typecode)[:n]
         # each column as a map of range(n + 1) that sends undefined entries
         # and the extra point n to n: a reading that meets one ends at n
         cols = []
         for col in self.cols:
-            col = np.append(np.frombuffer(col, dtype=np.int32)[:n], n)
+            col = np.array(col[:n] + [n])
             col[col == -1] = n
             cols.append(col)
         for row, (_, rbit, _) in zip(self.relators, self.rel_scans):
@@ -798,9 +799,8 @@ class LiveEntriesEnumerator(_Enumerator):
         super()._coincidence(k, l)
         self.coincidences += 1
         n = self.defined
-        live = np.frombuffer(self.parent, dtype=np.int32)[:n] == np.arange(n)
-        rows = np.stack([np.frombuffer(col, dtype=np.int32)[:n][live]
-                         for col in self.cols])
+        live = np.array(self.parent[:n]) == np.arange(n)
+        rows = np.array([col[:n] for col in self.cols])[:, live]
         # a -1 entry reads live[-1], which the first term overrides
         assert ((rows == -1) | live[rows]).all()
 
@@ -822,6 +822,84 @@ def test_live_cosets_name_only_live_cosets_in_g11():
     enum = LiveEntriesEnumerator(*_letter_rows(G11, words), 10**6)
     assert enum.run().shape == (3, 2187)
     assert enum.coincidences > 100
+
+
+class StorageEnumerator(_Enumerator):
+    """Checks the storage layout after every coincidence pass, and
+    ``check_storage`` at the end of a run: each defined coset's parent is a
+    coset no larger than itself (a root is its own parent, set when it is
+    defined); every slot past the defined cosets is still -1; and all the
+    storage has one length, which leaves less than one chunk of slack."""
+
+    coincidences = 0
+
+    def _coincidence(self, k, l):
+        super()._coincidence(k, l)
+        self.coincidences += 1
+        self.check_storage()
+
+    def check_storage(self):
+        n = self.defined
+        size = len(self.parent)
+        parent = np.array(self.parent[:n])
+        assert (parent >= 0).all() and (parent <= np.arange(n)).all()
+        for slots in (*self.cols, self.parent):
+            assert len(slots) == size
+            assert slots[n:] == [-1] * (size - n)
+        assert len(self.marks) == size
+        assert size - fpgrp._CHUNK < n <= size
+
+
+def run_checking_storage(rel_rows, sub_rows, capacity):
+    enum = StorageEnumerator(rel_rows, sub_rows, capacity)
+    try:
+        enum.run()
+    except CapacityError:
+        assert enum.defined == capacity
+    enum.check_storage()
+    return enum
+
+
+@settings(max_examples=60, deadline=None)
+@given(*SWEEP_ARGS)
+def test_storage_layout_holds(mnp, r, extra, subgroup, many):
+    run_checking_storage(*_letter_rows(*sweep_input(
+        mnp, r, extra, subgroup, many)), 2000)
+
+
+@pytest.mark.parametrize("capacity", [4096, 4097, 8192])
+@pytest.mark.parametrize("pres", [
+    tp_presentation(6, 6, 6, (4, 6, 6, None, None)),
+    tp_presentation(6, 6, 6, (5, 5, 5, 4, None)),
+], ids=["G9", "G10"])
+def test_storage_layout_holds_across_chunks(pres, capacity):
+    # both runs end in CapacityError at these capacities: at the end of the
+    # first chunk, one coset into the second (grown in _define) and at the
+    # end of the second, where gap fills fall back to _define
+    enum = run_checking_storage(*_letter_rows(pres, ()), capacity)
+    assert enum.defined == capacity
+    assert len(enum.parent) == -(-capacity // fpgrp._CHUNK) * fpgrp._CHUNK
+    assert enum.coincidences > 0
+
+
+def test_storage_per_defined_coset_stays_small():
+    # (6, 6, 6) is infinite: the run defines cosets up to the capacity.  A
+    # coset costs 8 bytes in each of the four lists (9 with the lists'
+    # over-allocation), one int object of 28 bytes that every slot naming
+    # it shares, and its mark: 68 bytes a coset here.  A second int object
+    # per coset (a parent list prefilled from a range) reads 96, and
+    # storage that doubles in place of growing by a chunk reads 74
+    rows = _letter_rows(tp_presentation(6, 6, 6), ())
+    tracemalloc.start()
+    try:
+        enum = _Enumerator(*rows, 200000)
+        with pytest.raises(CapacityError):
+            enum.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.defined == 200000
+    assert peak <= 72 * enum.defined, f"{peak / enum.defined:.1f} bytes a coset"
 
 
 @pytest.mark.parametrize("pres,closed", [
