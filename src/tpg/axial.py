@@ -7,7 +7,9 @@ the relevant powers.  Obstructions to a Majorana representation come in two
 kinds: an elementary abelian 2^3 subgroup all of whose involutions lie in T
 (contradicting the fusion rules), and an exact inner-product audit over the
 axis span of a 2xD8 subgroup (contradicting associativity of the form).
-Both produce self-verifying certificates.
+Both produce self-verifying certificates.  T and the conjugates of a found
+subgroup are orbits, walked by permgrp's depth_first; T is a union of
+conjugacy classes, so scans over it anchor at T's class representatives.
 
 From search to certificate the work is on element indices.  A T-set, or
 the axes of a span over a subgroup K, is an index array with a position
@@ -35,6 +37,7 @@ from .permgrp import (
     _prefix_orders,
     _tuple_search,
     cyclic_group,
+    depth_first,
     dihedral_group,
     direct_product,
     elementary_abelian_2,
@@ -184,24 +187,15 @@ def _position_of(G: PermGroup, position: np.ndarray, p: Perm) -> int:
         return -1
 
 
-def _first_per_class(G: PermGroup, idx: np.ndarray) -> np.ndarray:
-    """Positions in idx of the first element of each conjugacy class met."""
-    return np.sort(np.unique(G.class_labels()[idx], return_index=True)[1])
-
-
-def _scan_products(
-    G: PermGroup, derivations: dict[int, Derivation]
-) -> list[tuple[int, Word, Word]]:
-    """Check o(ts) <= 6 for all T-pairs; list cubes of the order-6 products.
+def _scan_products(G: PermGroup, idx: np.ndarray) -> list[tuple[int, int, int]]:
+    """Check o(ts) <= 6 over pairs of the T-set idx; list order-6 cubes.
 
     Products are conjugation-invariant and T is a union of conjugacy classes,
-    so the left factor ranges over one member per class while the right
-    factor ranges over everything; the orders are looked up by base image in
-    G.  Cubes come back as element indices.
+    so the left factor t ranges over T's class representatives while the
+    right factor s ranges over everything; the orders are looked up by base
+    image in G.  Each cube comes back as (cube, t, s), element indices.
     """
-    idx = np.array(sorted(derivations))
-    words = [derivations[i].word for i in idx]
-    reps = _first_per_class(G, idx)
+    reps = np.flatnonzero(G.class_representatives()[G.class_labels()[idx]] == idx)
     m = G.element_images[idx]
     prods = G.product_indices(m[reps], m)  # [r, s]: T[reps[r]] * T[s]
     orders = G.element_orders()[prods]
@@ -214,14 +208,14 @@ def _scan_products(
         )
     six = np.argwhere(orders == 6)
     cubes = G.power_indices(prods[six[:, 0], six[:, 1]], 3)
-    return [
-        (int(cube), words[reps[r]], words[s])
-        for (r, s), cube in zip(six, cubes)
-    ]
+    return list(zip(cubes.tolist(), idx[reps[six[:, 0]]].tolist(),
+                    idx[six[:, 1]].tolist()))
 
 
 def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
-    """Close {a, b, c, ab} under conjugation and the order-6 cube rule."""
+    """Close {a, b, c, ab} under conjugation and the order-6 cube rule, walked
+    depth first through a, b, c's conjugation maps from the seeds a, b, c, ab,
+    then each round's cubes in scan order; a first arrival keeps its word."""
     for name, p in (("a", a), ("b", b), ("c", c)):
         if p.degree != G.degree:
             raise ValueError(f"seed {name} has the wrong degree")
@@ -235,37 +229,24 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
     if not G.is_generated_by([a, b, c]):
         raise ValueError("seeds must generate the group")
 
-    maps = [(letter, G.conjugation_map(g)) for letter, g in zip("abc", (a, b, c))]
+    conj = np.array([G.conjugation_map(g) for g in (a, b, c)])
+    tree: dict[int, tuple] = {}
     derivations: dict[int, Derivation] = {}  # by element index of G
-
-    def conj_close(queue: list[int]) -> None:
-        # depth first, popping from the end, letters a, b, c: this order
-        # decides which derivation words certificates publish
-        while queue:
-            t = queue.pop()
-            word = derivations[t].word
-            for letter, conj in maps:
-                u = int(conj[t])
-                if u not in derivations:
-                    derivations[u] = Derivation(
-                        "conjugate", word.conj(Word(letter)).reduced())
-                    queue.append(u)
-
-    queue = []
-    for i, w in zip(G.indices_of((a, b, c, ab)).tolist(), ("a", "b", "c", "ab")):
-        if i not in derivations:
-            derivations[i] = Derivation("seed", Word(w))
-            queue.append(i)
-    conj_close(queue)
-    while True:
-        fresh = []
-        for cube, w_t, w_s in _scan_products(G, derivations):
-            if cube not in derivations:
-                derivations[cube] = Derivation("cube", ((w_t * w_s) ** 3).reduced())
-                fresh.append(cube)
-        if not fresh:
-            break
-        conj_close(fresh)
+    roots = G.indices_of((a, b, c, ab)).tolist()
+    cubes = None  # from the second round on, the (cube, t, s) of each root
+    while new := depth_first(roots, lambda t: conj[:, t].tolist(), tree):
+        for x in new:  # each word is built from its parent's, or its root's
+            parent, k = tree[x]
+            if parent is not None:
+                kind, word = "conjugate", derivations[parent].word.conj(Word("abc"[k]))
+            elif cubes is None:
+                kind, word = "seed", Word(("a", "b", "c", "ab")[k])
+            else:
+                _, t, s = cubes[k]
+                kind, word = "cube", (derivations[t].word * derivations[s].word) ** 3
+            derivations[x] = Derivation(kind, word.reduced())
+        cubes = _scan_products(G, np.array(sorted(derivations)))
+        roots = [cube for cube, _, _ in cubes]
     idx = sorted(derivations)  # element order is lexicographic image order
     return TConfig(
         group=G,
@@ -526,8 +507,8 @@ def _canonical_2d8_basis(K: PermGroup, designated: np.ndarray) -> np.ndarray | N
 def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[int, int, int]]:
     """Element indices (x, y, z) generating 2^3 subgroups inside the T-set.
 
-    Anchored at the first T-element of each conjugacy class for x; full
-    coverage of all subgroups is restored afterwards by closing under
+    Anchored at T's class representatives for x (T is a union of classes);
+    full coverage of all subgroups is restored afterwards by closing under
     conjugation.  For each x, the candidates are the T-elements y != x that
     commute with x and have xy in T; a pair y < z of candidates qualifies
     when y and z commute, yz and xyz lie in T and z != xy.  The pairs are
@@ -537,7 +518,7 @@ def _klein_triples(cfg: TConfig, stop_early: bool) -> list[tuple[int, int, int]]
     E = G.element_images
     tset, in_t = cfg.members, cfg.mask
     found: list[tuple[int, int, int]] = []
-    for x in tset[_first_per_class(G, tset)]:
+    for x in tset[G.class_representatives()[G.class_labels()[tset]] == tset]:
         xt = G.product_indices(E[x : x + 1], E[tset])[0]
         tx = G.product_indices(E[tset], E[x : x + 1])[:, 0]
         keep = (xt == tx) & (tset != x) & in_t[xt]
@@ -580,20 +561,13 @@ def _conjugation_closed(
     G: PermGroup, subgroups: list[np.ndarray], conjugators
 ) -> tuple[PermGroup, ...]:
     """Close subgroups of G, given as sorted member indices, under
-    conjugation by conjugators; the result is sorted by member indices."""
-    maps = [G.conjugation_map(g) for g in conjugators]
-    found = {members.tobytes(): members for members in subgroups}
-    queue = list(found.values())
-    while queue:
-        members = queue.pop()
-        for conj in maps:
-            image = np.sort(conj[members])
-            key = image.tobytes()
-            if key not in found:
-                found[key] = image
-                queue.append(image)
-    ordered = sorted(found.values(), key=lambda members: members.tolist())
-    return tuple(G.subgroup_from_indices(members) for members in ordered)
+    conjugation by conjugators, walked as tuples by permgrp's depth_first;
+    the result is sorted by member indices."""
+    conj = np.array([G.conjugation_map(g) for g in conjugators])
+    tree: dict[tuple[int, ...], tuple] = {}
+    depth_first((tuple(members.tolist()) for members in subgroups),
+                lambda members: map(tuple, np.sort(conj[:, members]).tolist()), tree)
+    return tuple(G.subgroup_from_indices(members) for members in sorted(tree))
 
 
 def klein_identity() -> dict:

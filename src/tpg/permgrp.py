@@ -37,6 +37,12 @@ are one depth-first search over generator tuples (_tuple_search), each
 tuple's closure resumed from its prefix's.  A PermGroup is built from a
 mask only where one is needed (subgroup_from_indices).
 
+Orbits are walked by two kernels (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, 4.1): breadth_first numbers points a level
+at a time (a quotient's cosets; the elements along whose tree _certify_hom
+defines its map), depth_first walks hashable points from a stack (axial's
+T-sets and subgroup conjugates).
+
 Conjugacy classes are one cached label per element (class_labels): each
 generator g gives a conjugation map x -> g^-1 x g on element indices, read
 from base images, and the least index of each orbit is propagated along the
@@ -83,8 +89,7 @@ class Perm:
     def __init__(self, img):
         arr = np.array(img, dtype=DTYPE, copy=True)
         n = len(arr)
-        if n > 65535:
-            raise ValueError("degree too large for uint16 images")
+        _check_degree(n)
         if n and (np.bincount(arr, minlength=n) != 1).any():
             raise ValueError("image array is not a bijection")
         arr.setflags(write=False)
@@ -920,6 +925,24 @@ def breadth_first(size: int, step: Callable[[np.ndarray], np.ndarray]):
     return number, np.concatenate(levels), number[np.concatenate(steps)].T, tree
 
 
+def depth_first(roots: Iterable, step: Callable[[object], Iterable], tree: dict) -> list:
+    """Walk the orbit of roots depth first: pop the last point of a stack
+    and push its images step(x) that tree has not met, in order.  tree, a
+    dict that a later walk may extend, records each new point's (parent,
+    image number), a root's as (None, its position in roots): the roots are
+    the images of a virtual point None.  Returns the new points in
+    discovery order, each after its parent."""
+    stack, new = [None], []
+    while stack:
+        x = stack.pop()
+        for k, y in enumerate(roots if x is None else step(x)):
+            if y not in tree:
+                tree[y] = (x, k)
+                stack.append(y)
+                new.append(y)
+    return new
+
+
 def _distinct(values: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     """values without repeats: each position stamps its value's slot of the
     scratch array stamp, and the one whose stamp stands survives."""
@@ -955,34 +978,26 @@ def _least_in_orbits(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
 
 def _certify_hom(G: PermGroup, gens: Sequence[int], H: PermGroup,
                  imgs: Sequence[int]) -> bool:
-    """Check that gens -> imgs, element indices, extends to an isomorphism
-    via mirrored BFS.
+    """Check that gens -> imgs, element indices, extends to an isomorphism.
 
-    The search runs level by level from the identities, row 0; every edge
-    x -> x*g is checked against phi(x) -> phi(x)*h, both read from the
-    groups' right-multiplication maps.
+    breadth_first numbers G's elements from the identity, row 0, through
+    the right maps x -> x*g; phi is defined along its tree, phi(x*g) =
+    phi(x)*h, and then every edge and the bijection are checked at once.
     """
     n = G.order
     if H.order != n:
         return False
-    phi = np.full(n, -1, dtype=np.intp)
-    phi[0] = 0
-    stamp = np.empty(n, dtype=np.intp)
-    frontier = np.zeros(1, dtype=np.intp)
-    reached = 1
-    while frontier.size:
-        fresh = []
-        for g, h in zip(gens, imgs):
-            y = G._right_map(g)[frontier]
-            fy = H._right_map(h)[phi[frontier]]
-            new = phi[y] < 0
-            phi[y[new]] = fy[new]
-            if (phi[y] != fy).any():
-                return False
-            fresh.append(_distinct(y[new], stamp))
-        frontier = np.concatenate([frontier[:0], *fresh])
-        reached += frontier.size
-    return reached == n and bool((np.bincount(phi, minlength=n) == 1).all())
+    # one row per generator, a (0, n) array for none
+    g_maps = np.array([G._right_map(g) for g in gens], dtype=np.intp).reshape(len(gens), n)
+    h_maps = np.array([H._right_map(h) for h in imgs], dtype=np.intp).reshape(len(imgs), n)
+    _, reached, images, tree = breadth_first(n, lambda x: g_maps[:, x].T)
+    if len(reached) != n:
+        return False
+    phi = np.zeros(n, dtype=np.intp)  # by breadth-first number
+    for child, parent, k in tree:
+        phi[child] = h_maps[k, phi[parent]]
+    return bool((phi[images] == h_maps[:, phi]).all()
+                and (np.bincount(phi, minlength=n) == 1).all())
 
 
 def isomorphic(G: PermGroup, H: PermGroup) -> bool:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpg import classify
 from tpg.axial import (
     AMBIGUOUS_3,
     PAIR_INNER,
@@ -205,6 +206,20 @@ class TestTClosure:
             p = Perm.parse(cycles, 9)
             assert p in cfg
             assert derivation_of(cfg, p).kind in ("cube", "conjugate")
+
+    def test_every_derivation_word_is_pinned(self):
+        # the walk order decides each element's word: seeds as a, b, c, ab,
+        # cubes in scan order, conjugates depth first popping the last pushed
+        names = [n for n in classify.EXCLUDED_TYPE_NAMES
+                 if n != "(3^4:2):(3^{1+2}:2^2)"]  # every target but G11's
+        assert len(names) == 9
+        triples = []
+        for name in names:
+            cfg = classify.target_config(name)
+            triples.append([name, [[int(m), d.kind, str(d.word)]
+                                   for m, d in zip(cfg.members, cfg.derivations)]])
+        assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == (
+            "a6b31262b66f7b36252749b27848fb74421cf5182807b6ecd4c3ef213a727b4d")
 
     def test_derivation_words_re_derive_elements(self, deg9_config):
         cfg = deg9_config
@@ -563,6 +578,21 @@ class TestFindSubgroups:
         members = json.dumps([G.indices_of(H.elements).tolist() for H in found])
         assert hashlib.sha256(members.encode()).hexdigest() == (
             "8d3b068a575cfd47a237c7e28a0b3494a7f00087a1e8d0812640476480c3fab2")
+
+    def test_conjugation_closed_lists_are_pinned(self):
+        # the sorted member lists of klein_witnesses and find_subgroups_iso,
+        # both closed under conjugation from their anchored finds
+        lists = []
+        for name in ("S6", "S3xS3xS3", "2xS3xS3"):
+            cfg = classify.target_config(name)
+            lists.append([name, [cfg.group.indices_of(W.elements).tolist()
+                                 for W in klein_witnesses(cfg)]])
+        G = classify.target_config("2^4:S5").group
+        lists.append(["2^4:S5", [G.indices_of(H.elements).tolist()
+                                 for H in find_subgroups_iso(G, two_d8_reference())]])
+        assert [len(found) for _, found in lists] == [30, 27, 9, 225]
+        assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == (
+            "bc2f483496bb6b692e26fa0aedb5b8ac73599a2826c8ab56dc584d88c6935b18")
 
     @pytest.mark.parametrize("ref, count", [
         (generate(4, [Perm.parse("(1,2)", 4), Perm.parse("(3,4)", 4)]), 4),

@@ -405,6 +405,50 @@ def test_isomorphic_basics():
     assert isomorphic(trivial_group(), trivial_group(3))
 
 
+def test_certify_hom_checks_every_edge_and_the_bijection():
+    S4 = symmetric_group(4)
+    tup = S4.generating_tuple()
+    gens = S4.indices_of(tup).tolist()
+    # S4's automorphisms are inner: gens -> imgs extends to one exactly when
+    # imgs is gens conjugated by some g
+    inner = {tuple(S4.indices_of([x.conj(g) for x in tup]).tolist()) for g in S4.elements}
+    auto = S4.indices_of([x.conj(P("(1,2,3,4)", 4)) for x in tup]).tolist()
+    assert tuple(auto) in inner and auto != gens
+    assert permgrp._certify_hom(S4, gens, S4, auto)
+    # every other image of the last generator is rejected
+    verdicts = [permgrp._certify_hom(S4, gens, S4, auto[:-1] + [h])
+                for h in range(S4.order)]
+    assert verdicts == [tuple(auto[:-1] + [h]) in inner for h in range(S4.order)]
+    assert verdicts.count(True) == 1
+    # generators that do not generate S4
+    part = S4.indices_of([P("(1,2)", 4), P("(3,4)", 4)]).tolist()
+    assert not permgrp._certify_hom(S4, part, S4, part)
+    # V4 -> C4 sending both generators to the involution: a homomorphism
+    # on every edge, but not injective
+    V4, C4 = elementary_abelian_2(2), cyclic_group(4)
+    inv = int(np.flatnonzero(C4.element_orders() == 2)[0])
+    v_gens = V4.indices_of(V4.generating_tuple()).tolist()
+    assert len(v_gens) == 2
+    assert not permgrp._certify_hom(V4, v_gens, C4, [inv, inv])
+    # no generators: a (0, n) map array, which reaches only the identity
+    assert permgrp._certify_hom(trivial_group(), [], trivial_group(3), [])
+    assert not permgrp._certify_hom(cyclic_group(2), [], cyclic_group(2), [])
+
+
+def test_depth_first_pops_the_last_pushed_point():
+    tree = {}
+    step = lambda x: [2 * x % 7, (x + 1) % 7]
+    assert permgrp.depth_first([1], step, tree) == [1, 2, 4, 3, 6, 5, 0]
+    assert tree == {1: (None, 0), 2: (1, 0), 4: (2, 0), 3: (2, 1),
+                    6: (3, 0), 5: (6, 0), 0: (6, 1)}
+    # a later walk extends the tree; met roots and repeats are skipped
+    assert permgrp.depth_first([6, 0], step, tree) == []
+    tree = {}
+    assert permgrp.depth_first([3, 5, 3], lambda x: [x + 2] if x < 6 else [], tree) == [
+        3, 5, 7]
+    assert tree == {3: (None, 0), 5: (None, 1), 7: (5, 0)}
+
+
 def test_fingerprint_fields():
     fp = symmetric_group(4).fingerprint()
     assert fp.order == 24
