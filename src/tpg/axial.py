@@ -31,7 +31,6 @@ import numpy as np
 from .dihedral import FUSION, bilinear
 from .fpgrp import Word, parse_word
 from .permgrp import (
-    NonMemberError,
     Perm,
     PermGroup,
     _prefix_orders,
@@ -140,8 +139,7 @@ class TConfig:
     @cached_property
     def tset(self) -> tuple[Perm, ...]:
         """The T-set elements as Perms, in T-set order."""
-        return tuple(Perm.trusted(e)
-                     for e in self.group.element_images[self.members])
+        return tuple(map(Perm.trusted, self.group.element_images[self.members]))
 
     @cached_property
     def position(self) -> np.ndarray:
@@ -168,8 +166,7 @@ class TConfig:
         return i
 
     def seed_images(self) -> dict[str, Perm]:
-        a, b, c = self.seeds
-        return {"a": a, "b": b, "c": c}
+        return dict(zip("abc", self.seeds))
 
 
 def _positions(n: int, members: np.ndarray) -> np.ndarray:
@@ -181,10 +178,8 @@ def _positions(n: int, members: np.ndarray) -> np.ndarray:
 
 def _position_of(G: PermGroup, position: np.ndarray, p: Perm) -> int:
     """p's entry in position, an array over the elements of G; -1 outside G."""
-    try:
-        return int(position[G.index_of(p)])
-    except NonMemberError:
-        return -1
+    i = G._lookup(p.img[None])[0] if p.degree == G.degree else -1
+    return int(position[i]) if i >= 0 else -1
 
 
 def _scan_products(G: PermGroup, idx: np.ndarray) -> list[tuple[int, int, int]]:
@@ -200,39 +195,46 @@ def _scan_products(G: PermGroup, idx: np.ndarray) -> list[tuple[int, int, int]]:
     prods = G.product_indices(m[reps], m)  # [r, s]: T[reps[r]] * T[s]
     orders = G.element_orders()[prods]
     if (orders > 6).any():
-        r, s = (int(x) for x in np.argwhere(orders > 6)[0])
-        t, u = Perm.trusted(m[reps[r]]), Perm.trusted(m[s])
+        r, s = np.argwhere(orders > 6)[0]
         raise NotTrianglePointError(
-            f"product of T-set elements {t} and {u} "
-            f"has order {(t * u).order()} > 6"
-        )
+            f"product of T-set elements {Perm.trusted(m[reps[r]])} and "
+            f"{Perm.trusted(m[s])} has order {orders[r, s]} > 6")
     six = np.argwhere(orders == 6)
     cubes = G.power_indices(prods[six[:, 0], six[:, 1]], 3)
     return list(zip(cubes.tolist(), idx[reps[six[:, 0]]].tolist(),
                     idx[six[:, 1]].tolist()))
 
 
+def _seed_indices(G: PermGroup, a: Perm, b: Perm, c: Perm) -> np.ndarray:
+    """Element indices of a, b, c, ab in G by one lookup, -1 for a seed of
+    another degree or outside G; ab's entry holds when a and b are members."""
+    same = [p.degree == G.degree for p in (a, b, c, a)]
+    rows = np.stack([p.img if ok else G.identity().img for p, ok in zip((a, b, c), same)])
+    return np.where(same, G._lookup(np.vstack([rows, rows[1][rows[0]]])), -1)
+
+
 def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
     """Close {a, b, c, ab} under conjugation and the order-6 cube rule, walked
     depth first through a, b, c's conjugation maps from the seeds a, b, c, ab,
     then each round's cubes in scan order; a first arrival keeps its word."""
-    for name, p in (("a", a), ("b", b), ("c", c)):
+    roots = _seed_indices(G, a, b, c)
+    orders = G.element_orders()[roots]
+    for k, (name, p) in enumerate((("a", a), ("b", b), ("c", c))):
         if p.degree != G.degree:
             raise ValueError(f"seed {name} has the wrong degree")
-        if p not in G:
+        if roots[k] < 0:
             raise ValueError(f"seed {name} does not lie in the group")
-        if p.order() != 2:
+        if orders[k] != 2:
             raise ValueError(f"seed {name} must be an involution")
-    ab = a * b
-    if ab.order() != 2:
+    if orders[3] != 2:
         raise ValueError("ab must be an involution")
-    if not G.is_generated_by([a, b, c]):
+    if not G.index_closure(roots[:3])[0].all():
         raise ValueError("seeds must generate the group")
 
     conj = np.array([G.conjugation_map(g) for g in (a, b, c)])
     tree: dict[int, tuple] = {}
     derivations: dict[int, Derivation] = {}  # by element index of G
-    roots = G.indices_of((a, b, c, ab)).tolist()
+    roots = roots.tolist()
     cubes = None  # from the second round on, the (cube, t, s) of each root
     while new := depth_first(roots, lambda t: conj[:, t].tolist(), tree):
         for x in new:  # each word is built from its parent's, or its root's
@@ -248,12 +250,8 @@ def t_closure(G: PermGroup, a: Perm, b: Perm, c: Perm) -> TConfig:
         cubes = _scan_products(G, np.array(sorted(derivations)))
         roots = [cube for cube, _, _ in cubes]
     idx = sorted(derivations)  # element order is lexicographic image order
-    return TConfig(
-        group=G,
-        seeds=(a, b, c),
-        members=np.array(idx, dtype=np.intp),
-        derivations=tuple(derivations[i] for i in idx),
-    )
+    return TConfig(group=G, seeds=(a, b, c), members=np.array(idx, dtype=np.intp),
+                   derivations=tuple(derivations[i] for i in idx))
 
 
 def _pair_types(G: PermGroup, idx: np.ndarray, designated: np.ndarray) -> np.ndarray:
@@ -315,12 +313,11 @@ def t_equivalent(cfg: TConfig, other: TConfig) -> bool:
     if (len(cfg.members) != len(other.members)
             or cfg.group.fingerprint() != other.group.fingerprint()):
         return False
-    if [p.key() for p in cfg.seeds] == [p.key() for p in other.seeds]:
+    if cfg.seeds == other.seeds:
         return True  # equal seeds close to the same group and T-set
     a, b, c = cfg.seeds
-    images = find_isomorphism(cfg.group, other.group, gens=(a, b, a * b, c),
-                              allowed=other.mask)
-    return images is not None
+    return find_isomorphism(cfg.group, other.group, gens=(a, b, a * b, c),
+                            allowed=other.mask) is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,8 +335,7 @@ class AxisSpanModel:
 
     @cached_property
     def axes(self) -> tuple[Perm, ...]:
-        E = self.subgroup.element_images
-        return tuple(Perm.trusted(E[i]) for i in self.members)
+        return tuple(map(Perm.trusted, self.subgroup.element_images[self.members]))
 
     @property
     def dim(self) -> int:
@@ -472,11 +468,14 @@ def _canonical_2d8_basis(K: PermGroup, designated: np.ndarray) -> np.ndarray | N
     """Order the ten designated involutions of a 2xD8 by their structural roles.
 
     K is a 2xD8 and designated, a mask over its elements, holds ten of its
-    eleven involutions; the basis comes back as element indices of K.  The
-    missing involution must be central; the roles are fixed by t9 = square
-    of an order-4 element, t10 = t9 * missing, and a noncentral pair y, z
-    with o(yz) = 4.  Any valid choice of y, z differs by an automorphism
-    preserving the designated set, so the audit is unaffected.
+    eleven involutions; the basis comes back as element indices of K, or None
+    when the missing involution is not central or is t9.  The roles are fixed
+    by t9 = square of an order-4 element, t10 = t9 * missing, and a
+    noncentral pair y, z with o(yz) = 4.  Any valid choice of y, z differs by
+    an automorphism preserving the designated set, so the audit is
+    unaffected.  When designated is K n T, T a union of classes, the missing
+    involution is central: K n T is a union of K-classes, and a non-central
+    involution shares its K-class with another.
     """
     E = K.element_images
     T = K.product_indices(E, E)
@@ -715,8 +714,7 @@ def cert_from_dict(data: dict) -> ObstructionCertificate:
 
 
 def _cycles(G: PermGroup, idx) -> tuple[str, ...]:
-    E = G.element_images
-    return tuple(str(Perm.trusted(E[i])) for i in idx)
+    return tuple(str(Perm.trusted(row)) for row in G.element_images[idx])
 
 
 def _with_words(cfg: TConfig, idx: np.ndarray) -> tuple[tuple[str, str], ...]:

@@ -13,6 +13,7 @@ import numpy as np
 from .axial import (
     ObstructionCertificate,
     TConfig,
+    _seed_indices,
     cert_to_dict,
     obstruct,
     pair_type_counts,
@@ -22,6 +23,7 @@ from .axial import (
 from .fpgrp import (
     DEFAULT_CAPACITY,
     Presentation,
+    Word,
     coset_action,
     evaluate_word,
     parse_word,
@@ -256,7 +258,7 @@ def build(spec: GroupSpec, capacity: int = DEFAULT_CAPACITY) -> PermGroup:
                 raise ClassificationError(f"{spec.name}: relator {w} fails")
         # generation is structural: the group is built as the closure of the
         # tracked triple in both construction routes
-        if [p.key() for p in G.generators] != [G.tracked[k].key() for k in "abc"]:
+        if list(G.generators) != [G.tracked[k] for k in "abc"]:
             raise ClassificationError(f"{spec.name}: generators drifted from a,b,c")
         # an action on the cosets of the trivial subgroup is the regular one
         regular = (table if table is not None and not spec.action
@@ -495,19 +497,17 @@ def identify(G: PermGroup) -> str:
 
 def is_triangle_point(G: PermGroup, a: Perm, b: Perm, c: Perm) -> bool:
     """a, b, c, ab are involutions generating G with class products of order <= 6."""
-    for p in (a, b, c):
-        if p.degree != G.degree or p not in G:
-            raise ValueError("triple must lie in the group")
-    seeds = (a, b, c, a * b)
-    if (G.element_orders()[G.indices_of(seeds)] != 2).any():
+    seeds = _seed_indices(G, a, b, c)
+    if (seeds[:3] < 0).any():
+        raise ValueError("triple must lie in the group")
+    if (G.element_orders()[seeds] != 2).any():
         return False
-    if not G.is_generated_by([a, b, c]):
+    if not G.index_closure(seeds[:3])[0].all():
         return False
-    M = G.element_images[G.class_union(seeds)]
+    M = G.element_images[G.class_members(G.class_labels()[seeds])]
     # M is a union of classes and o(t^g s) = o(t s^(g^-1)), so the seeds as
     # left factors meet every product of two elements of M
-    left = np.stack([p.img for p in seeds])
-    return bool((G.product_orders(left, M) <= 6).all())
+    return bool((G.product_orders(G.element_images[seeds], M) <= 6).all())
 
 
 def small_tp_groups() -> list[PermGroup]:
@@ -577,6 +577,15 @@ def _orbit_quotient(G: PermGroup, S: frozenset[int]) -> Optional[PermGroup]:
     return PermGroup(len(reps), images.values(), tracked=images)
 
 
+def _word_index(G: PermGroup, word: Word, letters: dict[str, int]) -> int:
+    """Element index of word in G, its letters given as element indices: the
+    identity, row 0, moved along each letter's cached right map x -> x*g."""
+    x = 0
+    for ch in word.letters:
+        x = G._right_map(letters[ch])[x]
+    return int(x)
+
+
 def quotient_records(
     entry: CatalogEntry, lattice: Optional[list[PermGroup]] = None
 ) -> list[QuotientRecord]:
@@ -585,17 +594,18 @@ def quotient_records(
     A row's N is its class set S, the class closure of its words, and the
     lattice member of order |N| whose generators' classes lie in S; each
     member serves one row.  G/N is G's action on N's orbits where
-    _orbit_quotient gives it, else quotient(N)."""
+    _orbit_quotient gives it, else quotient(N).  The words are evaluated on
+    element indices, from one lookup of a, b, c."""
     rows = table_rows(entry.name)
     G = entry.group
-    images = entry.images()
+    letters = dict(zip("abc", G.indices_of(G.tracked[k] for k in "abc").tolist()))
     if lattice is None:
         lattice = normal_subgroups_index_gt(G, 12)
     unclaimed = [(N, G.classes_meeting(N.generators)) for N in lattice]
     recs: list[QuotientRecord] = []
     for i, row in enumerate(rows):
-        seeds = [evaluate_word(parse_word(w), images) for w in row.words]
-        S = G.class_closure(G.classes_meeting(seeds))
+        seeds = [_word_index(G, parse_word(w), letters) for w in row.words]
+        S = G.class_closure(G.class_labels()[seeds].tolist())
         order = int(G.class_sizes()[list(S)].sum())
         if order != row.order:
             raise ClassificationError(

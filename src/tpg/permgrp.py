@@ -275,17 +275,11 @@ class PermGroup:
         name: Optional[str] = None,
         tracked: Optional[dict[str, Perm]] = None,
     ):
-        gens = []
-        seen = set()
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
-            if g.is_identity() or g.key() in seen:
-                continue
-            seen.add(g.key())
-            gens.append(g)
+        gens = dict.fromkeys(generators)  # drops repeats, keeps the first of each
+        if any(g.degree != degree for g in gens):
+            raise ValueError("generator degree mismatch")
         self.degree = degree
-        self.generators = tuple(gens)
+        self.generators = tuple(g for g in gens if not g.is_identity())
         self.name = name
         self.tracked = dict(tracked) if tracked else {}
         self._E: Optional[np.ndarray] = None
@@ -397,7 +391,7 @@ class PermGroup:
     # -- structure ----------------------------------------------------------
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, aligned with .elements.
+        """Orders of all elements, by element index.
 
         Powers are followed on the base images only: g**k is the identity
         exactly when it fixes every base point.
@@ -527,8 +521,7 @@ class PermGroup:
         return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
     def involutions(self) -> tuple[Perm, ...]:
-        idx = np.nonzero(self.element_orders() == 2)[0]
-        return tuple(Perm.trusted(self._E[i]) for i in idx)
+        return tuple(map(Perm.trusted, self.element_images[self.element_orders() == 2]))
 
     def conjugation_map(self, g: Perm) -> np.ndarray:
         """Element index of g^-1 x g for every element x, by base image.
@@ -540,7 +533,7 @@ class PermGroup:
         return self.indices_of_base_images(g.img[self._E[:, g.inverse().img[base]]])
 
     def class_labels(self) -> np.ndarray:
-        """Conjugacy class number of every element, aligned with .elements.
+        """Conjugacy class number of every element, by element index.
 
         Classes are numbered by their least member, the least index in each
         orbit of the generators' conjugation maps.
@@ -622,13 +615,9 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
         """Conjugation orbits, ordered by least member, members sorted."""
         if self._classes is None:
-            labels = self.class_labels()
-            members = np.argsort(labels, kind="stable")
-            bounds = np.cumsum(self._class_sizes)[:-1]
-            self._classes = tuple(
-                tuple(Perm.trusted(self._E[i]) for i in cls)
-                for cls in np.split(members, bounds)
-            )
+            members = np.argsort(self.class_labels(), kind="stable")
+            self._classes = tuple(tuple(map(Perm.trusted, self._E[cls])) for cls in
+                                  np.split(members, np.cumsum(self._class_sizes)[:-1]))
         return self._classes
 
     def _right_map(self, i: int) -> np.ndarray:
@@ -751,8 +740,7 @@ class PermGroup:
 
     def is_generated_by(self, perms: Iterable[Perm]) -> bool:
         """Whether perms, members of the group, generate all of it."""
-        mask, _ = self.index_closure(self.indices_of(perms))
-        return bool(mask.all())
+        return bool(self.index_closure(self.indices_of(perms))[0].all())
 
     def normal_closure(
         self, X: Iterable[Perm], abort_above: Optional[int] = None
@@ -792,13 +780,16 @@ class PermGroup:
         images of this group's tracked permutations, each the row of the
         quotient that takes coset 0 to the permutation's coset.
         """
-        label = _least_in_orbits(
-            self.order, [self._right_map(i) for i in self.indices_of(N.generators)])
+        # N's generators, the group's own and the tracked elements, in one lookup
+        idx = self.indices_of((*N.generators, *self.generators, *self.tracked.values()))
+        n_idx, g_idx, t_idx = np.split(
+            idx, np.cumsum([len(N.generators), len(self.generators)]))
+        label = _least_in_orbits(self.order, [self._right_map(i) for i in n_idx])
         if (np.bincount(label)[label] != N.order).any():
             raise RuntimeError("a coset of N does not have |N| elements")
         # one row per generator, a (0, order) array for a group without any
-        maps = np.array([self._right_map(i) for i in self.indices_of(self.generators)],
-                        dtype=np.intp).reshape(len(self.generators), self.order)
+        maps = np.array([self._right_map(i) for i in g_idx],
+                        dtype=np.intp).reshape(len(g_idx), self.order)
         if (label[maps] != label[maps][:, label]).any():
             raise ValueError("quotient by a non-normal subgroup")
         number, reps, images, tree = breadth_first(
@@ -813,7 +804,7 @@ class PermGroup:
                 pick = k == g  # take reads uint16 indices faster than img[...]
                 rows[child[pick]] = img.take(rows[parent[pick]])
         rows.setflags(write=False)
-        moved = rows[number[label[self.indices_of(self.tracked.values())]]]
+        moved = rows[number[label[t_idx]]]
         Q = PermGroup(count, (Perm(t) for t in images),
                       tracked=dict(zip(self.tracked, (Perm(t) for t in moved))))
         Q._E = rows
@@ -1029,9 +1020,8 @@ def find_isomorphism(
     """
     if G.order != H.order:
         return None
-    if gens is None:
-        gens = G.generating_tuple()
-    gen_idx = G.indices_of(gens).tolist()
+    gen_idx = (G.index_closure(range(G.order))[1] if gens is None
+               else G.indices_of(gens).tolist())
     G_inv, H_inv = _class_invariants(G), _class_invariants(H)
     H_E = H.element_images
     ok = np.ones(H.order, dtype=bool) if allowed is None else allowed

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from tpg import classify
 from tpg.axial import (
     AMBIGUOUS_3,
     PAIR_INNER,
+    AxisSpanModel,
     NotTrianglePointError,
     PairType,
     TConfig,
@@ -38,6 +40,7 @@ from tpg.axial import (
     t_closure,
     t_equivalent,
     two_d8_reference,
+    _canonical_2d8_basis,
     _pair_type,
     verify_certificate,
 )
@@ -639,6 +642,32 @@ class TestFindSubgroups:
 
 
 class TestObstruct:
+    def test_canonical_basis_and_fallback_order(self):
+        # each central involution of the 2xD8 left out of designated in turn:
+        # without the square of an order-4 element there is no canonical
+        # basis, and the audit over obstruct's fallback order finds nothing
+        K = two_d8_reference()
+        E = K.element_images
+        table = K.product_indices(E, E)
+        orders = K.element_orders()
+        invs = np.flatnonzero(orders == 2)
+        central = [t for t in invs if (table[t] == table[:, t]).all()]
+        four = np.flatnonzero(orders == 4)[0]
+        square = table[four, four]
+        assert len(central) == 3 and square in central
+        for t in central:
+            designated = np.zeros(K.order, dtype=bool)
+            designated[invs] = True
+            designated[t] = False
+            basis = _canonical_2d8_basis(K, designated)
+            fallback = audit_model(AxisSpanModel(K, np.flatnonzero(designated)))
+            if t == square:
+                assert basis is None and fallback is None
+            else:
+                assert len(np.unique(basis)) == 10 and designated[basis].all()
+                assert audit_model(AxisSpanModel(K, basis)) is not None
+                assert fallback is not None
+
     def test_klein_certificate(self, deg9_config):
         cert = obstruct(deg9_config)
         assert cert is not None

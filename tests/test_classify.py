@@ -36,7 +36,7 @@ from tpg.classify import (
     write_outputs,
 )
 from tpg.axial import t_closure, t_equivalent, verify_certificate
-from tpg.fpgrp import coset_action, todd_coxeter, tp_presentation
+from tpg.fpgrp import coset_action, evaluate_word, parse_word, todd_coxeter, tp_presentation
 from tpg.permgrp import (
     Perm,
     alternating_group,
@@ -235,6 +235,23 @@ class TestQuotientRecords:
         assert calls == Counter()
 
 
+def test_row_words_by_element_index(entries):
+    # every row word of G1..G11, evaluated on element indices through the
+    # letters' right maps, against evaluating it as a Perm and looking it up
+    checked = 0
+    for name in GROUP_NAMES:
+        G = entries[name].group
+        letters = dict(zip("abc", G.indices_of(G.tracked[k] for k in "abc").tolist()))
+        for row in table_rows(name):
+            for w in row.words:
+                word = parse_word(w)
+                assert classify._word_index(G, word, letters) == G.index_of(
+                    evaluate_word(word, G.tracked)), (name, w)
+                checked += 1
+    assert checked == sum(len(r.words) for rows in classify.PARENT_ROWS.values()
+                          for r in rows) + sum(len(r.words) for r in G11_ROWS)
+
+
 def _g11_row_by_todd_coxeter(e, row, order):
     """Reference: G11's presentation with the row's words as relators,
     enumerated on the first of <a, b, x^3>, <a, b> and the trivial subgroup
@@ -350,6 +367,58 @@ class TestTrianglePointVerdict:
         # a, b, c, ab are involutions generating G, but two elements of
         # their class union multiply to an element of order 10
         assert not is_triangle_point(generate(7, [a, b, c]), a, b, c)
+
+
+_D8_SEEDS = ("(1,2)", "(3,4)", "(1,3)(2,4)")  # generate the D8 on four points
+
+# bad triples for the D8: (a, b, c) as (cycles, degree), then t_closure's
+# message and is_triangle_point's message or verdict; two bad seeds at once
+# name the first seed whose checks fail, the checks running seed by seed
+_SEED_CHECKS = [
+    ((("(1,2)", 4), ("(3,4)", 4), ("(1,2)", 5)),
+     "seed c has the wrong degree", "triple must lie in the group"),
+    ((("(1,3)", 4), ("(3,4)", 4), ("(1,3)(2,4)", 4)),
+     "seed a does not lie in the group", "triple must lie in the group"),
+    ((("(1,3,2,4)", 4), ("(3,4)", 4), ("(1,3)(2,4)", 4)),
+     "seed a must be an involution", False),
+    ((("(1,2)", 4), ("(3,4)", 4), ("()", 4)),
+     "seed c must be an involution", False),
+    ((("(1,2)", 4), ("(1,3)(2,4)", 4), ("(3,4)", 4)),
+     "ab must be an involution", False),
+    ((("(1,2)", 4), ("(3,4)", 4), ("(1,2)(3,4)", 4)),
+     "seeds must generate the group", False),
+    ((("(1,3)", 4), ("(1,2)", 5), ("(1,3)(2,4)", 4)),
+     "seed a does not lie in the group", "triple must lie in the group"),
+    ((("(1,3,2,4)", 4), ("(1,2)", 5), ("(1,3)(2,4)", 4)),
+     "seed a must be an involution", "triple must lie in the group"),
+    ((("(1,2)", 5), ("(1,3)", 4), ("(1,3)(2,4)", 4)),
+     "seed a has the wrong degree", "triple must lie in the group"),
+]
+
+
+class TestSeedChecks:
+    """t_closure and is_triangle_point answer each bad triple with the same
+    exception type and full message, or the same verdict, seed by seed."""
+
+    @pytest.mark.parametrize("seeds, closure_error, verdict", _SEED_CHECKS)
+    def test_bad_triple(self, seeds, closure_error, verdict):
+        G = generate(4, [Perm.parse(s, 4) for s in _D8_SEEDS])
+        a, b, c = (Perm.parse(s, n) for s, n in seeds)
+        with pytest.raises(ValueError) as err:
+            t_closure(G, a, b, c)
+        assert (type(err.value), str(err.value)) == (ValueError, closure_error)
+        if isinstance(verdict, bool):
+            assert is_triangle_point(G, a, b, c) is verdict
+        else:
+            with pytest.raises(ValueError) as err:
+                is_triangle_point(G, a, b, c)
+            assert (type(err.value), str(err.value)) == (ValueError, verdict)
+
+    def test_good_triple(self):
+        seeds = [Perm.parse(s, 4) for s in _D8_SEEDS]
+        G = generate(4, seeds)
+        assert is_triangle_point(G, *seeds) is True
+        assert len(t_closure(G, *seeds).members) == 5
 
 
 def _separates(G) -> bool:
