@@ -55,12 +55,10 @@ __all__ = [
     "PairType",
     "TConfig",
     "UnsupportedConfigurationError",
-    "axis_span_model",
     "cert_from_dict",
     "cert_to_dict",
     "find_subgroups_iso",
     "klein_identity",
-    "klein_search",
     "klein_witnesses",
     "obstruct",
     "pair_type",
@@ -155,9 +153,6 @@ class TConfig:
     def pair_types(self) -> np.ndarray:
         """_pair_types of the T-set, in T-set order."""
         return _pair_types(self.group, self.members, self.mask)
-
-    def __contains__(self, p: Perm) -> bool:
-        return _position_of(self.group, self.position, p) >= 0
 
     def index_of(self, p: Perm) -> int:
         i = _position_of(self.group, self.position, p)
@@ -401,17 +396,6 @@ class AxisSpanModel:
         return {k: v for k, v in out.items() if v}
 
 
-def axis_span_model(
-    K: PermGroup, axes, order: list[Perm] | None = None
-) -> AxisSpanModel:
-    members = K.indices_of(list(axes if order is None else order))
-    if order is None:
-        members = np.sort(members)
-    if (K.element_orders()[members] != 2).any():
-        raise ValueError("every axis must be an involution of the subgroup")
-    return AxisSpanModel(subgroup=K, members=members)
-
-
 @dataclass(frozen=True)
 class M1Witness:
     """A basis triple where the two evaluations of the form disagree."""
@@ -541,14 +525,6 @@ def _klein_members(G: PermGroup, triple: tuple[int, int, int]) -> np.ndarray:
     return members
 
 
-def klein_search(cfg: TConfig) -> PermGroup | None:
-    """First 2^3 subgroup with all seven involutions in the T-set, or None."""
-    triples = _klein_triples(cfg, stop_early=True)
-    if not triples:
-        return None
-    return cfg.group.subgroup_from_indices(_klein_members(cfg.group, triples[0]))
-
-
 def klein_witnesses(cfg: TConfig) -> tuple[PermGroup, ...]:
     """All 2^3 subgroups with every involution in the T-set."""
     triples = _klein_triples(cfg, stop_early=False)
@@ -579,7 +555,7 @@ def klein_identity() -> dict:
     """
     K = elementary_abelian_2(3)
     t0, t1, t2 = K.generating_tuple()
-    model = axis_span_model(K, K.involutions())
+    model = AxisSpanModel(K, np.flatnonzero(K.element_orders() == 2))
     dim = model.dim
 
     def axis(p: Perm) -> Vector:
@@ -761,7 +737,7 @@ def obstruct(cfg: TConfig) -> ObstructionCertificate | None:
     2xD8 subgroup with exactly ten designated involutions for an M1
     violation over its axis span.  A 2xD8 with all eleven involutions
     designated is skipped: a 2^3 inside it would lie inside T, and
-    klein_search is complete over T (T is a union of conjugacy classes, and
+    the Klein scan is complete over T (T is a union of conjugacy classes, and
     every 2^3 inside T has a conjugate through the first T-element of a
     class, where the search anchors).
     """

@@ -71,7 +71,6 @@ __all__ = [
     "report_to_json",
     "small_tp_groups",
     "variant_groups_72",
-    "variant_groups_216",
     "write_outputs",
 ]
 
@@ -681,9 +680,9 @@ class Configuration:
         differ here are inequivalent without a search.
         """
         G, T = self.tconfig.group, self.tconfig.members
-        derived = G.indices_of_base_images(G.derived_subgroup().element_images[:, G.base()])
+        G.derived_subgroup()  # closes G' as a mask over G's elements
         central = G.class_sizes()[G.class_labels()[T]] == 1  # classes of size 1
-        return len(T), int(self.tconfig.mask[derived].sum()), int(central.sum())
+        return len(T), int(G._derived_mask[T].sum()), int(central.sum())
 
 
 @dataclass
@@ -998,8 +997,3 @@ def lemma_m66_groups() -> dict[int, PermGroup]:
 def variant_groups_72() -> list[PermGroup]:
     """The three order-72 presentations; permuting a, b, ab links them."""
     return [build(s) for s in _rows("variant-72")]
-
-
-def variant_groups_216() -> list[PermGroup]:
-    """The three order-216 presentations with a squared y-word added."""
-    return [build(s) for s in _rows("variant-216")]

@@ -313,6 +313,10 @@ def run(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"tpg: enumeration aborted: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # leaving the handler drops its traceback, and the storage it holds
+    print("tpg: out of memory", file=sys.stderr)
+    return 1
 
 
 def main() -> int:

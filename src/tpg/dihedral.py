@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .qlin import Matrix, Vector, echelon, null_basis, parse_rat, rat_str
+from .qlin import Matrix, Vector, echelon, null_basis
 
 __all__ = [
     "DIHEDRAL_TYPES",
@@ -48,10 +48,8 @@ __all__ = [
     "check_inclusion",
     "check_m1",
     "check_miyamoto",
-    "from_dict",
     "inner",
     "product",
-    "to_dict",
 ]
 
 DIHEDRAL_TYPES = ("1A", "2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A")
@@ -65,7 +63,7 @@ _THIRTY_SECOND = Fraction(1, 32)
 EIGENVALUES = (_ONE, _ZERO, _QUARTER, _THIRTY_SECOND)
 
 # Fusion rules: products of mu- and nu-eigenvectors decompose into the listed
-# eigenvalues.  Keys are unordered; see fusion_rule() for symmetric lookup.
+# eigenvalues.  Keys are unordered: each pair is listed once.
 FUSION = {
     (_ONE, _ONE): frozenset([_ONE]),
     (_ONE, _ZERO): frozenset(),
@@ -87,13 +85,6 @@ _FUSION_MASK = {_BIT[mu] | _BIT[nu]: sum(map(_BIT.get, lams)) for (mu, nu), lams
 _TINY_BIT = _BIT[_THIRTY_SECOND]
 _QUARTER_BIT = _BIT[_QUARTER]
 _VALUE = {bit: lam for lam, bit in _BIT.items()}  # in EIGENVALUES order
-
-
-def fusion_rule(mu: Fraction, nu: Fraction) -> frozenset:
-    try:
-        return FUSION[(mu, nu)] if (mu, nu) in FUSION else FUSION[(nu, mu)]
-    except KeyError:
-        raise ValueError(f"not an admissible eigenvalue pair: ({mu}, {nu})") from None
 
 
 class ConstructionError(ValueError):
@@ -669,30 +660,3 @@ def check_inclusion(alg: DihedralAlgebra) -> list[str]:
                 if alg.gram[host[i], host[j]] != sub.gram[i, j]:
                     violations.append(f"{alg.type}: ({x}, {y}) does not match the {sub_type} form")
     return violations
-
-
-def to_dict(alg: DihedralAlgebra) -> dict:
-    """JSON-ready description: basis labels, products and Gram entries as strings."""
-    return {
-        "type": alg.type,
-        "basis": list(alg.basis),
-        "mult": [[[rat_str(c) for c in vec] for vec in row] for row in alg.mult],
-        "gram": [[rat_str(alg.gram[i, j]) for j in range(alg.dim)] for i in range(alg.dim)],
-    }
-
-
-def from_dict(data: dict) -> DihedralAlgebra:
-    t = data["type"]
-    basis = tuple(data["basis"])
-    mult = tuple(
-        tuple(Vector([parse_rat(c) for c in vec]) for vec in row) for row in data["mult"]
-    )
-    gram = Matrix([[parse_rat(c) for c in row] for row in data["gram"]])
-    n = len(basis)
-    if len(mult) != n or any(len(row) != n for row in mult) or any(
-        len(vec) != n for row in mult for vec in row
-    ):
-        raise ValueError("multiplication table shape does not match the basis")
-    if gram.nrows != n or gram.ncols != n:
-        raise ValueError("Gram matrix shape does not match the basis")
-    return DihedralAlgebra(type=t, basis=basis, mult=mult, gram=gram)

@@ -179,18 +179,6 @@ class Perm:
         inv[self.img] = np.arange(self.degree, dtype=DTYPE)
         return Perm.trusted(inv)
 
-    def __pow__(self, n: int) -> "Perm":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Perm.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conj(self, g: "Perm") -> "Perm":
         """g^-1 * self * g."""
         return Perm.trusted(g.img[self.img[g.inverse().img]])
@@ -351,9 +339,6 @@ class PermGroup:
         self._enumerate()
         return self._E
 
-    def index_of(self, p: Perm) -> int:
-        return int(self.indices_of([p])[0])
-
     def indices_of(self, perms: Iterable[Perm]) -> np.ndarray:
         """Element indices of perms; NonMemberError if one is not a member."""
         perms = list(perms)
@@ -364,10 +349,6 @@ class PermGroup:
         if (idx < 0).any():
             raise NonMemberError(f"{perms[int(np.argmin(idx))]} is not a member")
         return idx
-
-    def __contains__(self, p) -> bool:
-        return (isinstance(p, Perm) and p.degree == self.degree
-                and self._lookup(p.img[None])[0] >= 0)
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
         """Element index of each full image row, -1 for a non-member.
@@ -733,14 +714,6 @@ class PermGroup:
         return self._fingerprint
 
     # -- subgroups and quotients ---------------------------------------------
-
-    def subgroup(self, gens: Iterable[Perm]) -> "PermGroup":
-        """The subgroup generated by gens, members of the group."""
-        return self.subgroup_from_indices(self.indices_of(gens))
-
-    def is_generated_by(self, perms: Iterable[Perm]) -> bool:
-        """Whether perms, members of the group, generate all of it."""
-        return bool(self.index_closure(self.indices_of(perms))[0].all())
 
     def normal_closure(
         self, X: Iterable[Perm], abort_above: Optional[int] = None

@@ -108,10 +108,6 @@ class Vector:
         self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     @classmethod
-    def zero(cls, n: int) -> "Vector":
-        return cls([ZERO] * n)
-
-    @classmethod
     def unit(cls, n: int, i: int) -> "Vector":
         c = [ZERO] * n
         c[i] = ONE
@@ -155,9 +151,6 @@ class Vector:
         if len(self) != len(other):
             raise ValueError("dimension mismatch")
         return sum((a * b for a, b in zip(self.coords, other.coords)), ZERO)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __repr__(self):
         return "Vector([%s])" % ", ".join(rat_str(c) for c in self.coords)

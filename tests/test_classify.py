@@ -32,7 +32,6 @@ from tpg.classify import (
     table_rows,
     target_config,
     variant_groups_72,
-    variant_groups_216,
     write_outputs,
 )
 from tpg.axial import t_closure, t_equivalent, verify_certificate
@@ -51,6 +50,8 @@ from tpg.permgrp import (
     trivial_group,
 )
 
+from test_permgrp import index_of
+
 CATALOG_ORDERS = {
     "G1": 64, "G2": 144, "G3": 160, "G4": 240, "G5": 660, "G6": 384,
     "G7": 960, "G8": 1440, "G9": 1152, "G10": 3840, "G11": 17496,
@@ -60,6 +61,11 @@ CATALOG_ORDERS = {
 @pytest.fixture(scope="module")
 def entries():
     return {e.name: e for e in catalog()}
+
+
+def variant_groups_216() -> list:
+    """The three order-216 presentations with a squared y-word added."""
+    return [classify.build(s) for s in _rows("variant-216")]
 
 
 def _tc_group(m, n, p, r=(None,) * 5):
@@ -245,8 +251,8 @@ def test_row_words_by_element_index(entries):
         for row in table_rows(name):
             for w in row.words:
                 word = parse_word(w)
-                assert classify._word_index(G, word, letters) == G.index_of(
-                    evaluate_word(word, G.tracked)), (name, w)
+                assert classify._word_index(G, word, letters) == index_of(
+                    G, evaluate_word(word, G.tracked)), (name, w)
                 checked += 1
     assert checked == sum(len(r.words) for rows in classify.PARENT_ROWS.values()
                           for r in rows) + sum(len(r.words) for r in G11_ROWS)

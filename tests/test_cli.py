@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -327,6 +328,22 @@ class TestCapacity:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "1"]
+
+    def test_out_of_memory_is_an_exit_code(self, tmp_path):
+        # a capacity of 5*10^7 would store about 3.4 GB; the child alone
+        # runs under a 200 MiB address-space limit, set after the fork
+        pres = tmp_path / "666.txt"
+        pres.write_text("mnp: 6 6 6\n")
+        limit = 200 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpg.cli", "--coset-capacity", "50000000",
+             "enumerate", str(pres)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 1
+        assert proc.stderr == "tpg: out of memory\n"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("change, message", [
         ("order=65", "G1: generated order 64, catalog says 65"),

@@ -45,6 +45,8 @@ from tpg.permgrp import (
     symmetric_group,
 )
 
+from test_permgrp import contains, is_generated_by
+
 
 def is_elementary_abelian_2(G):
     return all(o <= 2 for o, _ in G.order_histogram())
@@ -62,9 +64,9 @@ def verify_presentation(pres, images, H):
     for w in pres.relator_words():
         if not evaluate_word(w, images).is_identity():
             return False
-    if any(g not in H for g in gens):
+    if any(not contains(H, g) for g in gens):
         return False
-    return H.is_generated_by(gens)
+    return is_generated_by(H, gens)
 
 
 def perms(degree, *cycle_strs):
