@@ -164,12 +164,12 @@ _SPECS: tuple[GroupSpec, ...] = (
     GroupSpec("reference", "3^{1+2}:2^2", 108, (3, 6, 6)),
     GroupSpec("reference", "S5", 120, factors=(("S", 5),)),
     GroupSpec("reference", "2^4:D12", 192, (4, 6, 6), (4, 3)),
-    GroupSpec("reference", "S3xS3xS3", 216, factors=(("S", 3), ("S", 3), ("S", 3))),
+    GroupSpec("reference", "S3xS3xS3", 216, shares="target"),
     GroupSpec("reference", "2x(3^{1+2}:2^2)", 216, (6, 6, 6), (6, 6, 6, None, 3),
               ("(a * c^(bc))^2",), ("a", "b")),
     GroupSpec("reference", "2^4:(S3xS3)", 576, (6, 6, 6), (4, 6, 6), ("a * (b * c^(ac))^3",)),
     GroupSpec("reference", "S3:(3^{1+2}:2^2)", 648, shares="target"),
-    GroupSpec("reference", "S6", 720, factors=(("S", 6),)),
+    GroupSpec("reference", "S6", 720, shares="target"),
     GroupSpec("reference", "2^4:S5", 1920, shares="target"),
     GroupSpec("reference", "(3^2:2):(3^{1+2}:2^2)", 1944, shares="target"),
     GroupSpec("reference", "(3^3:2):(3^{1+2}:2^2)", 5832, shares="target"),

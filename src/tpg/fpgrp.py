@@ -15,29 +15,28 @@ the int object it holds, where an array read builds a new one (for each
 number above 256), and a coset's number is one int object shared by every
 slot that names it: the lists cost about 68 bytes per defined coset,
 against about 17 in arrays.
-Every entry of a live coset is undefined or a live coset, so scans read
-the columns without union-find lookups, and a scan that stops with a gap
-of two or more letters defines the cosets along the gap in one pass,
-numbered inline after one capacity and storage check.  The columns are
-involutions, so a square x^2 can only miss its coset's x entry: the sweep
-fills that entry in place of a scan.  A scan of any other relator closes
-its cycle through its coset and marks the cosets of that cycle, reached by
-its forward or its backward reading, from which the relator reads the same
-cycle, so the sweep skips every scan it can prove is a no-op; the
-definitions, coincidences and defined-coset count are those of the plain
-HLT sweep.  The live rows are read out of the lists into a numpy table,
-renumbered by one gather, and one vectorised check (columns are
-involutions of range(n), every relator fixes every coset, every subgroup
-word fixes coset 0) decides whether the table is closed; it reads a
-relator w^k as its least period w raised to the k-th power by squaring,
-and leaves the squares to the involution check.  The check runs after
-each sweep, and once within it: the sweep tracks the first live coset with
-an undefined entry, and once no live row has one, it checks the table.  A
-table that passes is complete and closed, which is where HLT ends, so the
-sweep stops there.  The closed table is renumbered breadth-first from the
-subgroup coset, one numpy step per BFS level: a canonical relabeling of
-the checked table, so a returned table is always complete, closed and
-deterministic.
+The enumeration is one HLT pass over the cosets in order, which closes
+the table by its end.  Every entry of a live coset is undefined or a live
+coset, so scans read the columns without union-find lookups, and a scan
+that stops with a gap of two or more letters defines the cosets along the
+gap in one step, numbered inline after one capacity and storage check.
+The columns are involutions, so a square x^2 can only miss its coset's x
+entry: the pass fills that entry in place of a scan, and so fills the row.
+A scan of any other relator closes its cycle through its coset and marks
+the cosets of that cycle, reached by its forward or its backward reading,
+from which the relator reads the same cycle, so the pass skips every scan
+it can prove is a no-op; the definitions, coincidences and defined-coset
+count are those of the plain HLT pass.  The live rows are read out of the
+lists into a numpy table, renumbered by one gather, and one vectorised
+check (columns are involutions of range(n), every relator fixes every
+coset, every subgroup word fixes coset 0) decides whether the table is
+closed; it reads a relator w^k as its least period w raised to the k-th
+power by squaring, and leaves the squares to the involution check.  It
+runs where the pass first finds every live row full, and ends the pass
+there if the table passes; if not, it runs once more at the pass's end.
+The closed table is renumbered breadth-first from the subgroup coset, one
+numpy step per BFS level: a canonical relabeling of the checked table, so
+a returned table is always complete, closed and deterministic.
 """
 
 from __future__ import annotations
@@ -420,9 +419,9 @@ class _Enumerator:
     pointer; every coset that dies is processed before ``_coincidence``
     returns; and a scan returns right after it calls ``_coincidence``.
     A scan that stops with a gap of two or more letters defines the cosets
-    along it in one pass: a new coset's only entry is its back pointer, so
+    along it in one step: a new coset's only entry is its back pointer, so
     the forward reading would step onto it and stop at the next letter.
-    The pass numbers its cosets from a local count, after one check that
+    The fill numbers its cosets from a local count, after one check that
     the gap fits the capacity (``limit``, which also stops at the end of
     the storage chunk), and adds them to ``defined`` and ``mutations`` at
     its end.  It falls back to one ``_define`` per reading where that
@@ -431,18 +430,20 @@ class _Enumerator:
     grows the storage or raises ``CapacityError`` at the same count.
 
     A square x^2 is not scanned: at a live coset its scan is a no-op if the
-    x entry is set and defines that entry if not, so the sweep does just
+    x entry is set and defines that entry if not, so the pass does just
     that.  A scan of any other relator r leaves r's cycle through its start
     coset closed, and coincidences map a closed cycle onto a closed cycle,
     so a later scan of r at a live coset of that cycle is a no-op wherever
     r read from there traces the same cycle (``_closing_positions``).  A
     scan sets bit k of the marks of the cosets that its forward or its
     backward reading reaches at those positions, for the k-th relator that
-    is not a square, and the sweep skips every marked scan.  A sweep ends
-    early, returning the live table, once every live row is full and the
-    table passes the check (``_sweep``), the only check a table gets.  The
-    HLT definitions, coincidences and defined count are exactly those of
-    the sweep that scans every relator at every live coset to the end.
+    is not a square, and the pass skips every marked scan.  The squares
+    fill each row the pass reaches, and no coincidence pass undefines an
+    entry of a coset that stays live, so at the pass's end the table is
+    complete and closed; ``run`` checks it there, or earlier, once every
+    live row is full, and stops if it passes.  The HLT definitions,
+    coincidences and defined count are exactly those of the pass that
+    scans every relator at every live coset to the end.
     """
 
     def __init__(self, relators, subgroup_rows, capacity):
@@ -504,19 +505,12 @@ class _Enumerator:
         return m
 
     def _coincidence(self, k: int, l: int):
-        # Merge k and l, then every pair their rows force, the larger coset
-        # into the smaller.  Union-find lookups halve their paths inline; the
-        # queue of merged cosets is a list walked while it grows (FIFO).
+        # Merge k and l, two distinct live cosets, then every pair their rows
+        # force, the larger coset into the smaller.  Union-find lookups halve
+        # their paths inline; the queue of merged cosets is a list walked
+        # while it grows (FIFO).
         parent = self.parent
         cols = self.cols
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        while parent[l] != l:
-            parent[l] = parent[parent[l]]
-            l = parent[l]
-        if k == l:
-            return
         if k > l:
             k, l = l, k
         parent[l] = k
@@ -648,16 +642,15 @@ class _Enumerator:
                 self.mutations += 1
                 return
 
-    def _sweep(self) -> Optional[np.ndarray]:
-        """One HLT pass over the live cosets.
+    def run(self) -> np.ndarray:
+        """One HLT pass over the cosets in order; the closed live table.
 
-        Returns the live table as soon as it is complete and closed, or None
-        if the pass ends without finding it so.  ``full`` is the first live
-        coset, at or after ``alpha``, with an undefined entry; it only moves
-        forward.  When it reaches ``defined``, every live row may be full,
-        and the vectorised check runs, once per pass.  If it passes, every
-        scan left would read a full cycle back to its start: no definition,
-        coincidence or mutation, so the pass may stop there.
+        ``full`` is the first live coset, at or after ``alpha``, with an
+        undefined entry; it only moves forward.  When it reaches
+        ``defined``, every live row may be full, and the vectorised check
+        runs, once within the pass.  If it passes, every scan left would
+        read a full cycle back to its start, so the pass stops there; if
+        not, the pass runs to its end and checks the table once more.
         """
         parent = self.parent
         marks = self.marks
@@ -684,7 +677,8 @@ class _Enumerator:
             if parent[alpha] == alpha:
                 # marks are only ever set, and only by scans of the marked
                 # relator, so alpha's marks read once hold for the relators
-                # still ahead
+                # still ahead; the squares fill alpha's row, and no
+                # coincidence pass undefines an entry of a live coset
                 done = marks[alpha]
                 for cword, bit, closing in self.rel_scans:
                     if done & bit:
@@ -695,12 +689,11 @@ class _Enumerator:
                             break
                     elif cword[alpha] == -1:  # a square: its only possible gap
                         self._define(alpha, cword)
-                else:
-                    for col in self.cols:
-                        if col[alpha] == -1:
-                            self._define(alpha, col)
             alpha += 1
-        return None
+        mat = self._closed_table()
+        if mat is None:
+            raise RuntimeError("coset enumeration ended without closing")
+        return mat
 
     def _live_table(self) -> Optional[np.ndarray]:
         """Rep-normalized live rows (3 x live, int32), or None if any entry
@@ -731,17 +724,6 @@ class _Enumerator:
                 mat, self.relators, self.subgroup_rows) is not None:
             return None
         return mat
-
-    def run(self) -> np.ndarray:
-        while True:
-            before = self.mutations
-            mat = self._sweep()
-            if mat is None:
-                mat = self._closed_table()
-            if mat is not None:
-                return mat
-            if self.mutations == before:
-                raise RuntimeError("coset enumeration stalled without closing")
 
 
 def _table_fault(mat: np.ndarray, relators, subgroup_rows) -> Optional[str]:

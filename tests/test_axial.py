@@ -48,7 +48,7 @@ from tpg.axial import (
 from tpg.fpgrp import evaluate_word, parse_word
 from tpg.permgrp import Perm, PermGroup, dihedral_group, generate, isomorphic
 
-from test_permgrp import power
+from test_permgrp import is_elementary_abelian_2, power, sort_key
 
 # The 2xD8 on six points with designated involutions t1..t10; t11 is the
 # central involution left out.
@@ -65,15 +65,6 @@ _T_LABELS = {
     10: "(1,2)(3,4)(5,6)",
     11: "(5,6)",
 }
-
-
-def is_elementary_abelian_2(G):
-    return all(o <= 2 for o, _ in G.order_histogram())
-
-
-def sort_key(p):
-    """Big-endian bytes, so byte order equals lexicographic image order."""
-    return p.img.astype(">u2").tobytes()
 
 
 def _t(i: int) -> Perm:

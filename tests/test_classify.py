@@ -50,7 +50,7 @@ from tpg.permgrp import (
     trivial_group,
 )
 
-from test_permgrp import index_of
+from test_permgrp import _separates, index_of
 
 CATALOG_ORDERS = {
     "G1": 64, "G2": 144, "G3": 160, "G4": 240, "G5": 660, "G6": 384,
@@ -425,11 +425,6 @@ class TestSeedChecks:
         G = generate(4, seeds)
         assert is_triangle_point(G, *seeds) is True
         assert len(t_closure(G, *seeds).members) == 5
-
-
-def _separates(G) -> bool:
-    images = G.element_images[:, G.base()]
-    return len(np.unique(images, axis=0)) == G.order
 
 
 def _g10_2_4_s5(report):

@@ -45,11 +45,7 @@ from tpg.permgrp import (
     symmetric_group,
 )
 
-from test_permgrp import contains, is_generated_by
-
-
-def is_elementary_abelian_2(G):
-    return all(o <= 2 for o, _ in G.order_histogram())
+from test_permgrp import contains, is_elementary_abelian_2, is_generated_by
 
 
 def verify_presentation(pres, images, H):
@@ -468,8 +464,8 @@ class TestDefinitionOrder:
 
 
 class ReferenceEnumerator(_Enumerator):
-    """The plain HLT sweep: every relator, in sort order, is scanned at every
-    live coset to the end of the sweep, and no scan sets a mark.  Its scan
+    """The plain HLT pass: every relator, in sort order, is scanned at every
+    live coset to the end of the pass, and no scan sets a mark.  Its scan
     is the plain one, with one definition per reading and a _rep lookup on
     every entry read, and so is its coincidence pass: a merge function,
     representative lookups through _rep, and a FIFO deque of merged
@@ -543,7 +539,7 @@ class ReferenceEnumerator(_Enumerator):
                     if ev != -1:
                         merge(u, ev)
 
-    def _sweep(self):
+    def run(self):
         parent = self.parent
         scan = self._plain_scan
         for cword in self._columns(self.subgroup_rows):
@@ -561,6 +557,7 @@ class ReferenceEnumerator(_Enumerator):
                         if col[alpha] == -1:
                             self._define(alpha, col)
             alpha += 1
+        return self._closed_table()
 
 
 def enumeration_trace(cls, pres, subgroup, capacity):
@@ -698,7 +695,7 @@ SWEEP_ARGS = (MEMBERS,
 @example((1, 6, 6), None, [Word("aab")], [], False)
 @example((1, 5, 6), None, [], [Word("c")], True)
 # complete at 20 live of 22 defined cosets, fails the relator check there,
-# and collapses to 1 later in the same sweep
+# and collapses to 1 later in the same pass
 @example((3, 3, 3), None, [], [], False)
 # the two cases where a scan fills its gap one definition at a time: the
 # next letter reads the new coset's column again (4 times here), and the
@@ -792,19 +789,27 @@ def test_marked_cosets_read_their_relators_in_g11():
 
 
 class LiveEntriesEnumerator(_Enumerator):
-    """Checks, after every coincidence pass, the invariant that lets a scan
-    read without _rep: every entry of a live coset is -1 or a live coset."""
+    """Checks the invariants that _coincidence and the pass rely on: every
+    call merges two distinct live cosets, and after every coincidence pass
+    every entry of a live coset is -1 or a live coset (so a scan reads
+    without _rep), and every entry a coset that stays live had before the
+    pass is still defined (so the squares fill each row the pass reaches,
+    and a full row stays full)."""
 
     coincidences = 0
 
     def _coincidence(self, k, l):
+        parent = self.parent
+        assert k != l and parent[k] == k and parent[l] == l
+        n = self.defined
+        before = np.array([col[:n] for col in self.cols]) != -1
         super()._coincidence(k, l)
         self.coincidences += 1
-        n = self.defined
-        live = np.array(self.parent[:n]) == np.arange(n)
+        live = np.array(parent[:n]) == np.arange(n)
         rows = np.array([col[:n] for col in self.cols])[:, live]
         # a -1 entry reads live[-1], which the first term overrides
         assert ((rows == -1) | live[rows]).all()
+        assert (rows != -1)[before[:, live]].all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -904,23 +909,30 @@ def test_storage_per_defined_coset_stays_small():
     assert peak <= 72 * enum.defined, f"{peak / enum.defined:.1f} bytes a coset"
 
 
-@pytest.mark.parametrize("pres,closed", [
-    (tp_presentation(6, 6, 6, (5, 5, 5, 4, None)), True),
-    (tp_presentation(3, 3, 3), False),
+class CheckCountingEnumerator(_Enumerator):
+    """Counts the table checks of a run."""
+
+    checks = 0
+
+    def _closed_table(self):
+        self.checks += 1
+        return super()._closed_table()
+
+
+@pytest.mark.parametrize("pres,order,defined,checks", [
+    (tp_presentation(6, 6, 6, (5, 5, 5, 4, None)), 3840, 10289, 1),
+    (tp_presentation(3, 3, 3), 1, 22, 2),
 ], ids=["G10", "3-3-3"])
-def test_sweep_returns_only_a_closed_table(pres, closed):
-    # G10's first sweep finds its table complete and closed and returns it;
-    # (3, 3, 3)'s is complete only at a point where a relator fails, so the
-    # sweep runs to its end, and the check after it finds the collapse
-    enum = _Enumerator(*_letter_rows(pres, ()), 10**6)
-    mat = enum._sweep()
-    if closed:
-        assert mat is not None and mat.shape == (3, 3840)
-        verify_table(mat, enum.relators, enum.subgroup_rows)
-        assert enum.defined == 10289
-    else:
-        assert mat is None
-        assert enum._closed_table().shape == (3, 1)
+def test_sweep_returns_only_a_closed_table(pres, order, defined, checks):
+    # G10's pass finds its table complete and closed midway and returns it
+    # at that one check; (3, 3, 3)'s is complete midway only at a point
+    # where a relator fails, so the pass runs to its end, and the check
+    # there finds the collapse
+    enum = CheckCountingEnumerator(*_letter_rows(pres, ()), 10**6)
+    mat = enum.run()
+    assert mat.shape == (3, order) and enum.defined == defined
+    verify_table(mat, enum.relators, enum.subgroup_rows)
+    assert enum.checks == checks
 
 
 def test_mark_bits_fit_their_array():
